@@ -32,7 +32,7 @@ from .cycle import (
     stroke_ledger,
     theta,
 )
-from .minkowski import MinkowskiParams, dawson, figure4a_curve, minkowski_moments
+from .minkowski import MinkowskiParams, dawson, minkowski_moments
 from .oracle import (
     FockParams,
     QuadratureConvergenceError,
@@ -43,6 +43,7 @@ from .oracle import (
     single_mode_kernel,
     verify_weyl_moments,
 )
+from .sweeps import figure4a_curve
 from .verification import run_verification, run_verify
 
 __version__ = "0.1.0"

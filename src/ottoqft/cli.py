@@ -36,8 +36,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--config", required=True, help="path to a key=value config file")
     sweep.add_argument("--set", dest="sets", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker count (default: available parallelism)")
 
     verify = sub.add_parser("verify", help="run the oracle cross-check suite")
     verify.add_argument("--set", dest="sets", action="append", default=[],
@@ -53,11 +51,7 @@ def _build_parser() -> _Parser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _read(args.config)
     spec = parse_config(text, args.sets)
-    if spec.mode not in ("curve-tau2", "grid-couplings"):
-        raise ConfigError(
-            f"sweep requires mode curve-tau2 or grid-couplings, got {spec.mode!r}"
-        )
-    csv_doc = run_sweep(spec, jobs=args.jobs)
+    csv_doc = run_sweep(spec)  # rejects non-sweep modes
     _write(spec.output_path, csv_doc)
     return 0
 

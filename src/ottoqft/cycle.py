@@ -9,9 +9,13 @@ function of the moment data alone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from .algebra import _BOUND_TOL, _COSH_ARG_MAX, _SIMPLEX_TOL
 from .algebra import (
     KernelInconsistencyError,
     MomentSet,
@@ -30,6 +34,8 @@ __all__ = [
     "extracted_work",
     "positive_work_condition",
     "stroke_ledger",
+    "LedgerColumns",
+    "cycle_arrays",
 ]
 
 # below this distance of nu1*nu2*alpha from 1 the cycle transfers nothing
@@ -220,3 +226,47 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
         pwc=bool(w_ext is not None and w_ext > 0.0),
         degenerate=False, closed=closed,
     )
+
+
+# closed-cycle ledger of many cycles: one array per column, all of one shape
+LedgerColumns = namedtuple("LedgerColumns", "theta nu1 nu2 e12 mu12 p p1 w_ext pwc")
+
+
+def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12) -> LedgerColumns:
+    """stroke_ledger of closed cycles over broadcastable arrays, by the same
+    formulas in the same order.  Degenerate points give the no-op row.
+
+    Every check of the scalar path is made on every point; if any fails, the
+    first failing point in C order goes to stroke_ledger, which raises that
+    check's own exception.
+    """
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
+        omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)))
+    omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12 = args
+    th = omega1 * tau1 - omega2 * tau2
+    with np.errstate(all="ignore"):  # failing points are flagged below, not warned about
+        arg = 4.0 * mu12
+        s_half, c_half = np.sin(0.5 * th), np.cos(0.5 * th)
+        raw = nu1 * nu2 * (np.exp(arg) * s_half * s_half + np.exp(-arg) * c_half * c_half)
+        product = np.minimum(raw, 1.0)
+        degenerate = 1.0 - product < _DEGENERACY_TOL
+        sin_2e, sin_th = np.sin(2.0 * e12), np.sin(th)
+        p_raw = 0.5 - 0.5 * nu2 * sin_2e * sin_th / (product - 1.0)
+        p = np.clip(p_raw, 0.0, 1.0)
+        p1 = 0.5 + (p - 0.5) * nu1
+        p2 = 0.5 * (1.0 + nu2 * sin_2e * sin_th + (2.0 * p - 1.0) * product)
+        ok = ((omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1) & np.isfinite(e12)
+              & (0.0 < nu1) & (nu1 <= 1.0) & (0.0 < nu2) & (nu2 <= 1.0)
+              & (np.abs(arg) <= _COSH_ARG_MAX) & (raw <= 1.0 + _BOUND_TOL)
+              & (degenerate | ((-_CLOSURE_TOL <= p_raw) & (p_raw <= 1.0 + _CLOSURE_TOL)
+                               & (-_SIMPLEX_TOL <= p2) & (p2 <= 1.0 + _SIMPLEX_TOL))))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        o1, o2, t1, t2, *moments = (float(a.flat[i]) for a in args)
+        m = MomentSet(*moments)  # moments are checked before the kicks, as in a sweep
+        stroke_ledger(CycleConfig(InteractionEvent(t1, o1), InteractionEvent(t2, o2)), m)
+        # reached only where the two paths round across a threshold differently
+        raise KernelInconsistencyError(f"cycle point {i} fails a check at rounding level")
+    w_ext = np.where(degenerate, 0.0, (p1 - p) * (omega1 - omega2))
+    return LedgerColumns(th, nu1, nu2, e12, mu12, np.where(degenerate, 0.5, p),
+                         np.where(degenerate, 0.5, p1), w_ext, w_ext > 0.0)

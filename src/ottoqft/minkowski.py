@@ -9,81 +9,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .algebra import MomentSet
-from .cycle import CycleConfig, InteractionEvent, stroke_ledger
 
-__all__ = [
-    "MinkowskiParams",
-    "dawson",
-    "minkowski_moments",
-    "figure4a_curve",
-]
+__all__ = ["MinkowskiParams", "dawson", "minkowski_moments", "minkowski_moment_arrays"]
 
-_SQRT_PI = math.sqrt(math.pi)
-# branch switch points validated against a high-precision series reference:
-# the alternating Maclaurin sum loses its last useful digit near |x| ~ 3
-# and the descending continued fraction is exact to ~1e-14 from |x| = 6 up
-_MACLAURIN_MAX = 2.5
-_CF_MIN = 6.0
-# sampling-series parameters: step h gives aliasing error ~exp(-(pi/2h)^2),
-# window half-width 27*h ~ 6.8 gives Gaussian truncation below 1e-19
+# Rybicki's sampling series (Computers in Physics 3, 85 (1989)): step h gives
+# aliasing error ~exp(-(pi/2h)^2) ~ 7e-18; the 27 odd lattice points nearest
+# |x| span +-6.75, leaving a Gaussian truncation below 1e-19
 _RYBICKI_H = 0.25
-_RYBICKI_WINDOW = 27
-_CF_TERMS = 48
+_RYBICKI_OFFSETS = np.arange(-26, 28, 2)
+# the lattice points n stay exact integers in double precision up to here;
+# beyond it D(x) = D(cap) * cap / x, exact to double precision because the
+# next term of D(x) = (1/2x)(1 + 1/(2x^2) + ...) is below 2^-100
+_RYBICKI_CAP = 2.0 ** 50
 
 
-def _dawson_maclaurin(x: float) -> float:
-    # D(x) = sum_n (-2)^n x^(2n+1) / (2n+1)!!, usable while cancellation is mild
-    term = x
-    total = x
-    for n in range(1, 64):
-        term *= -2.0 * x * x / (2.0 * n + 1.0)
-        updated = total + term
-        if updated == total:
-            break
-        total = updated
-    return total
-
-
-def _dawson_sampling(x: float) -> float:
-    # Rybicki's sampling-theorem form: D(x) = lim (1/sqrt(pi)) sum_{n odd} exp(-(x-nh)^2)/n,
-    # summed over the odd lattice points within the Gaussian window around x
-    n0 = 2 * int(round(0.5 * (x / _RYBICKI_H - 1.0))) + 1
-    acc = 0.0
-    for k in range(-_RYBICKI_WINDOW + 1, _RYBICKI_WINDOW + 1, 2):
-        n = n0 + k
-        d = x - n * _RYBICKI_H
-        acc += math.exp(-d * d) / n
-    return acc / _SQRT_PI
-
-
-def _dawson_cf(x: float) -> float:
-    # descending evaluation of D(x) = (1/2) / (x - (1/2)/(x - (2/2)/(x - ...)))
-    tail = 0.0
-    for k in range(_CF_TERMS, 0, -1):
-        tail = (0.5 * k) / (x - tail)
-    return 0.5 / (x - tail)
-
-
-def dawson(x: float) -> float:
+def dawson(x):
     """Dawson integral D(x) = exp(-x^2) * integral_0^x exp(t^2) dt.
 
+    Accepts a float (returns a float) or an array (returns an array).
     Odd in x, peaks at ~0.5410442 near x ~ 0.9241, decays as 1/(2x).
-    Absolute accuracy ~1e-14 everywhere on |x| <= 50: Maclaurin series for
-    |x| <= 2.5, Gaussian sampling series up to 6, continued fraction beyond.
+    One algorithm everywhere, Rybicki's sampling series
+    D(x) = (1/sqrt(pi)) sum_{n odd} exp(-(x - n h)^2) / n, summed on |x|
+    so the result is exactly odd, and exactly 0 at 0.  Absolute error
+    <= 2.3e-16 against mpmath on |x| <= 50.
     """
-    if not math.isfinite(x):
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
         raise ValueError(f"dawson requires finite input, got {x!r}")
-    ax = abs(x)
-    if ax <= _MACLAURIN_MAX:
-        result = _dawson_maclaurin(ax)
-    elif ax < _CF_MIN:
-        result = _dawson_sampling(ax)
-    else:
-        result = _dawson_cf(ax)
-    return math.copysign(result, x)
+    ax = np.abs(arr)
+    capped = np.minimum(ax, _RYBICKI_CAP)
+    centre = 2.0 * np.rint(0.5 * (capped / _RYBICKI_H - 1.0)) + 1.0
+    n = centre[..., None] + _RYBICKI_OFFSETS
+    d = capped[..., None] - n * _RYBICKI_H
+    series = np.sum(np.exp(-d * d) / n, axis=-1) / math.sqrt(math.pi)
+    series *= _RYBICKI_CAP / np.maximum(ax, _RYBICKI_CAP)
+    result = np.copysign(np.where(ax == 0.0, 0.0, series), arr)
+    return result if result.ndim else float(result)
 
 
 @dataclass(frozen=True)
@@ -124,33 +89,21 @@ def minkowski_moments(params: MinkowskiParams) -> MomentSet:
     return MomentSet(nu1=nu1, nu2=nu2, e12=e12, mu12=mu12)
 
 
-def figure4a_curve(
-    omega1: float,
-    omega2: float,
-    tau1: float,
-    lambda1: float,
-    lambda2: float,
-    tau2_grid: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Extracted work (in units of 1/sigma) against the second kick time.
+def minkowski_moment_arrays(lambda1, lambda2, dtau) -> tuple[np.ndarray, ...]:
+    """minkowski_moments over broadcastable arrays, in smearing-width units.
 
-    Evaluates the closed Minkowski-vacuum cycle at each tau2 of a strictly
-    increasing grid with tau2 > tau1 throughout; degenerate points yield 0.
+    Returns (nu1, nu2, e12, mu12), each with the shape of its own inputs:
+    nu_j follows lambda_j alone, so a scalar dtau costs one Dawson
+    evaluation per call.  Validated like MinkowskiParams; the MomentSet
+    checks are made by the consumer (cycle.cycle_arrays).
     """
-    grid = [float(t) for t in tau2_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("tau2_grid must be strictly increasing")
-    if grid and grid[0] <= tau1:
-        raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
-    curve = []
-    for tau2 in grid:
-        m = minkowski_moments(
-            MinkowskiParams(lambda1=lambda1, lambda2=lambda2, dtau=tau2 - tau1)
-        )
-        config = CycleConfig(
-            first=InteractionEvent(tau=tau1, gap=omega1, coupling=lambda1),
-            second=InteractionEvent(tau=tau2, gap=omega2, coupling=lambda2),
-        )
-        report = stroke_ledger(config, m)
-        curve.append((tau2, report.w_ext if report.w_ext is not None else 0.0))
-    return curve
+    lambda1, lambda2, dtau = (np.asarray(v, dtype=float) for v in (lambda1, lambda2, dtau))
+    if (lambda1 < 0.0).any() or (lambda2 < 0.0).any() or (dtau < 0.0).any():
+        raise ValueError("couplings and dtau must be >= 0")
+    x = dtau / math.sqrt(2.0)
+    pref = lambda1 * lambda2
+    nu1 = np.exp(-lambda1 ** 2 / (2.0 * math.pi ** 2))
+    nu2 = np.exp(-lambda2 ** 2 / (2.0 * math.pi ** 2))
+    e12 = pref / (2.0 * math.pi ** 1.5) * x * np.exp(-x * x)
+    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
+    return nu1, nu2, e12, mu12

@@ -1,27 +1,31 @@
 """Grid evaluation and CSV emission for the sweep front end.
 
-Rows are produced in declared grid order regardless of how many workers
-evaluate them, and every number is rendered with 17 significant digits so
-the emitted text re-parses to the exact binary value.
+Sweeps run on the array path (minkowski_moment_arrays + cycle_arrays), a
+fixed-size chunk of grid points at a time, and emit rows in grid order with
+17 significant digits, so the text re-parses to the exact binary values.
+run_point stays on the scalar path.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+from typing import Iterator, Sequence
 
-from .algebra import MomentSet
+import numpy as np
+
 from .config import SweepSpec
-from .cycle import CycleConfig, InteractionEvent, WorkReport, stroke_ledger, theta
-from .minkowski import MinkowskiParams, minkowski_moments
+from .cycle import CycleConfig, InteractionEvent, cycle_arrays, stroke_ledger, theta
+from .minkowski import MinkowskiParams, minkowski_moment_arrays, minkowski_moments
 
-__all__ = ["run_sweep", "run_point", "CURVE_COLUMNS", "GRID_COLUMNS"]
+__all__ = ["run_sweep", "run_point", "figure4a_curve", "CURVE_COLUMNS", "GRID_COLUMNS"]
 
 CURVE_COLUMNS = (
     "tau2_over_sigma", "theta", "nu1", "nu2", "E12", "mu12",
     "p_cyclic", "p1", "w_ext_sigma", "pwc",
 )
 GRID_COLUMNS = ("lambda1_over_sigma", "lambda2_over_sigma", "w_ext_sigma", "pwc")
+
+# grid points evaluated and rendered per chunk
+_CHUNK = 4096
 
 
 def _render(value: object) -> str:
@@ -30,67 +34,65 @@ def _render(value: object) -> str:
     return format(value, ".17g")
 
 
-def _cycle_quantities(
-    omega1: float, omega2: float, tau1: float, tau2: float,
-    lambda1: float, lambda2: float,
-) -> tuple[MomentSet, WorkReport]:
-    m = minkowski_moments(MinkowskiParams(lambda1=lambda1, lambda2=lambda2, dtau=tau2 - tau1))
-    config = CycleConfig(
-        first=InteractionEvent(tau=tau1, gap=omega1, coupling=lambda1),
-        second=InteractionEvent(tau=tau2, gap=omega2, coupling=lambda2),
-    )
-    return m, stroke_ledger(config, m)
+def _render_rows(columns: Sequence[np.ndarray]) -> str:
+    # "%.17g" % x is format(x, ".17g"); the last column is the pwc flag
+    *numbers, flags = columns
+    row = ",".join(["%.17g"] * len(numbers)) + ",%s\n"
+    words = np.where(flags, "true", "false").tolist()
+    return "".join(row % values for values in zip(*(c.tolist() for c in numbers), words))
 
 
-def _curve_row(args: tuple) -> tuple:
-    omega1, omega2, tau1, lambda1, lambda2, tau2 = args
-    m, report = _cycle_quantities(omega1, omega2, tau1, tau2, lambda1, lambda2)
-    th = omega1 * tau1 - omega2 * tau2
-    w = report.w_ext if report.w_ext is not None else 0.0
-    return (tau2, th, m.nu1, m.nu2, m.e12, m.mu12, report.p, report.p1, w, report.pwc)
+def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2):
+    moments = minkowski_moment_arrays(lambda1, lambda2, tau2 - tau1)
+    return cycle_arrays(omega1, omega2, tau1, tau2, *moments)
 
 
-def _grid_row(args: tuple) -> tuple:
-    omega1, omega2, tau1, lambda1, lambda2, tau2 = args
-    _, report = _cycle_quantities(omega1, omega2, tau1, tau2, lambda1, lambda2)
-    w = report.w_ext if report.w_ext is not None else 0.0
-    return (lambda1, lambda2, w, report.pwc)
+def _chunks(s: SweepSpec) -> Iterator[tuple]:
+    """CSV columns of the grid points in declared order, _CHUNK points at a time."""
+    if s.mode == "curve-tau2":
+        axis = np.asarray(s.tau2_axis.points())
+        for start in range(0, axis.size, _CHUNK):
+            tau2 = axis[start:start + _CHUNK]
+            c = _cycles(s.omega1, s.omega2, s.tau1, tau2, s.lambda1, s.lambda2)
+            yield tau2, c.theta, c.nu1, c.nu2, c.e12, c.mu12, c.p, c.p1, c.w_ext, c.pwc
+        return
+    axis1, axis2 = np.asarray(s.lambda1_axis.points()), np.asarray(s.lambda2_axis.points())
+    for start in range(0, axis1.size * axis2.size, _CHUNK):
+        # row-major: lambda1 is the outer axis
+        flat = np.arange(start, min(start + _CHUNK, axis1.size * axis2.size))
+        lambda1, lambda2 = axis1[flat // axis2.size], axis2[flat % axis2.size]
+        c = _cycles(s.omega1, s.omega2, s.tau1, s.tau2, lambda1, lambda2)
+        yield lambda1, lambda2, c.w_ext, c.pwc
 
 
-def _evaluate(func, items: list[tuple], jobs: int | None) -> list[tuple]:
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    if jobs == 1 or len(items) < 2 * jobs:
-        return [func(item) for item in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items, chunksize=chunk))
-
-
-def run_sweep(spec: SweepSpec, jobs: int | None = None) -> str:
+def run_sweep(spec: SweepSpec) -> str:
     """Evaluate the grid described by spec and return the CSV document."""
-    if spec.mode == "curve-tau2":
-        header = CURVE_COLUMNS
-        items = [
-            (spec.omega1, spec.omega2, spec.tau1, spec.lambda1, spec.lambda2, tau2)
-            for tau2 in spec.tau2_axis.points()
-        ]
-        rows = _evaluate(_curve_row, items, jobs)
-    elif spec.mode == "grid-couplings":
-        header = GRID_COLUMNS
-        items = [
-            (spec.omega1, spec.omega2, spec.tau1, lambda1, lambda2, spec.tau2)
-            for lambda1 in spec.lambda1_axis.points()
-            for lambda2 in spec.lambda2_axis.points()
-        ]
-        rows = _evaluate(_grid_row, items, jobs)
-    else:
-        raise ValueError(f"run_sweep supports sweep modes only, got mode {spec.mode!r}")
-    lines = [",".join(header)]
-    lines.extend(",".join(_render(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    headers = {"curve-tau2": CURVE_COLUMNS, "grid-couplings": GRID_COLUMNS}
+    if spec.mode not in headers:
+        raise ValueError(f"sweep requires mode curve-tau2 or grid-couplings, got {spec.mode!r}")
+    return ",".join(headers[spec.mode]) + "\n" + "".join(map(_render_rows, _chunks(spec)))
+
+
+def figure4a_curve(
+    omega1: float,
+    omega2: float,
+    tau1: float,
+    lambda1: float,
+    lambda2: float,
+    tau2_grid: Sequence[float],
+) -> list[tuple[float, float]]:
+    """Extracted work (in units of 1/sigma) against the second kick time.
+
+    Evaluates the closed Minkowski-vacuum cycle at each tau2 of a strictly
+    increasing grid with tau2 > tau1 throughout; degenerate points yield 0.
+    """
+    grid = np.asarray(tau2_grid, dtype=float)
+    if (grid[1:] <= grid[:-1]).any():
+        raise ValueError("tau2_grid must be strictly increasing")
+    if grid.size and grid[0] <= tau1:
+        raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
+    w_ext = _cycles(omega1, omega2, tau1, grid, lambda1, lambda2).w_ext
+    return list(zip(grid.tolist(), w_ext.tolist()))
 
 
 def run_point(spec: SweepSpec) -> str:

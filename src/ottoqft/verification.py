@@ -58,8 +58,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 # reference Dawson values, 17 significant digits, computed once from the
-# high-precision Maclaurin/asymptotic series; points straddle both branch
-# crossovers of the double-precision evaluator
+# high-precision Maclaurin/asymptotic series; points cover [0.0625, 50],
+# with pairs straddling x = 2.5 and x = 6
 _DAWSON_TABLE: tuple[tuple[float, float], ...] = (
     (0.0625, 0.06233749361289894),
     (0.5, 0.4244363835020223),

@@ -20,7 +20,7 @@ from ottoqft.algebra import (
     weyl_moments,
 )
 from ottoqft.cycle import DegenerateCycleError, cyclic_initial_population, extracted_work
-from ottoqft.minkowski import MinkowskiParams, dawson, figure4a_curve, minkowski_moments
+from ottoqft.minkowski import MinkowskiParams, dawson, minkowski_moments
 from ottoqft.oracle import (
     FockParams,
     QuadratureSpec,
@@ -30,6 +30,7 @@ from ottoqft.oracle import (
     verify_weyl_moments,
 )
 from ottoqft.cli import main
+from ottoqft.sweeps import figure4a_curve
 
 from support import (
     dawson_asymptotic_oracle,

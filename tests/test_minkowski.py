@@ -2,13 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ottoqft.algebra import MomentOverflowError, alpha_factor
-from ottoqft.minkowski import MinkowskiParams, dawson, figure4a_curve, minkowski_moments
+from ottoqft.cli import main
+from ottoqft.minkowski import MinkowskiParams, dawson, minkowski_moments
 from ottoqft.oracle import quadrature_minkowski_moments
+from ottoqft.sweeps import figure4a_curve
+
+from support import dawson_asymptotic_oracle, dawson_series_oracle
+
+# zeros of the Hermite polynomial H_49 above 6: the poles of a 48-term
+# descending continued fraction for D(x), which once served |x| >= 6
+_H49_ZEROS = [float(z) for z in np.polynomial.hermite.hermroots([0] * 49 + [1]) if z > 6.0]
 
 
 class TestParams:
@@ -130,3 +139,37 @@ class TestFigureCurve:
         assert strong_weak > 0.0
         weak_weak = figure4a_curve(1.0, 3.0, 0.0, 0.25, 0.25, [1.5, 1.6])[0][1]
         assert weak_weak < strong_weak
+
+
+class TestDawsonAtContinuedFractionPoles:
+    @pytest.mark.parametrize("zero", _H49_ZEROS)
+    def test_series_oracle_at_zero_and_neighbours(self, zero):
+        for x in (math.nextafter(zero, 0.0), zero, math.nextafter(zero, math.inf)):
+            assert abs(dawson(x) - dawson_series_oracle(x)) < 2.5e-15
+            assert abs(dawson(x) - dawson_asymptotic_oracle(x)) < 2.5e-15
+
+    def test_all_seven_zeros_found(self):
+        assert len(_H49_ZEROS) == 7
+        assert _H49_ZEROS[0] == pytest.approx(6.087727281054753, abs=1e-12)
+
+    def test_point_report_near_first_pole(self, capsys):
+        # x = tau2 / sqrt(2) lands on the first zero; mu12 is negative here
+        tau2 = 8.609346484896319
+        assert main(["point", "--set", "omega1=1", "--set", "omega2=3", "--set", "tau1=0",
+                     "--set", f"tau2={tau2!r}", "--set", "lambda1=100",
+                     "--set", "lambda2=1"]) == 0
+        entries = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        x = tau2 / math.sqrt(2.0)
+        expected = 100.0 / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson_series_oracle(x))
+        assert expected == pytest.approx(-0.0356609, abs=1e-7)
+        assert float(entries["mu12"]) == pytest.approx(expected, abs=1e-14)
+
+    def test_far_tail(self):
+        # up to and beyond 2^50, where the series' lattice stops being exact
+        for x in (1e6, 2.0 ** 50, 1e16, 1e100, 1e300):
+            assert abs(dawson(x) / dawson_asymptotic_oracle(x) - 1.0) < 1e-15
+            assert dawson(-x) == -dawson(x)
+
+    def test_array_input_matches_scalar_calls(self):
+        xs = np.array([-7.5, -1e-300, 0.0, 0.3, 6.087727281054753, 49.0])
+        assert dawson(xs).tolist() == [dawson(float(x)) for x in xs]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ottoqft import sweeps
 from ottoqft.cli import main
 from ottoqft.config import parse_config
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep
@@ -43,7 +44,7 @@ def _rows(csv_text):
 class TestRunSweep:
     def test_curve_document_shape(self):
         spec = parse_config(FIG4A_CFG.format(out="x.csv"))
-        doc = run_sweep(spec, jobs=1)
+        doc = run_sweep(spec)
         header, rows = _rows(doc)
         assert tuple(header) == CURVE_COLUMNS
         assert len(rows) == 40
@@ -52,7 +53,7 @@ class TestRunSweep:
 
     def test_numbers_round_trip_exactly(self):
         spec = parse_config(FIG4A_CFG.format(out="x.csv"))
-        doc = run_sweep(spec, jobs=1)
+        doc = run_sweep(spec)
         _, rows = _rows(doc)
         for row in rows[:5]:
             tau2 = float(row[0])
@@ -60,13 +61,27 @@ class TestRunSweep:
             assert format(tau2, ".17g") == row[0]
             assert format(m_nu2, ".17g") == row[3]
 
-    def test_parallel_matches_serial(self):
-        spec = parse_config(FIG4A_CFG.format(out="x.csv"))
-        assert run_sweep(spec, jobs=1) == run_sweep(spec, jobs=3)
+    def test_repeated_runs_are_byte_identical(self):
+        for cfg, overrides in (
+            (FIG4A_CFG, []),
+            # three chunks, the last one partial
+            (FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 3}"]),
+            (GRID_CFG, ["lambda1_count=700", "lambda2_count=13"]),
+        ):
+            spec = parse_config(cfg.format(out="x.csv"), overrides)
+            doc = run_sweep(spec)
+            assert run_sweep(spec) == doc
+            _, rows = _rows(doc)
+            if spec.mode == "curve-tau2":
+                expected = [(t,) for t in spec.tau2_axis.points()]
+            else:
+                expected = [(a, b) for a in spec.lambda1_axis.points()
+                            for b in spec.lambda2_axis.points()]
+            assert [tuple(float(v) for v in row[:len(expected[0])]) for row in rows] == expected
 
     def test_grid_zero_second_coupling_column_is_zero(self):
         spec = parse_config(GRID_CFG.format(out="x.csv"))
-        doc = run_sweep(spec, jobs=1)
+        doc = run_sweep(spec)
         header, rows = _rows(doc)
         assert tuple(header) == GRID_COLUMNS
         assert len(rows) == 49
@@ -77,7 +92,7 @@ class TestRunSweep:
 
     def test_grid_row_major_order(self):
         spec = parse_config(GRID_CFG.format(out="x.csv"))
-        _, rows = _rows(run_sweep(spec, jobs=1))
+        _, rows = _rows(run_sweep(spec))
         lambda1_values = [float(r[0]) for r in rows]
         lambda2_values = [float(r[1]) for r in rows]
         # declared order: lambda1 outer, lambda2 inner
@@ -86,7 +101,7 @@ class TestRunSweep:
 
     def test_positive_work_pocket_favors_strong_first_weak_second(self):
         spec = parse_config(GRID_CFG.format(out="x.csv"))
-        _, rows = _rows(run_sweep(spec, jobs=1))
+        _, rows = _rows(run_sweep(spec))
         values = [(float(r[0]), float(r[1]), float(r[2])) for r in rows]
         best = max(values, key=lambda t: t[2])
         assert best[2] > 0.0
@@ -102,7 +117,7 @@ class TestRunSweep:
 
     def test_degenerate_origin_emits_zero(self):
         text = GRID_CFG.format(out="x.csv").replace("lambda1_start = 0.5", "lambda1_start = 0.0")
-        _, rows = _rows(run_sweep(parse_config(text), jobs=1))
+        _, rows = _rows(run_sweep(parse_config(text)))
         origin = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
         assert origin and float(origin[0][2]) == 0.0 and origin[0][3] == "false"
 
@@ -144,7 +159,7 @@ class TestCli:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         cfg.write_text(FIG4A_CFG.format(out=out1))
-        assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == 0
+        assert main(["sweep", "--config", str(cfg)]) == 0
         assert main(["sweep", "--config", str(cfg), "--set", f"output={out2}"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
