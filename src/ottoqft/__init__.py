@@ -10,12 +10,11 @@ from .algebra import (
     InvalidKernelError,
     KernelContractError,
     KernelInconsistencyError,
-    MomentOverflowError,
     MomentSet,
     QuasiFreeKernel,
     TwoPointKernel,
     WeylMoments,
-    alpha_factor,
+    contraction_factor,
     moment_set_from_kernel,
     p_after_first,
     p_after_second,
@@ -51,8 +50,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MomentSet", "QuasiFreeKernel", "TwoPointKernel", "WeylMoments",
     "InvalidKernelError", "KernelContractError", "KernelInconsistencyError",
-    "MomentOverflowError", "moment_set_from_kernel", "weyl_moments",
-    "p_after_first", "alpha_factor", "p_after_second",
+    "moment_set_from_kernel", "weyl_moments",
+    "p_after_first", "contraction_factor", "p_after_second",
     "InteractionEvent", "CycleConfig", "WorkReport", "DegenerateCycleError",
     "theta", "cyclic_initial_population", "extracted_work",
     "positive_work_condition", "stroke_ledger",

@@ -20,18 +20,16 @@ __all__ = [
     "InvalidKernelError",
     "KernelContractError",
     "KernelInconsistencyError",
-    "MomentOverflowError",
     "moment_set_from_kernel",
     "weyl_moments",
     "p_after_first",
-    "alpha_factor",
+    "contraction_factor",
     "p_after_second",
 ]
 
-# exp(4*mu12) overflows double precision near 4*mu12 ~ 709.78
-_COSH_ARG_MAX = 700.0
-# slack for kernels carrying discretization error in the (0, 1] product bound
-_BOUND_TOL = 1e-9
+# log of the realizability bound nu1 * nu2 * exp(4 |mu12|) <= 1, with 1e-9
+# slack for kernels carrying discretization error
+_LOG_BOUND_MAX = math.log1p(1e-9)
 _SIMPLEX_TOL = 1e-12
 
 
@@ -45,10 +43,6 @@ class KernelContractError(ValueError):
 
 class KernelInconsistencyError(ValueError):
     """Moment data not realizable by any quasi-free state."""
-
-
-class MomentOverflowError(OverflowError):
-    """|4*mu12| too large for the hyperbolic factors in double precision."""
 
 
 @dataclass(frozen=True)
@@ -149,30 +143,41 @@ def moment_set_from_kernel(kernel: QuasiFreeKernel) -> MomentSet:
     )
 
 
-def _hyperbolic_arg(m: MomentSet) -> float:
+def _hyperbolic_products(m: MomentSet) -> tuple[float, float]:
+    """(nu1 nu2 exp(4 mu12), nu1 nu2 exp(-4 mu12)), formed in log space.
+
+    Raises KernelInconsistencyError unless nu1 nu2 exp(4 |mu12|) <= 1 (with
+    1e-9 slack): the AM-GM form 4 |mu12| <= 2 (W11 + W22) of the Gram bound
+    |W12|^2 <= W11 W22.  Under it neither product exceeds 1 + 1e-9.
+    """
+    log_nn = math.log(m.nu1) + math.log(m.nu2)
     arg = 4.0 * m.mu12
-    if abs(arg) > _COSH_ARG_MAX:
-        raise MomentOverflowError(
-            f"4*mu12 = {arg!r} exceeds the overflow guard (|arg| <= {_COSH_ARG_MAX})"
+    log_bound = log_nn + abs(arg)
+    if log_bound > _LOG_BOUND_MAX:
+        raise KernelInconsistencyError(
+            f"nu1*nu2*exp(4|mu12|) = exp({log_bound!r}) exceeds 1 beyond tolerance 1e-09; "
+            "the moment data is not realizable by a quasi-free state"
         )
-    return arg
+    return math.exp(log_nn + arg), math.exp(log_nn - arg)
 
 
 def weyl_moments(m: MomentSet) -> WeylMoments:
-    """Closed forms for the six fourth-order moments of a quasi-free state."""
-    arg = _hyperbolic_arg(m)
-    ch = math.cosh(arg)
-    sh = math.sinh(arg)
+    """Closed forms for the six fourth-order moments of a quasi-free state.
+
+    Raises KernelInconsistencyError on moment data that breaks the
+    realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
+    """
+    up, down = _hyperbolic_products(m)
+    nn_ch = 0.5 * (up + down)  # nu1 nu2 cosh(4 mu12)
     c2e = math.cos(2.0 * m.e12)
     s2e = math.sin(2.0 * m.e12)
-    nn = m.nu1 * m.nu2
-    sym = 0.25 * nn * sh
+    sym = 0.125 * (up - down)  # nu1 nu2 sinh(4 mu12) / 4
     comm = 0.25 * m.nu2 * s2e
     return WeylMoments(
-        cccc=0.25 * (1.0 + m.nu1 + nn * ch + m.nu2 * c2e),
-        cssc=0.25 * (1.0 + m.nu1 - nn * ch - m.nu2 * c2e),
-        sccs=0.25 * (1.0 - m.nu1 - nn * ch + m.nu2 * c2e),
-        ssss=0.25 * (1.0 - m.nu1 + nn * ch - m.nu2 * c2e),
+        cccc=0.25 * (1.0 + m.nu1 + nn_ch + m.nu2 * c2e),
+        cssc=0.25 * (1.0 + m.nu1 - nn_ch - m.nu2 * c2e),
+        sccs=0.25 * (1.0 - m.nu1 - nn_ch + m.nu2 * c2e),
+        ssss=0.25 * (1.0 - m.nu1 + nn_ch - m.nu2 * c2e),
         csc_s=complex(sym, -comm),
         ssc_c=complex(sym, comm),
     )
@@ -190,29 +195,17 @@ def p_after_first(p: float, m: MomentSet) -> float:
     return 0.5 + (p - 0.5) * m.nu1
 
 
-def alpha_factor(m: MomentSet, theta: float) -> float:
-    """Phase-weighted hyperbolic factor exp(4 mu12) sin^2(theta/2) + exp(-4 mu12) cos^2(theta/2).
+def contraction_factor(m: MomentSet, theta: float) -> float:
+    """nu1 nu2 alpha, where alpha = exp(4 mu12) sin^2(theta/2) + exp(-4 mu12) cos^2(theta/2).
 
-    Also enforces the quasi-free realizability bound nu1 * nu2 * alpha <= 1
-    (with 1e-9 slack for kernels carrying discretization error).
+    The factor by which the two kicks contract the population toward 1/2,
+    clamped to <= 1.  Raises KernelInconsistencyError on moment data that
+    breaks the realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    alpha, _ = _alpha_and_product(m, theta)
-    return alpha
-
-
-def _alpha_and_product(m: MomentSet, theta: float) -> tuple[float, float]:
-    """alpha together with nu1*nu2*alpha clamped into (0, 1]."""
-    arg = _hyperbolic_arg(m)
+    up, down = _hyperbolic_products(m)
     s_half = math.sin(0.5 * theta)
     c_half = math.cos(0.5 * theta)
-    alpha = math.exp(arg) * s_half * s_half + math.exp(-arg) * c_half * c_half
-    product = m.nu1 * m.nu2 * alpha
-    if product > 1.0 + _BOUND_TOL:
-        raise KernelInconsistencyError(
-            f"nu1*nu2*alpha = {product!r} exceeds 1 beyond tolerance {_BOUND_TOL}; "
-            "the moment data is not realizable by a quasi-free state"
-        )
-    return alpha, min(product, 1.0)
+    return min(up * s_half * s_half + down * c_half * c_half, 1.0)
 
 
 def p_after_second(p: float, m: MomentSet, theta: float) -> float:
@@ -223,7 +216,7 @@ def p_after_second(p: float, m: MomentSet, theta: float) -> float:
     a result outside [0, 1] beyond 1e-12 signals inconsistent moment data.
     """
     p = _check_probability(p)
-    _, product = _alpha_and_product(m, theta)
+    product = contraction_factor(m, theta)
     signal = m.nu2 * math.sin(2.0 * m.e12) * math.sin(theta)
     p2 = 0.5 * (1.0 + signal + (2.0 * p - 1.0) * product)
     if p2 < -_SIMPLEX_TOL or p2 > 1.0 + _SIMPLEX_TOL:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .config import ConfigError, parse_config
 from .sweeps import run_point, run_sweep
-from .verification import DEFAULT_SEED, run_verify
+from .verification import run_verify
 
 __all__ = ["main"]
 
@@ -58,12 +58,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = parse_config("mode = verify", args.sets)
-    status, report = run_verify(
-        spec.tolerance_overrides or None,
-        seed=spec.seed if spec.seed is not None else DEFAULT_SEED,
-        cases=spec.cases if spec.cases is not None else 50,
-        dim=spec.dim if spec.dim is not None else 60,
-    )
+    options = {key: getattr(spec, key) for key in ("seed", "cases", "dim")
+               if getattr(spec, key) is not None}
+    status, report = run_verify(spec.tolerance_overrides or None, **options)
     print(report)
     return status
 

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _BOUND_TOL, _COSH_ARG_MAX, _SIMPLEX_TOL
+from .algebra import _LOG_BOUND_MAX, _SIMPLEX_TOL
 from .algebra import (
     KernelInconsistencyError,
     MomentSet,
-    _alpha_and_product,
+    contraction_factor,
     p_after_first,
     p_after_second,
 )
@@ -53,24 +53,21 @@ class DegenerateCycleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class InteractionEvent:
-    """One instantaneous kick: proper time, gap at the kick, coupling, smearing width.
+    """One instantaneous kick: proper time, gap at the kick, coupling.
 
     All values are expressed in units of the smearing width (tau in sigma,
-    gap in 1/sigma, coupling in sigma); width stays 1.0 in internal units.
+    gap in 1/sigma, coupling in sigma).
     """
 
     tau: float
     gap: float
     coupling: float = 0.0
-    width: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.gap > 0.0:
             raise ValueError(f"gap must be > 0, got {self.gap!r}")
         if self.coupling < 0.0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling!r}")
-        if not self.width > 0.0:
-            raise ValueError(f"width must be > 0, got {self.width!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def cyclic_initial_population(m: MomentSet, theta: float) -> float:
     Raises DegenerateCycleError when nu1*nu2*alpha is within 1e-12 of 1,
     i.e. when the kicks act trivially and every p is a fixed point.
     """
-    _, product = _alpha_and_product(m, theta)
+    product = contraction_factor(m, theta)
     if 1.0 - product < _DEGENERACY_TOL:
         raise DegenerateCycleError(
             f"nu1*nu2*alpha = {product!r} is within {_DEGENERACY_TOL} of 1"
@@ -154,11 +151,11 @@ def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     """
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
-    _, product = _alpha_and_product(m, theta)
+    product = contraction_factor(m, theta)
     if 1.0 - product < _DEGENERACY_TOL:
         return 0.0
     numerator = 0.5 * m.nu2 * math.sin(2.0 * m.e12) * math.sin(theta) * (1.0 - m.nu1)
-    return numerator * delta_omega / (product - 1.0)
+    return numerator * delta_omega / (product - 1.0) + 0.0  # + 0.0 prints -0 as 0
 
 
 def positive_work_condition(m: MomentSet, theta: float) -> bool:
@@ -201,7 +198,7 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
         closed = True
     else:
         p = config.initial_p
-        _, product = _alpha_and_product(m, th)
+        product = contraction_factor(m, th)
         if 1.0 - product < _DEGENERACY_TOL:
             return _noop_report(p)
         closed = False  # re-decided below once p2 is known
@@ -215,10 +212,11 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     w3 = -p1 * delta_omega
     q2 = omega1 * (p1 - p)
     q4 = omega2 * (p2 - p1)
-    w_ext: Optional[float] = (p1 - p) * delta_omega if closed else None
+    work = (p1 - p) * delta_omega
+    w_ext: Optional[float] = work + 0.0 if closed else None  # + 0.0 prints -0 as 0
     efficiency: Optional[float] = None
-    if closed and w_ext is not None and q2 != 0.0:
-        efficiency = w_ext / q2
+    if closed and q2 != 0.0:
+        efficiency = work / q2
     return WorkReport(
         p=p, p1=p1, p2=p2,
         w1=w1, w3=w3, q2=q2, q4=q4,
@@ -245,10 +243,11 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12) -> LedgerColum
     omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12 = args
     th = omega1 * tau1 - omega2 * tau2
     with np.errstate(all="ignore"):  # failing points are flagged below, not warned about
+        log_nn = np.log(nu1) + np.log(nu2)
         arg = 4.0 * mu12
         s_half, c_half = np.sin(0.5 * th), np.cos(0.5 * th)
-        raw = nu1 * nu2 * (np.exp(arg) * s_half * s_half + np.exp(-arg) * c_half * c_half)
-        product = np.minimum(raw, 1.0)
+        up, down = np.exp(log_nn + arg), np.exp(log_nn - arg)
+        product = np.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
         degenerate = 1.0 - product < _DEGENERACY_TOL
         sin_2e, sin_th = np.sin(2.0 * e12), np.sin(th)
         p_raw = 0.5 - 0.5 * nu2 * sin_2e * sin_th / (product - 1.0)
@@ -257,7 +256,7 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12) -> LedgerColum
         p2 = 0.5 * (1.0 + nu2 * sin_2e * sin_th + (2.0 * p - 1.0) * product)
         ok = ((omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1) & np.isfinite(e12)
               & (0.0 < nu1) & (nu1 <= 1.0) & (0.0 < nu2) & (nu2 <= 1.0)
-              & (np.abs(arg) <= _COSH_ARG_MAX) & (raw <= 1.0 + _BOUND_TOL)
+              & (log_nn + np.abs(arg) <= _LOG_BOUND_MAX)
               & (degenerate | ((-_CLOSURE_TOL <= p_raw) & (p_raw <= 1.0 + _CLOSURE_TOL)
                                & (-_SIMPLEX_TOL <= p2) & (p2 <= 1.0 + _SIMPLEX_TOL))))
     if not ok.all():
@@ -267,6 +266,6 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12) -> LedgerColum
         stroke_ledger(CycleConfig(InteractionEvent(t1, o1), InteractionEvent(t2, o2)), m)
         # reached only where the two paths round across a threshold differently
         raise KernelInconsistencyError(f"cycle point {i} fails a check at rounding level")
-    w_ext = np.where(degenerate, 0.0, (p1 - p) * (omega1 - omega2))
+    w_ext = np.where(degenerate, 0.0, (p1 - p) * (omega1 - omega2)) + 0.0  # + 0.0 prints -0 as 0
     return LedgerColumns(th, nu1, nu2, e12, mu12, np.where(degenerate, 0.5, p),
                          np.where(degenerate, 0.5, p1), w_ext, w_ext > 0.0)

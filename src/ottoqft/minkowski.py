@@ -53,16 +53,13 @@ def dawson(x):
 
 @dataclass(frozen=True)
 class MinkowskiParams:
-    """Gaussian-smeared inertial detector: two couplings, width, kick separation."""
+    """Gaussian-smeared inertial detector: two couplings and the kick separation."""
 
     lambda1: float
     lambda2: float
     dtau: float
-    sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise ValueError(
                 f"couplings must be >= 0, got ({self.lambda1!r}, {self.lambda2!r})"
@@ -74,16 +71,15 @@ class MinkowskiParams:
 def minkowski_moments(params: MinkowskiParams) -> MomentSet:
     """Closed-form moment set of the massless Minkowski vacuum.
 
-    With x = dtau / (sqrt(2) sigma):
-      nu_j = exp(-lambda_j^2 / (2 pi^2 sigma^2))
-      e12  = lambda1 lambda2 / (2 pi^(3/2) sigma^2) * x exp(-x^2)
-      mu12 = lambda1 lambda2 / (4 pi^2 sigma^2) * (1 - 2 x D(x))
+    In smearing-width units, with x = dtau / sqrt(2):
+      nu_j = exp(-lambda_j^2 / (2 pi^2))
+      e12  = lambda1 lambda2 / (2 pi^(3/2)) * x exp(-x^2)
+      mu12 = lambda1 lambda2 / (4 pi^2) * (1 - 2 x D(x))
     """
-    s2 = params.sigma * params.sigma
-    x = params.dtau / (math.sqrt(2.0) * params.sigma)
-    pref = params.lambda1 * params.lambda2 / s2
-    nu1 = math.exp(-params.lambda1 ** 2 / (2.0 * math.pi ** 2 * s2))
-    nu2 = math.exp(-params.lambda2 ** 2 / (2.0 * math.pi ** 2 * s2))
+    x = params.dtau / math.sqrt(2.0)
+    pref = params.lambda1 * params.lambda2
+    nu1 = math.exp(-params.lambda1 ** 2 / (2.0 * math.pi ** 2))
+    nu2 = math.exp(-params.lambda2 ** 2 / (2.0 * math.pi ** 2))
     e12 = pref / (2.0 * math.pi ** 1.5) * x * math.exp(-x * x)
     mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
     return MomentSet(nu1=nu1, nu2=nu2, e12=e12, mu12=mu12)

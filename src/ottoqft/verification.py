@@ -320,15 +320,13 @@ def format_report(results: Iterable[CheckResult], elapsed: float | None = None) 
     return "\n".join(lines)
 
 
-def run_verify(
-    overrides: Mapping[str, float] | None = None,
-    seed: int = DEFAULT_SEED,
-    cases: int = 50,
-    dim: int = 60,
-) -> tuple[int, str]:
-    """Full verification pass: (exit status, printable report)."""
+def run_verify(overrides: Mapping[str, float] | None = None, **options: int) -> tuple[int, str]:
+    """Full verification pass: (exit status, printable report).
+
+    options (seed, cases, dim) go to run_verification, which holds their defaults.
+    """
     start = time.perf_counter()
-    results = run_verification(overrides, seed=seed, cases=cases, dim=dim)
+    results = run_verification(overrides, **options)
     report = format_report(results, time.perf_counter() - start)
     status = 0 if all(r.passed for r in results) else 2
     return status, report

@@ -10,10 +10,9 @@ from ottoqft.algebra import (
     InvalidKernelError,
     KernelContractError,
     KernelInconsistencyError,
-    MomentOverflowError,
     MomentSet,
     TwoPointKernel,
-    alpha_factor,
+    contraction_factor,
     moment_set_from_kernel,
     p_after_first,
     p_after_second,
@@ -120,21 +119,36 @@ class TestWeylMoments:
     @settings(max_examples=200)
     @given(moment_set_strategy())
     def test_partition_of_unity_scaled(self, m):
-        # unconstrained tuples can push nu1*nu2*cosh(4*mu12) far above 1, where
-        # only a bound relative to the largest addend survives rounding
-        w = weyl_moments(m)
-        scale = max(1.0, m.nu1 * m.nu2 * math.cosh(4.0 * m.mu12))
-        assert abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0) < 1e-12 * scale
+        # unconstrained tuples are either rejected by the realizability bound
+        # or keep nu1*nu2*cosh(4*mu12) <= 1 + 1e-9, where the absolute bound holds
+        try:
+            w = weyl_moments(m)
+        except KernelInconsistencyError:
+            return
+        assert abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0) < 1e-12
 
     @settings(max_examples=200)
     @given(moment_set_strategy())
     def test_cross_moments_are_conjugate(self, m):
-        w = weyl_moments(m)
+        try:
+            w = weyl_moments(m)
+        except KernelInconsistencyError:
+            return
         assert w.csc_s == w.ssc_c.conjugate()
 
     def test_overflow_guard(self):
-        with pytest.raises(MomentOverflowError):
+        # nu1*nu2*exp(4|mu12|) = exp(800 - 1.39) breaks the realizability bound
+        with pytest.raises(KernelInconsistencyError):
             weyl_moments(MomentSet(0.5, 0.5, 0.0, 200.0))
+
+    def test_realizable_beyond_exp_overflow(self):
+        # W11 = W22 = 200, mu12 = 199: Gram-realizable, yet exp(4 mu12) overflows;
+        # nu1 nu2 cosh(4 mu12) = exp(-4) / 2 and nu1 nu2 sinh(4 mu12) = exp(-4) / 2
+        m = MomentSet(math.exp(-400.0), math.exp(-400.0), 0.0, 199.0)
+        w = weyl_moments(m)
+        assert w.cccc + w.ssss == pytest.approx(0.5 + 0.25 * math.exp(-4.0), rel=1e-15)
+        assert w.csc_s.real == pytest.approx(0.125 * math.exp(-4.0), rel=1e-15)
+        assert abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0) < 1e-12
 
 
 class TestAppendixIdentities:
@@ -185,34 +199,40 @@ class TestPAfterFirst:
 
 
 class TestAlphaFactor:
+    """contraction_factor(m, theta) = nu1 nu2 alpha, with
+    alpha = exp(4 mu12) sin^2(theta/2) + exp(-4 mu12) cos^2(theta/2)."""
+
     def test_zero_mu_gives_one(self):
         for th in (-3.0, 0.0, 0.4, 10.0):
             m = MomentSet(0.5, 0.5, 0.7, 0.0)
-            assert alpha_factor(m, th) == pytest.approx(1.0, abs=1e-15)
+            assert contraction_factor(m, th) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_theta_gives_exp_minus_4mu(self):
         m = MomentSet(0.5, 0.5, 0.0, 0.3)
-        assert alpha_factor(m, 0.0) == pytest.approx(math.exp(-1.2), rel=1e-15)
+        assert contraction_factor(m, 0.0) == pytest.approx(0.25 * math.exp(-1.2), rel=1e-15)
 
     def test_lower_bound(self, rng):
         for m in sample_gram_moment_sets(rng, 200):
             th = rng.uniform(-8, 8)
-            assert alpha_factor(m, th) >= min(math.exp(4 * m.mu12), math.exp(-4 * m.mu12)) - 1e-15
+            floor = m.nu1 * m.nu2 * min(math.exp(4 * m.mu12), math.exp(-4 * m.mu12))
+            assert contraction_factor(m, th) >= floor - 1e-15
 
     def test_realizable_sets_respect_unit_bound(self, rng):
         for m in sample_gram_moment_sets(rng, 500):
             th = rng.uniform(-8, 8)
-            assert m.nu1 * m.nu2 * alpha_factor(m, th) <= 1.0 + 1e-9
+            # accepted by the bound: no KernelInconsistencyError
+            assert 0.0 <= contraction_factor(m, th) <= 1.0
 
     def test_unrealizable_set_rejected(self):
         # nu1 = nu2 = 1 forces W11 = W22 = 0, so any nonzero mu12 is inconsistent
         m = MomentSet(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(KernelInconsistencyError):
-            alpha_factor(m, math.pi)
+            contraction_factor(m, math.pi)
 
     def test_overflow_guard(self):
-        with pytest.raises(MomentOverflowError):
-            alpha_factor(MomentSet(0.5, 0.5, 0.0, -200.0), 1.0)
+        # nu1*nu2*exp(4|mu12|) = exp(800 - 1.39) breaks the realizability bound
+        with pytest.raises(KernelInconsistencyError):
+            contraction_factor(MomentSet(0.5, 0.5, 0.0, -200.0), 1.0)
 
 
 class TestPAfterSecond:
@@ -245,7 +265,7 @@ class TestPAfterSecond:
         p2 = p_after_second(p, m, th)
         assert p <= p2 <= 0.5
         # strictly below 1/2 whenever the contraction is resolvable in floats
-        if m.nu1 * m.nu2 * alpha_factor(m, th) > 1e-15:
+        if contraction_factor(m, th) > 1e-15:
             assert p2 < 0.5
 
     def test_matches_fock_oracle_case(self):

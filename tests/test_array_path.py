@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottoqft.algebra import MomentOverflowError, MomentSet, alpha_factor
+from ottoqft.algebra import contraction_factor
 from ottoqft.config import parse_config
 from ottoqft.cycle import CycleConfig, InteractionEvent, cycle_arrays, stroke_ledger, theta
 from ottoqft.minkowski import MinkowskiParams, minkowski_moment_arrays, minkowski_moments
@@ -24,7 +24,8 @@ from support import moment_set_strategy, realizable_moment_set_strategy
 
 TOL = 1e-14
 
-COUPLING = st.floats(min_value=0.0, max_value=100.0)
+# nu stays a normal double up to lambda ~ 118.2
+COUPLING = st.floats(min_value=0.0, max_value=118.0)
 SEPARATION = st.floats(min_value=0.0, max_value=10.0)
 GAP = st.floats(min_value=0.1, max_value=5.0)
 KICK_TIMES = st.tuples(st.floats(min_value=-5.0, max_value=5.0),
@@ -57,7 +58,7 @@ def _assert_matches_scalar(kicks, moments, array_call):
     cols = array_call()
     for i, (m, config, report) in enumerate(rows):
         th = theta(config)
-        product = min(m.nu1 * m.nu2 * alpha_factor(m, th), 1.0)
+        product = contraction_factor(m, th)
         cond = 1.0 / max(1.0 - product, 1e-300)
         for name, want in (("theta", th), ("nu1", m.nu1), ("nu2", m.nu2),
                            ("e12", m.e12), ("mu12", m.mu12)):
@@ -81,8 +82,7 @@ def test_moment_arrays_match_scalar(points):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(GAP, GAP, KICK_TIMES, COUPLING, COUPLING), min_size=1, max_size=16))
 def test_minkowski_cycles_match_scalar(points):
-    # huge coupling products at short separations trip the overflow guard,
-    # which both paths must then raise for the same first point
+    # a point that fails a check must fail the same way on both paths
     kicks = [(o1, o2, t1, t1 + dt) for o1, o2, (t1, dt), _, _ in points]
     couplings = [(l1, l2) for *_, l1, l2 in points]
     omega1, omega2, tau1, tau2 = (np.array(c) for c in zip(*kicks))
@@ -100,7 +100,7 @@ def test_minkowski_cycles_match_scalar(points):
                          ids=["realizable", "arbitrary"])
 def test_ledger_columns_match_scalar(strategy):
     # arbitrary sets are mostly unrealizable: the first such point must raise
-    # the same KernelInconsistencyError (or overflow) from both paths
+    # the same KernelInconsistencyError from both paths
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(GAP, GAP, KICK_TIMES, strategy), min_size=1, max_size=16))
     def check(points):
@@ -121,9 +121,24 @@ def test_degenerate_points_give_the_noop_row():
     assert cols.pwc.tolist() == [False, False]
 
 
+def test_strong_coupling_parity():
+    # 4 mu12 ~ 1013 puts exp(4 mu12) past double range; both paths form
+    # nu1 nu2 exp(+-4 mu12) in log space and give the same finite row
+    lambdas = np.array([1.0, 100.0])
+
+    def array_call():
+        return cycle_arrays(1.0, 3.0, 0.0, 0.01, *minkowski_moment_arrays(lambdas, lambdas, 0.01))
+
+    _assert_matches_scalar(
+        [(1.0, 3.0, 0.0, 0.01)] * 2,
+        [lambda c=c: minkowski_moments(MinkowskiParams(c, c, 0.01)) for c in lambdas],
+        array_call,
+    )
+    assert all(np.isfinite(column).all() for column in array_call())
+
+
 @pytest.mark.parametrize("lambda1, lambda2, tau2, error", [
     (122.0, 1.0, 1.5, ValueError),  # nu1 underflows to 0
-    (100.0, 100.0, 0.01, MomentOverflowError),  # |4 mu12| above the guard
 ])
 def test_error_parity(lambda1, lambda2, tau2, error):
     with pytest.raises(error) as scalar:

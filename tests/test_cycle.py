@@ -32,8 +32,6 @@ class TestDomainTypes:
             InteractionEvent(tau=0.0, gap=0.0)
         with pytest.raises(ValueError):
             InteractionEvent(tau=0.0, gap=1.0, coupling=-1.0)
-        with pytest.raises(ValueError):
-            InteractionEvent(tau=0.0, gap=1.0, width=0.0)
 
     def test_config_orders_kicks(self):
         with pytest.raises(ValueError):
@@ -58,7 +56,7 @@ class TestTheta:
 
 class TestCyclicInitialPopulation:
     def test_no_signal_gives_half(self):
-        m = MomentSet(0.6, 0.9, 0.0, 0.2)
+        m = MomentSet(0.6, 0.9, 0.0, 0.1)
         assert cyclic_initial_population(m, 1.3) == 0.5
 
     def test_zero_sin_theta_gives_half(self):

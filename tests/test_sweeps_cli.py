@@ -1,5 +1,7 @@
 """CSV sweeps, the point report, and command-line behaviour."""
 
+import math
+
 import pytest
 
 from ottoqft import sweeps
@@ -87,7 +89,7 @@ class TestRunSweep:
         assert len(rows) == 49
         for row in rows:
             if float(row[1]) == 0.0:
-                assert float(row[2]) == 0.0
+                assert row[2] == "0"  # not -0, although gap1 < gap2
                 assert row[3] == "false"
 
     def test_grid_row_major_order(self):
@@ -152,6 +154,14 @@ class TestRunPoint:
         assert "w_ext" not in report
         assert "closed = false" in report
 
+    def test_zero_signal_prints_zero_work(self):
+        # lambda2 = 0 gives e12 = 0 and zero work, which gap1 < gap2 must not sign
+        spec = parse_config(
+            "mode = single-point",
+            ["omega1=1", "omega2=3", "tau1=0", "tau2=1.5", "lambda1=100", "lambda2=0"],
+        )
+        assert "\nw_ext = 0\n" in run_point(spec)
+
 
 class TestCli:
     def test_sweep_determinism(self, tmp_path):
@@ -184,6 +194,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("theta = ")
+
+    def test_strong_coupling_point_is_finite(self, capsys):
+        # 4 mu12 ~ 1013: exp(4 mu12) overflows, nu1 nu2 exp(+-4 mu12) does not
+        code = main(["point", "--set", "omega1=1", "--set", "omega2=3",
+                     "--set", "tau1=0", "--set", "tau2=0.01",
+                     "--set", "lambda1=100", "--set", "lambda2=100"])
+        out = capsys.readouterr().out
+        assert code == 0
+        entries = dict(line.split(" = ") for line in out.strip().split("\n"))
+        assert math.isfinite(float(entries["w_ext"]))
+
+    def test_underflowing_nu_is_a_validation_error(self, capsys):
+        code = main(["point", "--set", "omega1=1", "--set", "omega2=3",
+                     "--set", "tau1=0", "--set", "tau2=1.5",
+                     "--set", "lambda1=122", "--set", "lambda2=1"])
+        assert code == 1
+        assert "nu1 must lie in (0, 1], got 0.0" in capsys.readouterr().err
+
+    def test_strong_coupling_grid_is_finite(self, tmp_path):
+        # the [0, 118]^2 corner at short separation, where |4 mu12| reaches ~1410
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "grid.csv"
+        cfg.write_text(GRID_CFG.format(out=out))
+        assert main(["sweep", "--config", str(cfg), "--set", "tau2=0.01",
+                     "--set", "lambda1_start=0", "--set", "lambda1_stop=118",
+                     "--set", "lambda1_count=60", "--set", "lambda2_start=0",
+                     "--set", "lambda2_stop=118", "--set", "lambda2_count=60"]) == 0
+        _, rows = _rows(out.read_text())
+        assert len(rows) == 3600
+        assert all(math.isfinite(float(v)) for row in rows for v in row[:3])
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
