@@ -218,7 +218,8 @@ def p_after_second(p: float, m: MomentSet, theta: float) -> float:
     p = _check_probability(p)
     product = contraction_factor(m, theta)
     signal = m.nu2 * math.sin(2.0 * m.e12) * math.sin(theta)
-    p2 = 0.5 * (1.0 + signal + (2.0 * p - 1.0) * product)
+    # p * product, so a unit contraction returns p exactly
+    p2 = p * product + 0.5 * (1.0 - product) + 0.5 * signal
     if p2 < -_SIMPLEX_TOL or p2 > 1.0 + _SIMPLEX_TOL:
         raise KernelInconsistencyError(
             f"second-kick population {p2!r} falls outside [0, 1]; "

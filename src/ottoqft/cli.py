@@ -15,6 +15,7 @@ import sys
 from typing import Sequence
 
 from .config import ConfigError, parse_config
+from .oracle import QuadratureConvergenceError, TruncationError
 from .sweeps import run_point, run_sweep
 from .verification import run_verify
 
@@ -90,12 +91,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_point(args)
-    except ConfigError as exc:
+    except (ValueError, TruncationError) as exc:  # ConfigError is one; dim is user input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

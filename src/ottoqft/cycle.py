@@ -253,7 +253,7 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12) -> LedgerColum
         p_raw = 0.5 - 0.5 * nu2 * sin_2e * sin_th / (product - 1.0)
         p = np.clip(p_raw, 0.0, 1.0)
         p1 = 0.5 + (p - 0.5) * nu1
-        p2 = 0.5 * (1.0 + nu2 * sin_2e * sin_th + (2.0 * p - 1.0) * product)
+        p2 = p * product + 0.5 * (1.0 - product) + 0.5 * (nu2 * sin_2e * sin_th)
         ok = ((omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1) & np.isfinite(e12)
               & (0.0 < nu1) & (nu1 <= 1.0) & (0.0 < nu2) & (nu2 <= 1.0)
               & (log_nn + np.abs(arg) <= _LOG_BOUND_MAX)

@@ -9,6 +9,7 @@ two routes is the evidence the rest of the package stands on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,20 +91,29 @@ def single_mode_kernel(fp: FockParams) -> TwoPointKernel:
     return TwoPointKernel(w11=w(a1, a1), w22=w(a2, a2), w12=w(a1, a2))
 
 
-def _ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+@functools.lru_cache(maxsize=4)
+def _quadrature_eigh(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum w and real orthogonal eigenvectors v of the position
+    quadrature a + a^dag on dim levels; read-only, shared by every kick."""
+    off = np.sqrt(np.arange(1, dim, dtype=float))
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
 
 
-def _field_matrix(alpha: complex, dim: int) -> np.ndarray:
-    a = _ladder(dim)
-    return alpha * a + np.conj(alpha) * a.conj().T
+def _kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix cosine and sine of the kick quadrature alpha a + conj(alpha) a^dag.
 
-
-def _cos_sin(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # exact (to rounding) matrix cosine/sine of a Hermitian matrix
-    w, v = np.linalg.eigh(h)
-    vh = v.conj().T
-    return (v * np.cos(w)) @ vh, (v * np.sin(w)) @ vh
+    With D = diag(exp(i n arg alpha)) the kick is |alpha| D^dag (a + a^dag) D,
+    exactly on the truncated space too (a has only a superdiagonal), so
+    f(kick)[m, n] = exp(i (n - m) arg alpha) (v f(|alpha| w) v^T)[m, n].
+    """
+    w, v = _quadrature_eigh(dim)
+    rw = abs(alpha) * w
+    d = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
+    phase = np.outer(d.conj(), d)
+    return phase * ((v * np.cos(rw)) @ v.T), phase * ((v * np.sin(rw)) @ v.T)
 
 
 def _mode_state(fp: FockParams) -> np.ndarray:
@@ -151,7 +161,7 @@ def simulate_cycle_fock(
     rho = np.kron(np.diag([p, 1.0 - p]).astype(complex), rho_mode)
 
     def kick(rho: np.ndarray, alpha: complex, phase: float) -> np.ndarray:
-        cos_m, sin_m = _cos_sin(_field_matrix(alpha, dim))
+        cos_m, sin_m = _kick_cos_sin(alpha, dim)
         u = np.zeros((2 * dim, 2 * dim), dtype=complex)
         u[:dim, :dim] = cos_m
         u[dim:, dim:] = cos_m
@@ -180,8 +190,8 @@ def verify_weyl_moments(fp: FockParams) -> float:
     dim = fp.dim
     rho = _mode_state(fp)
     _check_truncation(float(rho[-1, -1].real), dim, "in the initial state")
-    c1, s1 = _cos_sin(_field_matrix(complex(fp.alpha1), dim))
-    c2, s2 = _cos_sin(_field_matrix(complex(fp.alpha2), dim))
+    c1, s1 = _kick_cos_sin(complex(fp.alpha1), dim)
+    c2, s2 = _kick_cos_sin(complex(fp.alpha2), dim)
 
     def ev(m: np.ndarray) -> complex:
         return complex(np.trace(rho @ m))

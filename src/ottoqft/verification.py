@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20250810
+_ROWS_PER_BLOCK = 1024
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "fock_p1": 1e-8,
@@ -95,31 +96,40 @@ class CheckResult:
         )
 
 
+def _rows(draws: np.ndarray) -> Iterator[list[float]]:
+    """Rows of draws as lists of Python floats, converted a block at a time
+    so no list of every row is ever held."""
+    for start in range(0, len(draws), _ROWS_PER_BLOCK):
+        yield from draws[start:start + _ROWS_PER_BLOCK].tolist()
+
+
+def _gram_moment_set(w11: float, w22: float, frac: float, phase: float = 0.0) -> MomentSet:
+    radius = frac * math.sqrt(w11 * w22)
+    w12 = radius * complex(math.cos(phase), math.sin(phase))
+    return MomentSet(
+        nu1=math.exp(-2.0 * w11),
+        nu2=math.exp(-2.0 * w22),
+        e12=2.0 * w12.imag,
+        mu12=w12.real,
+    )
+
+
 def sample_moment_sets(
     rng: np.random.Generator, count: int, zero_signal: bool = False
-) -> list[MomentSet]:
+) -> Iterator[MomentSet]:
     """Random moment sets realizable by a quasi-free state.
 
     Draws diagonal values W11, W22 >= 0 and a cross value obeying the Gram
     bound |W12|^2 <= W11 * W22, which is exactly the realizability envelope;
     zero_signal forces the cross value real (e12 = 0).
+
+    Every uniform is drawn by this call, in one array filled in C order: the
+    same numbers, and the same generator state afterwards, as one
+    rng.uniform call per value.  The sets are built as they are iterated.
     """
-    out = []
-    for _ in range(count):
-        w11 = rng.uniform(0.0, 2.0)
-        w22 = rng.uniform(0.0, 2.0)
-        radius = rng.uniform(0.0, 1.0) * math.sqrt(w11 * w22)
-        phase = 0.0 if zero_signal else rng.uniform(0.0, 2.0 * math.pi)
-        w12 = radius * complex(math.cos(phase), math.sin(phase))
-        out.append(
-            MomentSet(
-                nu1=math.exp(-2.0 * w11),
-                nu2=math.exp(-2.0 * w22),
-                e12=2.0 * w12.imag,
-                mu12=w12.real,
-            )
-        )
-    return out
+    high = (2.0, 2.0, 1.0) if zero_signal else (2.0, 2.0, 1.0, 2.0 * math.pi)
+    draws = rng.uniform(0.0, high, size=(count, len(high)))
+    return (_gram_moment_set(*row) for row in _rows(draws))
 
 
 def _sample_fock_cases(rng: np.random.Generator, count: int) -> list[tuple]:
@@ -177,11 +187,9 @@ def _check_appendix_identities(rng, tol: Mapping[str, float], count: int = 1000)
     # nu of the sum/difference regions follows from kernel bilinearity:
     # W(f1 +/- f2, f1 +/- f2) = W11 +/- 2 mu12 + W22
     dev = 0.0
-    for _ in range(count):
-        w11 = rng.uniform(0.0, 2.0)
-        w22 = rng.uniform(0.0, 2.0)
-        radius = rng.uniform(0.0, 1.0) * math.sqrt(w11 * w22)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+    draws = rng.uniform(0.0, (2.0, 2.0, 1.0, 2.0 * math.pi), size=(count, 4))
+    for w11, w22, frac, phase in _rows(draws):
+        radius = frac * math.sqrt(w11 * w22)
         mu12 = radius * math.cos(phase)
         nu1, nu2 = math.exp(-2.0 * w11), math.exp(-2.0 * w22)
         nu_minus = math.exp(-2.0 * (w11 - 2.0 * mu12 + w22))
@@ -222,22 +230,22 @@ def _check_dawson(tol: Mapping[str, float]):
         dev = max(dev, abs(dawson(x) - ref), abs(dawson(-x) + ref))
     yield CheckResult(
         "dawson_spot", dev, tol["dawson_spot"], dev < tol["dawson_spot"],
-        f"{len(_DAWSON_TABLE)} frozen points incl. branch crossovers",
+        f"{len(_DAWSON_TABLE)} frozen points on [0.0625, 50]",
     )
 
 
 def _check_cycle_properties(rng, tol: Mapping[str, float], count: int = 10_000):
     fl = fp_res = 0.0
-    for m in sample_moment_sets(rng, count):
-        th = rng.uniform(-8.0, 8.0)
+    moment_sets = sample_moment_sets(rng, count)
+    # theta, omega1, omega2 per cycle, drawn for degenerate cycles as well
+    draws = rng.uniform((-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), size=(count, 3))
+    for m, (th, omega1, omega2) in zip(moment_sets, _rows(draws)):
         try:
             p = cyclic_initial_population(m, th)
         except DegenerateCycleError:
             continue
         p2 = p_after_second(p, m, th)
         fp_res = max(fp_res, abs(p2 - p))
-        omega1 = rng.uniform(0.1, 5.0)
-        omega2 = rng.uniform(0.1, 5.0)
         d_omega = omega1 - omega2
         p1 = p_after_first(p, m)
         w = (p1 - p) * d_omega
@@ -256,9 +264,9 @@ def _check_cycle_properties(rng, tol: Mapping[str, float], count: int = 10_000):
 
 def _check_no_signaling(rng, tol: Mapping[str, float], count: int = 1000):
     worst = 0.0
-    for m in sample_moment_sets(rng, count, zero_signal=True):
-        th = rng.uniform(-8.0, 8.0)
-        d_omega = rng.uniform(-5.0, 5.0)
+    moment_sets = sample_moment_sets(rng, count, zero_signal=True)
+    draws = rng.uniform((-8.0, -5.0), (8.0, 5.0), size=(count, 2))  # theta, delta_omega
+    for m, (th, d_omega) in zip(moment_sets, _rows(draws)):
         worst = max(worst, abs(extracted_work(m, th, d_omega)))
     yield CheckResult(
         "no_signaling", worst, tol["no_signaling"], worst <= tol["no_signaling"],

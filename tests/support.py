@@ -116,6 +116,16 @@ def weyl_expansion_oracle(m: MomentSet) -> dict[str, complex]:
     return results
 
 
+def generic_kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix cosine and sine of the kick alpha a + conj(alpha) a^dag on dim
+    levels, from a complex Hermitian eigendecomposition of the kick itself:
+    no phase rotation and no shared spectrum."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+    w, v = np.linalg.eigh(alpha * a + np.conj(alpha) * a.conj().T)
+    vh = v.conj().T
+    return (v * np.cos(w)) @ vh, (v * np.sin(w)) @ vh
+
+
 def gram_moment_set(w11: float, w22: float, frac: float, phase: float) -> MomentSet:
     """Moment set from Gram data: |W12| = frac * sqrt(W11 W22), frac in [0, 1]."""
     radius = frac * math.sqrt(w11 * w22)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ottoqft.algebra import (
@@ -258,14 +258,18 @@ class TestPAfterSecond:
         st.floats(min_value=0.0, max_value=0.499),
         st.floats(min_value=-8.0, max_value=8.0),
     )
+    # unit contraction returns p itself (p = 1e-77 is lost in 2p - 1)
+    @example(1.0, 1.0, 0.0, 1e-77, 0.0)
+    # 0.5 - p2 = (0.5 - p) * product = 1.5e-17 lies below the float spacing at 1/2
+    @example(0.00390625, 1e-6, 0.75, 0.498046875, 0.0)
     def test_no_signal_keeps_population_below_half(self, nu1, nu2, mu_frac, p, th):
         # without a commutator part the map contracts monotonically toward 1/2
         w11, w22 = -0.5 * math.log(nu1), -0.5 * math.log(nu2)
         m = MomentSet(nu1, nu2, 0.0, mu_frac * math.sqrt(w11 * w22))
         p2 = p_after_second(p, m, th)
         assert p <= p2 <= 0.5
-        # strictly below 1/2 whenever the contraction is resolvable in floats
-        if contraction_factor(m, th) > 1e-15:
+        # strictly below 1/2 whenever the distance 0.5 - p2 is resolvable in floats
+        if (0.5 - p) * contraction_factor(m, th) > 1e-16:
             assert p2 < 0.5
 
     def test_matches_fock_oracle_case(self):

@@ -1,7 +1,9 @@
 """Brute-force routes: truncated-mode evolution and radial quadrature."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 import ottoqft.oracle as oracle_mod
@@ -18,6 +20,8 @@ from ottoqft.oracle import (
     single_mode_kernel,
     verify_weyl_moments,
 )
+
+from support import generic_kick_cos_sin
 
 
 def _random_case(rng, nbar_choices=(0.0, 1.0)):
@@ -57,6 +61,26 @@ class TestSingleModeKernel:
             FockParams(0.1, 0.1, nbar=-1.0)
         with pytest.raises(ValueError):
             FockParams(0.1, 0.1, dim=1)
+
+
+class TestKickCosSin:
+    @pytest.mark.parametrize("dim", [2, 8, 60, 120])
+    @pytest.mark.parametrize("alpha", [
+        0.0, 0.3, -1.7, 0.25j, -2.0j, 0.31 - 0.12j, -0.07 + 0.44j,
+        1.1 - 0.4j, cmath.rect(3.0, 2.1), cmath.rect(3.0, -0.7),
+    ])
+    def test_matches_generic_eigendecomposition(self, alpha, dim):
+        cos_m, sin_m = oracle_mod._kick_cos_sin(complex(alpha), dim)
+        cos_ref, sin_ref = generic_kick_cos_sin(complex(alpha), dim)
+        assert np.max(np.abs(cos_m - cos_ref)) < 1e-13
+        assert np.max(np.abs(sin_m - sin_ref)) < 1e-13
+
+    def test_cached_spectrum_is_read_only(self):
+        w, v = oracle_mod._quadrature_eigh(8)
+        assert oracle_mod._quadrature_eigh(8)[1] is v
+        assert not w.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
 
 
 class TestSimulateCycleFock:

@@ -1,10 +1,14 @@
 """CSV sweeps, the point report, and command-line behaviour."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ottoqft import sweeps
+import ottoqft
+from ottoqft import oracle, sweeps
 from ottoqft.cli import main
 from ottoqft.config import parse_config
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep
@@ -186,6 +190,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 2
         assert "FAIL" in out
+
+    def test_verify_too_small_dim_is_a_validation_error(self):
+        src = os.path.dirname(os.path.dirname(ottoqft.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "ottoqft.cli", "verify", "--set", "cases=4", "--set", "dim=30"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "increase dim" in lines[0]
+
+    def test_unsettled_quadrature_is_a_verification_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "_REFINE_LIMIT", 0)
+        code = main(["verify", "--set", "cases=2", "--set", "dim=40"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_point_stdout(self, capsys):
         code = main(["point", "--set", "omega1=1", "--set", "omega2=3",
