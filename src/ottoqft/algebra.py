@@ -8,9 +8,14 @@ interactions.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import types
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 __all__ = [
     "MomentSet",
@@ -31,6 +36,11 @@ __all__ = [
 # slack for kernels carrying discretization error
 _LOG_BOUND_MAX = math.log1p(1e-9)
 _SIMPLEX_TOL = 1e-12
+_CLOSURE_TOL = 1e-12
+# below this distance of nu1*nu2*alpha from 1 the cycle transfers nothing
+# and the fixed-point formula divides by ~0
+_DEGENERACY_TOL = 1e-12
+_UNREALIZABLE = "the moment data is not realizable by a quasi-free state"
 
 
 class InvalidKernelError(ValueError):
@@ -143,22 +153,51 @@ def moment_set_from_kernel(kernel: QuasiFreeKernel) -> MomentSet:
     )
 
 
-def _hyperbolic_products(m: MomentSet) -> tuple[float, float]:
-    """(nu1 nu2 exp(4 mu12), nu1 nu2 exp(-4 mu12)), formed in log space.
+def _raise_first_failure(checks) -> None:
+    """checks: (ok, error) pairs in check order, each ok a boolean array (the
+    pairs broadcast together).  For the first point in C order that fails
+    any check, raise error(at) of the first check it fails, where at(array)
+    reads the failing point's value as a Python float."""
+    ok = functools.reduce(operator.and_, (passed for passed, _ in checks))
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    shape, i = np.shape(ok), int(np.argmin(ok))
 
-    Raises KernelInconsistencyError unless nu1 nu2 exp(4 |mu12|) <= 1 (with
-    1e-9 slack): the AM-GM form 4 |mu12| <= 2 (W11 + W22) of the Gram bound
-    |W12|^2 <= W11 W22.  Under it neither product exceeds 1 + 1e-9.
+    def at(values) -> float:
+        return float(np.broadcast_to(values, shape).flat[i])
+
+    raise next(error(at) for passed, error in checks if not at(passed))
+
+
+# The functions the kernel calls, on one point of Python floats: a NumPy
+# call costs more than the arithmetic of a point.  The transcendental
+# functions stay NumPy's, so that a point is its array element bit for bit;
+# an infinite phase raises ValueError, as the math module does.
+_POINT = types.SimpleNamespace(
+    log=lambda x: float(np.log(x)), exp=lambda x: float(np.exp(x)),
+    sin=lambda x: float(np.sin(x)) if math.isfinite(x) else math.sin(x),
+    cos=lambda x: float(np.cos(x)) if math.isfinite(x) else math.cos(x),
+    abs=abs, minimum=min, maximum=max, logical_not=operator.not_,
+    where=lambda cond, a, b: a if cond else b, nan=math.nan,
+)
+
+
+def _products(nu1, nu2, mu12, xp=np):
+    """nu1 nu2 exp(4 mu12) and nu1 nu2 exp(-4 mu12), formed in log space, and
+    the realizability check nu1 nu2 exp(4 |mu12|) <= 1 (with 1e-9 slack).
+
+    The bound is the AM-GM form 4 |mu12| <= 2 (W11 + W22) of the Gram bound
+    |W12|^2 <= W11 W22.  Under it neither product exceeds 1 + 1e-9; the
+    exponents are capped there, so an unrealizable point cannot overflow.
     """
-    log_nn = math.log(m.nu1) + math.log(m.nu2)
-    arg = 4.0 * m.mu12
-    log_bound = log_nn + abs(arg)
-    if log_bound > _LOG_BOUND_MAX:
-        raise KernelInconsistencyError(
-            f"nu1*nu2*exp(4|mu12|) = exp({log_bound!r}) exceeds 1 beyond tolerance 1e-09; "
-            "the moment data is not realizable by a quasi-free state"
-        )
-    return math.exp(log_nn + arg), math.exp(log_nn - arg)
+    log_nn = xp.log(nu1) + xp.log(nu2)
+    arg = 4.0 * mu12
+    log_bound = log_nn + xp.abs(arg)
+    bound = (log_bound <= _LOG_BOUND_MAX, lambda at: KernelInconsistencyError(
+        f"nu1*nu2*exp(4|mu12|) = exp({at(log_bound)!r}) exceeds 1 beyond tolerance 1e-09; "
+        + _UNREALIZABLE))
+    return (xp.exp(xp.minimum(log_nn + arg, _LOG_BOUND_MAX)),
+            xp.exp(xp.minimum(log_nn - arg, _LOG_BOUND_MAX)), bound)
 
 
 def weyl_moments(m: MomentSet) -> WeylMoments:
@@ -167,7 +206,8 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
     Raises KernelInconsistencyError on moment data that breaks the
     realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    up, down = _hyperbolic_products(m)
+    up, down, bound = _products(m.nu1, m.nu2, m.mu12, _POINT)
+    _raise_first_failure([bound])
     nn_ch = 0.5 * (up + down)  # nu1 nu2 cosh(4 mu12)
     c2e = math.cos(2.0 * m.e12)
     s2e = math.sin(2.0 * m.e12)
@@ -181,6 +221,50 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
         csc_s=complex(sym, -comm),
         ssc_c=complex(sym, comm),
     )
+
+
+def _contraction(nu1, nu2, mu12, theta, xp=np):
+    """The contraction factor nu1 nu2 alpha, clamped to <= 1, and the
+    realizability check of _products."""
+    up, down, bound = _products(nu1, nu2, mu12, xp)
+    s_half, c_half = xp.sin(0.5 * theta), xp.cos(0.5 * theta)
+    return xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0), bound
+
+
+def _population_columns(nu1, nu2, e12, mu12, theta, p=None, xp=np):
+    """(product, p, p1, p2, degenerate) of many cycles over broadcastable
+    arrays, or of one point of Python floats with xp = _POINT, and their
+    checks for _raise_first_failure: the realizability bound, then the
+    closure p and p2 in [0, 1] up to 1e-12 (values within it are clipped).
+
+    theta is gap1 tau1 - gap2 tau2 and product the contraction_factor.  With
+    p None the closure condition p2 = p fixes p, except on degenerate cycles
+    (1 - product < 1e-12: every p is a fixed point), which give the no-op
+    p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
+    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate under np.errstate.
+    """
+    product, bound = _contraction(nu1, nu2, mu12, theta, xp)
+    degenerate = 1.0 - product < _DEGENERACY_TOL
+    half_signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(theta)
+    checks = [bound]
+    if p is None:
+        # a degenerate cycle is then a no-op, exchanging no signal, so
+        # that p and p2 below come out 1/2 exactly
+        half_signal = half_signal * xp.logical_not(degenerate)
+        p = 0.5 + half_signal / xp.maximum(1.0 - product, _DEGENERACY_TOL)
+        checks.append(_range_check("closure population", p, _CLOSURE_TOL))
+        p = xp.minimum(xp.maximum(p, 0.0), 1.0)
+    p1 = 0.5 + (p - 0.5) * nu1
+    # p * product, so a unit contraction returns p exactly
+    p2 = p * product + 0.5 * (1.0 - product) + half_signal
+    checks.append(_range_check("second-kick population", p2, _SIMPLEX_TOL))
+    return (product, p, p1, xp.minimum(xp.maximum(p2, 0.0), 1.0), degenerate), checks
+
+
+def _range_check(name: str, values, tol: float):
+    """values in [0, 1] up to tol."""
+    return ((-tol <= values) & (values <= 1.0 + tol), lambda at: KernelInconsistencyError(
+        f"{name} {at(values)!r} falls outside [0, 1]; " + _UNREALIZABLE))
 
 
 def _check_probability(p: float) -> float:
@@ -202,10 +286,9 @@ def contraction_factor(m: MomentSet, theta: float) -> float:
     clamped to <= 1.  Raises KernelInconsistencyError on moment data that
     breaks the realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    up, down = _hyperbolic_products(m)
-    s_half = math.sin(0.5 * theta)
-    c_half = math.cos(0.5 * theta)
-    return min(up * s_half * s_half + down * c_half * c_half, 1.0)
+    product, bound = _contraction(m.nu1, m.nu2, m.mu12, theta, _POINT)
+    _raise_first_failure([bound])
+    return product
 
 
 def p_after_second(p: float, m: MomentSet, theta: float) -> float:
@@ -215,14 +298,7 @@ def p_after_second(p: float, m: MomentSet, theta: float) -> float:
     (gap1 * tau1 - gap2 * tau2).  The map is affine and trace preserving;
     a result outside [0, 1] beyond 1e-12 signals inconsistent moment data.
     """
-    p = _check_probability(p)
-    product = contraction_factor(m, theta)
-    signal = m.nu2 * math.sin(2.0 * m.e12) * math.sin(theta)
-    # p * product, so a unit contraction returns p exactly
-    p2 = p * product + 0.5 * (1.0 - product) + 0.5 * signal
-    if p2 < -_SIMPLEX_TOL or p2 > 1.0 + _SIMPLEX_TOL:
-        raise KernelInconsistencyError(
-            f"second-kick population {p2!r} falls outside [0, 1]; "
-            "the moment data is not realizable by a quasi-free state"
-        )
-    return min(max(p2, 0.0), 1.0)
+    (_, _, _, p2, _), checks = _population_columns(
+        m.nu1, m.nu2, m.e12, m.mu12, theta, _check_probability(p), _POINT)
+    _raise_first_failure(checks)
+    return p2

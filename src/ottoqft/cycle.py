@@ -15,14 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _LOG_BOUND_MAX, _SIMPLEX_TOL
-from .algebra import (
-    KernelInconsistencyError,
-    MomentSet,
-    contraction_factor,
-    p_after_first,
-    p_after_second,
-)
+from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _POINT
+from .algebra import MomentSet, _population_columns, _raise_first_failure, contraction_factor
 
 __all__ = [
     "InteractionEvent",
@@ -32,16 +26,13 @@ __all__ = [
     "theta",
     "cyclic_initial_population",
     "extracted_work",
+    "extracted_work_arrays",
     "positive_work_condition",
     "stroke_ledger",
     "LedgerColumns",
     "cycle_arrays",
+    "ledger_arrays",
 ]
-
-# below this distance of nu1*nu2*alpha from 1 the cycle transfers nothing
-# and the fixed-point formula divides by ~0; treat as a no-op instead
-_DEGENERACY_TOL = 1e-12
-_CLOSURE_TOL = 1e-12
 
 
 class DegenerateCycleError(ArithmeticError):
@@ -127,19 +118,12 @@ def cyclic_initial_population(m: MomentSet, theta: float) -> float:
     Raises DegenerateCycleError when nu1*nu2*alpha is within 1e-12 of 1,
     i.e. when the kicks act trivially and every p is a fixed point.
     """
-    product = contraction_factor(m, theta)
-    if 1.0 - product < _DEGENERACY_TOL:
-        raise DegenerateCycleError(
-            f"nu1*nu2*alpha = {product!r} is within {_DEGENERACY_TOL} of 1"
-        )
-    signal = 0.5 * m.nu2 * math.sin(2.0 * m.e12) * math.sin(theta)
-    p = 0.5 - signal / (product - 1.0)
-    if p < -_CLOSURE_TOL or p > 1.0 + _CLOSURE_TOL:
-        raise KernelInconsistencyError(
-            f"closure population {p!r} falls outside [0, 1]; "
-            "the moment data is not realizable by a quasi-free state"
-        )
-    return min(max(p, 0.0), 1.0)
+    (product, p, _, _, degenerate), checks = _population_columns(
+        m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    _raise_first_failure(checks)
+    if degenerate:
+        raise DegenerateCycleError(f"nu1*nu2*alpha = {product!r} is within {_DEGENERACY_TOL} of 1")
+    return p
 
 
 def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
@@ -152,10 +136,20 @@ def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
     product = contraction_factor(m, theta)
-    if 1.0 - product < _DEGENERACY_TOL:
-        return 0.0
-    numerator = 0.5 * m.nu2 * math.sin(2.0 * m.e12) * math.sin(theta) * (1.0 - m.nu1)
-    return numerator * delta_omega / (product - 1.0) + 0.0  # + 0.0 prints -0 as 0
+    return float(extracted_work_arrays(m.nu1, m.nu2, m.e12, theta, product, delta_omega))
+
+
+def extracted_work_arrays(nu1, nu2, e12, theta, product, delta_omega):
+    """extracted_work over broadcastable arrays, given the contraction factor
+    product of each cycle: the paper's closed form
+    0.5 nu2 sin(2 e12) sin(theta) (1 - nu1) delta_omega / (product - 1),
+    and 0 on degenerate cycles (1 - product < 1e-12).
+    """
+    live = 1.0 - product >= _DEGENERACY_TOL
+    numerator = 0.5 * nu2 * np.sin(2.0 * e12) * np.sin(theta) * (1.0 - nu1) * live
+    # at most -1e-12, so that a degenerate cycle gives 0 / -1e-12
+    denominator = np.minimum(product - 1.0, -_DEGENERACY_TOL)
+    return numerator * delta_omega / denominator + 0.0  # + 0.0 prints -0 as 0
 
 
 def positive_work_condition(m: MomentSet, theta: float) -> bool:
@@ -168,15 +162,6 @@ def positive_work_condition(m: MomentSet, theta: float) -> bool:
     return math.sin(2.0 * m.e12) * math.sin(theta) < 0.0 and m.nu1 < 1.0
 
 
-def _noop_report(p: float) -> WorkReport:
-    return WorkReport(
-        p=p, p1=p, p2=p,
-        w1=0.0, w3=0.0, q2=0.0, q4=0.0,
-        w_ext=0.0, q_total=0.0, efficiency=None,
-        pwc=False, degenerate=True, closed=True,
-    )
-
-
 def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     """Populate the full per-stroke ledger for one cycle.
 
@@ -185,87 +170,78 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     may differ from it; the report then flags the cycle as non-closed and
     omits w_ext (per-stroke entries remain valid).
     """
-    th = theta(config)
-    omega1 = config.first.gap
-    omega2 = config.second.gap
-    delta_omega = omega1 - omega2
-
-    if config.initial_p is None:
-        try:
-            p = cyclic_initial_population(m, th)
-        except DegenerateCycleError:
-            return _noop_report(0.5)
-        closed = True
-    else:
-        p = config.initial_p
-        product = contraction_factor(m, th)
-        if 1.0 - product < _DEGENERACY_TOL:
-            return _noop_report(p)
-        closed = False  # re-decided below once p2 is known
-
-    p1 = p_after_first(p, m)
-    p2 = p_after_second(p, m, th)
-    if config.initial_p is not None:
-        closed = abs(p2 - p) <= _CLOSURE_TOL
-
-    w1 = p * delta_omega
-    w3 = -p1 * delta_omega
-    q2 = omega1 * (p1 - p)
-    q4 = omega2 * (p2 - p1)
-    work = (p1 - p) * delta_omega
-    w_ext: Optional[float] = work + 0.0 if closed else None  # + 0.0 prints -0 as 0
-    efficiency: Optional[float] = None
-    if closed and q2 != 0.0:
-        efficiency = work / q2
-    return WorkReport(
-        p=p, p1=p1, p2=p2,
-        w1=w1, w3=w3, q2=q2, q4=q4,
-        w_ext=w_ext, q_total=q2 + q4, efficiency=efficiency,
-        pwc=bool(w_ext is not None and w_ext > 0.0),
-        degenerate=False, closed=closed,
-    )
+    c = _ledger(theta(config), config.first.gap, config.second.gap,
+                m.nu1, m.nu2, m.e12, m.mu12, config.initial_p, _POINT)
+    values = {name: getattr(c, name) for name in WorkReport.__dataclass_fields__}
+    for name in ("w_ext", "efficiency"):  # NaN marks an absent entry
+        if math.isnan(values[name]):
+            values[name] = None
+    return WorkReport(**values)
 
 
-# closed-cycle ledger of many cycles: one array per column, all of one shape
-LedgerColumns = namedtuple("LedgerColumns", "theta nu1 nu2 e12 mu12 p p1 w_ext pwc")
+# ledger of many cycles: one array per column, the columns broadcast together;
+# w_ext is NaN where the cycle does not close, efficiency where it is undefined
+LedgerColumns = namedtuple(
+    "LedgerColumns",
+    "theta nu1 nu2 e12 mu12 p p1 p2 w1 w3 q2 q4 q_total w_ext efficiency pwc degenerate closed "
+    "product",
+)
 
 
-def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12) -> LedgerColumns:
-    """stroke_ledger of closed cycles over broadcastable arrays, by the same
-    formulas in the same order.  Degenerate points give the no-op row.
+def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None) -> LedgerColumns:
+    """stroke_ledger over broadcastable arrays: the one implementation of the
+    cycle, which the scalar functions wrap.
 
-    Every check of the scalar path is made on every point; if any fails, the
-    first failing point in C order goes to stroke_ledger, which raises that
-    check's own exception.
+    Checks, in order: the MomentSet checks, gap > 0 and tau2 > tau1 (and an
+    imposed initial_p in [0, 1]), then the population checks.  The first
+    failing point in C order raises the first check it fails, with the
+    message of the scalar type that makes it.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
         omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)))
     omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12 = args
+    kicks_ok = (omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1)
+    if initial_p is not None:
+        initial_p = np.asarray(initial_p, dtype=float)
+        kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
     th = omega1 * tau1 - omega2 * tau2
-    with np.errstate(all="ignore"):  # failing points are flagged below, not warned about
-        log_nn = np.log(nu1) + np.log(nu2)
-        arg = 4.0 * mu12
-        s_half, c_half = np.sin(0.5 * th), np.cos(0.5 * th)
-        up, down = np.exp(log_nn + arg), np.exp(log_nn - arg)
-        product = np.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
-        degenerate = 1.0 - product < _DEGENERACY_TOL
-        sin_2e, sin_th = np.sin(2.0 * e12), np.sin(th)
-        p_raw = 0.5 - 0.5 * nu2 * sin_2e * sin_th / (product - 1.0)
-        p = np.clip(p_raw, 0.0, 1.0)
-        p1 = 0.5 + (p - 0.5) * nu1
-        p2 = p * product + 0.5 * (1.0 - product) + 0.5 * (nu2 * sin_2e * sin_th)
-        ok = ((omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1) & np.isfinite(e12)
-              & (0.0 < nu1) & (nu1 <= 1.0) & (0.0 < nu2) & (nu2 <= 1.0)
-              & (log_nn + np.abs(arg) <= _LOG_BOUND_MAX)
-              & (degenerate | ((-_CLOSURE_TOL <= p_raw) & (p_raw <= 1.0 + _CLOSURE_TOL)
-                               & (-_SIMPLEX_TOL <= p2) & (p2 <= 1.0 + _SIMPLEX_TOL))))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        o1, o2, t1, t2, *moments = (float(a.flat[i]) for a in args)
-        m = MomentSet(*moments)  # moments are checked before the kicks, as in a sweep
-        stroke_ledger(CycleConfig(InteractionEvent(t1, o1), InteractionEvent(t2, o2)), m)
-        # reached only where the two paths round across a threshold differently
-        raise KernelInconsistencyError(f"cycle point {i} fails a check at rounding level")
-    w_ext = np.where(degenerate, 0.0, (p1 - p) * (omega1 - omega2)) + 0.0  # + 0.0 prints -0 as 0
-    return LedgerColumns(th, nu1, nu2, e12, mu12, np.where(degenerate, 0.5, p),
-                         np.where(degenerate, 0.5, p1), w_ext, w_ext > 0.0)
+    checks = [
+        (np.isfinite(e12) & np.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
+         & (0.0 < nu2) & (nu2 <= 1.0),
+         lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12))),
+        (kicks_ok, lambda at: CycleConfig(
+            InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
+            None if initial_p is None else at(initial_p))),
+    ]
+    with np.errstate(all="ignore"):  # failing points raise, after every check is made
+        return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, np, checks)
+
+
+def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12, p=None) -> LedgerColumns:
+    """The ledger of cycles given their phase difference theta, over
+    broadcastable arrays, with the population checks of cycle_arrays."""
+    with np.errstate(all="ignore"):  # failing points raise, after every check is made
+        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p)
+
+
+def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> LedgerColumns:
+    """Populations, then the strokes, once the caller's checks and the
+    population checks pass.  The no-op row of a degenerate closed cycle has
+    p = p1 = p2 = 1/2 and zero work and heat in every stroke."""
+    closure = p is None
+    (product, p, p1, p2, degenerate), population_checks = _population_columns(
+        nu1, nu2, e12, mu12, theta, p, xp)
+    _raise_first_failure([*checks, *population_checks])
+    noop = degenerate & closure
+    delta_omega = omega1 - omega2
+    work = (p1 - p) * delta_omega
+    closed = closure | (xp.abs(p2 - p) <= _CLOSURE_TOL)
+    q2 = omega1 * (p1 - p)
+    q4 = omega2 * (p2 - p1)
+    w_ext = xp.where(closed, work + 0.0, xp.nan)  # + 0.0 prints -0 as 0
+    efficiency = work / xp.where(closed & (q2 != 0.0), q2, xp.nan)
+    return LedgerColumns(
+        theta, nu1, nu2, e12, mu12, p, p1, p2,
+        xp.where(noop, 0.0, p * delta_omega), xp.where(noop, 0.0, -p1 * delta_omega),
+        q2, q4, q2 + q4, w_ext, efficiency, w_ext > 0.0, degenerate, closed, product,
+    )

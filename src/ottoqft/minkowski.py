@@ -68,30 +68,16 @@ class MinkowskiParams:
             raise ValueError(f"dtau must be >= 0, got {self.dtau!r}")
 
 
-def minkowski_moments(params: MinkowskiParams) -> MomentSet:
-    """Closed-form moment set of the massless Minkowski vacuum.
-
-    In smearing-width units, with x = dtau / sqrt(2):
+def minkowski_moment_arrays(lambda1, lambda2, dtau) -> tuple[np.ndarray, ...]:
+    """Closed-form moments of the massless Minkowski vacuum over broadcastable
+    arrays, in smearing-width units.  With x = dtau / sqrt(2):
       nu_j = exp(-lambda_j^2 / (2 pi^2))
       e12  = lambda1 lambda2 / (2 pi^(3/2)) * x exp(-x^2)
       mu12 = lambda1 lambda2 / (4 pi^2) * (1 - 2 x D(x))
-    """
-    x = params.dtau / math.sqrt(2.0)
-    pref = params.lambda1 * params.lambda2
-    nu1 = math.exp(-params.lambda1 ** 2 / (2.0 * math.pi ** 2))
-    nu2 = math.exp(-params.lambda2 ** 2 / (2.0 * math.pi ** 2))
-    e12 = pref / (2.0 * math.pi ** 1.5) * x * math.exp(-x * x)
-    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
-    return MomentSet(nu1=nu1, nu2=nu2, e12=e12, mu12=mu12)
-
-
-def minkowski_moment_arrays(lambda1, lambda2, dtau) -> tuple[np.ndarray, ...]:
-    """minkowski_moments over broadcastable arrays, in smearing-width units.
 
     Returns (nu1, nu2, e12, mu12), each with the shape of its own inputs:
     nu_j follows lambda_j alone, so a scalar dtau costs one Dawson
-    evaluation per call.  Validated like MinkowskiParams; the MomentSet
-    checks are made by the consumer (cycle.cycle_arrays).
+    evaluation per call.  The MomentSet checks are the consumer's.
     """
     lambda1, lambda2, dtau = (np.asarray(v, dtype=float) for v in (lambda1, lambda2, dtau))
     if (lambda1 < 0.0).any() or (lambda2 < 0.0).any() or (dtau < 0.0).any():
@@ -103,3 +89,10 @@ def minkowski_moment_arrays(lambda1, lambda2, dtau) -> tuple[np.ndarray, ...]:
     e12 = pref / (2.0 * math.pi ** 1.5) * x * np.exp(-x * x)
     mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
     return nu1, nu2, e12, mu12
+
+
+def minkowski_moments(params: MinkowskiParams) -> MomentSet:
+    """Closed-form moment set of the massless Minkowski vacuum: the
+    minkowski_moment_arrays values at one point, checked by MomentSet."""
+    moments = minkowski_moment_arrays(params.lambda1, params.lambda2, params.dtau)
+    return MomentSet(*map(float, moments))

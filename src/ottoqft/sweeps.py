@@ -3,18 +3,19 @@
 Sweeps run on the array path (minkowski_moment_arrays + cycle_arrays), a
 fixed-size chunk of grid points at a time, and emit rows in grid order with
 17 significant digits, so the text re-parses to the exact binary values.
-run_point stays on the scalar path.
+run_point evaluates its one cycle through the same two calls.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .config import SweepSpec
-from .cycle import CycleConfig, InteractionEvent, cycle_arrays, stroke_ledger, theta
-from .minkowski import MinkowskiParams, minkowski_moment_arrays, minkowski_moments
+from .cycle import cycle_arrays
+from .minkowski import minkowski_moment_arrays
 
 __all__ = ["run_sweep", "run_point", "figure4a_curve", "CURVE_COLUMNS", "GRID_COLUMNS"]
 
@@ -42,9 +43,9 @@ def _render_rows(columns: Sequence[np.ndarray]) -> str:
     return "".join(row % values for values in zip(*(c.tolist() for c in numbers), words))
 
 
-def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2):
+def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None):
     moments = minkowski_moment_arrays(lambda1, lambda2, tau2 - tau1)
-    return cycle_arrays(omega1, omega2, tau1, tau2, *moments)
+    return cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p)
 
 
 def _chunks(s: SweepSpec) -> Iterator[tuple]:
@@ -96,31 +97,11 @@ def figure4a_curve(
 
 
 def run_point(spec: SweepSpec) -> str:
-    """Single-cycle report as ``key = value`` lines."""
+    """Single-cycle report as ``key = value`` lines, from the sweep's own kernel."""
     if spec.mode != "single-point":
         raise ValueError(f"run_point requires mode 'single-point', got {spec.mode!r}")
-    m = minkowski_moments(
-        MinkowskiParams(lambda1=spec.lambda1, lambda2=spec.lambda2, dtau=spec.tau2 - spec.tau1)
-    )
-    config = CycleConfig(
-        first=InteractionEvent(tau=spec.tau1, gap=spec.omega1, coupling=spec.lambda1),
-        second=InteractionEvent(tau=spec.tau2, gap=spec.omega2, coupling=spec.lambda2),
-        initial_p=spec.initial_p,
-    )
-    report = stroke_ledger(config, m)
-    pairs: list[tuple[str, object]] = [
-        ("theta", theta(config)),
-        ("nu1", m.nu1), ("nu2", m.nu2), ("e12", m.e12), ("mu12", m.mu12),
-        ("p", report.p), ("p1", report.p1), ("p2", report.p2),
-        ("w1", report.w1), ("w3", report.w3),
-        ("q2", report.q2), ("q4", report.q4),
-        ("q_total", report.q_total),
-    ]
-    if report.w_ext is not None:
-        pairs.append(("w_ext", report.w_ext))
-    if report.efficiency is not None:
-        pairs.append(("efficiency", report.efficiency))
-    pairs.extend(
-        [("pwc", report.pwc), ("degenerate", report.degenerate), ("closed", report.closed)]
-    )
-    return "\n".join(f"{key} = {_render(value)}" for key, value in pairs) + "\n"
+    c = _cycles(spec.omega1, spec.omega2, spec.tau1, spec.tau2, spec.lambda1, spec.lambda2,
+                spec.initial_p)
+    pairs = [(key, getattr(c, key).item()) for key in c._fields if key != "product"]
+    return "".join(f"{key} = {_render(value)}\n" for key, value in pairs
+                   if not (isinstance(value, float) and math.isnan(value)))  # NaN: absent

@@ -14,14 +14,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .algebra import (
-    MomentSet,
-    moment_set_from_kernel,
-    p_after_first,
-    p_after_second,
-    weyl_moments,
-)
-from .cycle import DegenerateCycleError, cyclic_initial_population, extracted_work
+from .algebra import MomentSet, moment_set_from_kernel, weyl_moments
+from .cycle import cycle_arrays, extracted_work_arrays, ledger_arrays
 from .minkowski import MinkowskiParams, dawson, minkowski_moments
 from .oracle import (
     FockParams,
@@ -148,14 +142,17 @@ def _sample_fock_cases(rng: np.random.Generator, count: int) -> list[tuple]:
 
 
 def _check_fock_populations(rng, tol: Mapping[str, float], cases: int, dim: int):
-    dev1 = dev2 = 0.0
-    for a1, a2, nbar, p, o1, o2, t1, t2 in _sample_fock_cases(rng, cases):
+    fock, moment_sets = [], []
+    sampled = _sample_fock_cases(rng, cases)
+    for a1, a2, nbar, p, o1, o2, t1, t2 in sampled:
         fp = FockParams(alpha1=a1, alpha2=a2, nbar=nbar, dim=dim)
-        p1_fock, p2_fock = simulate_cycle_fock(fp, o1, o2, t1, t2, p)
-        m = moment_set_from_kernel(single_mode_kernel(fp))
-        th = o1 * t1 - o2 * t2
-        dev1 = max(dev1, abs(p1_fock - p_after_first(p, m)))
-        dev2 = max(dev2, abs(p2_fock - p_after_second(p, m, th)))
+        fock.append(simulate_cycle_fock(fp, o1, o2, t1, t2, p))
+        moment_sets.append(moment_set_from_kernel(single_mode_kernel(fp)))
+    p, omega1, omega2, tau1, tau2 = np.array([case[3:] for case in sampled]).T
+    c = cycle_arrays(omega1, omega2, tau1, tau2, *_moment_arrays(moment_sets), initial_p=p)
+    p1_fock, p2_fock = np.array(fock).T
+    dev1 = float(np.max(np.abs(p1_fock - c.p1)))
+    dev2 = float(np.max(np.abs(p2_fock - c.p2)))
     yield CheckResult(
         "fock_p1", dev1, tol["fock_p1"], dev1 < tol["fock_p1"],
         f"{cases} random kicks vs exact evolution, dim={dim}",
@@ -234,24 +231,22 @@ def _check_dawson(tol: Mapping[str, float]):
     )
 
 
+def _moment_arrays(moment_sets: Iterable[MomentSet]) -> np.ndarray:
+    """nu1, nu2, e12, mu12 of the sets, one array each, holding no list of them."""
+    values = (v for m in moment_sets for v in (m.nu1, m.nu2, m.e12, m.mu12))
+    return np.fromiter(values, dtype=float).reshape(-1, 4).T
+
+
 def _check_cycle_properties(rng, tol: Mapping[str, float], count: int = 10_000):
-    fl = fp_res = 0.0
-    moment_sets = sample_moment_sets(rng, count)
+    nu1, nu2, e12, mu12 = _moment_arrays(sample_moment_sets(rng, count))
     # theta, omega1, omega2 per cycle, drawn for degenerate cycles as well
-    draws = rng.uniform((-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), size=(count, 3))
-    for m, (th, omega1, omega2) in zip(moment_sets, _rows(draws)):
-        try:
-            p = cyclic_initial_population(m, th)
-        except DegenerateCycleError:
-            continue
-        p2 = p_after_second(p, m, th)
-        fp_res = max(fp_res, abs(p2 - p))
-        d_omega = omega1 - omega2
-        p1 = p_after_first(p, m)
-        w = (p1 - p) * d_omega
-        q2 = omega1 * (p1 - p)
-        q4 = omega2 * (p2 - p1)
-        fl = max(fl, abs(w - (q2 + q4)), abs(w - extracted_work(m, th, d_omega)))
+    theta, omega1, omega2 = rng.uniform((-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), size=(count, 3)).T
+    c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
+    # the ledger's w_ext against its strokes and against the paper's closed
+    # form; both give 0 on a degenerate cycle, the no-op row
+    closed_form = extracted_work_arrays(nu1, nu2, e12, theta, c.product, omega1 - omega2)
+    fp_res = float(np.max(np.abs(c.p2 - c.p)))
+    fl = float(np.max(np.maximum(np.abs(c.w_ext - (c.q2 + c.q4)), np.abs(c.w_ext - closed_form))))
     yield CheckResult(
         "fixed_point", fp_res, tol["fixed_point"], fp_res < tol["fixed_point"],
         f"closure residual over {count} random cycles",
@@ -263,11 +258,10 @@ def _check_cycle_properties(rng, tol: Mapping[str, float], count: int = 10_000):
 
 
 def _check_no_signaling(rng, tol: Mapping[str, float], count: int = 1000):
-    worst = 0.0
-    moment_sets = sample_moment_sets(rng, count, zero_signal=True)
-    draws = rng.uniform((-8.0, -5.0), (8.0, 5.0), size=(count, 2))  # theta, delta_omega
-    for m, (th, d_omega) in zip(moment_sets, _rows(draws)):
-        worst = max(worst, abs(extracted_work(m, th, d_omega)))
+    moments = _moment_arrays(sample_moment_sets(rng, count, zero_signal=True))
+    theta, d_omega = rng.uniform((-8.0, -5.0), (8.0, 5.0), size=(count, 2)).T
+    # the work depends on the gaps only through their difference
+    worst = float(np.max(np.abs(ledger_arrays(theta, d_omega, 0.0, *moments).w_ext)))
     yield CheckResult(
         "no_signaling", worst, tol["no_signaling"], worst <= tol["no_signaling"],
         f"e12 = 0 forces zero work, {count} cases (exact)",

@@ -2,9 +2,10 @@
 generators of admissible moment data.
 
 The oracles here are deliberately independent of the package code paths they
-check: the Dawson references sum series in arbitrary precision, and the
+check: the Dawson references sum series in arbitrary precision, the
 fourth-order moments are expanded term by term through the exponentiated
-commutation relations rather than through the closed hyperbolic forms.
+commutation relations rather than through the closed hyperbolic forms, and
+the cycle closure and ledger are the scalar formulas evaluated in mpmath.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
-from ottoqft.algebra import MomentSet
+from ottoqft.algebra import KernelInconsistencyError, MomentSet
 
 
 def dawson_series_oracle(x: float) -> float:
@@ -173,3 +174,78 @@ def sample_gram_moment_sets(
         phase = 0.0 if zero_signal else rng.uniform(0.0, 2.0 * math.pi)
         out.append(gram_moment_set(w11, w22, frac, phase))
     return out
+
+
+_LEDGER_DPS = 50
+# the package's thresholds, restated: realizability slack, closure and
+# simplex ranges, degeneracy of the contraction factor
+_LOG_BOUND_MAX = math.log1p(1e-9)
+_RANGE_TOL = 1e-12
+_DEGENERACY_TOL = 1e-12
+_UNREALIZABLE = "the moment data is not realizable by a quasi-free state"
+
+
+def reference_contraction(m: MomentSet, theta: float) -> mp.mpf:
+    """nu1 nu2 alpha = nu1 nu2 (exp(4 mu12) sin^2(theta/2) + exp(-4 mu12)
+    cos^2(theta/2)) in 50-digit mpmath, clamped to <= 1."""
+    with mp.workdps(_LEDGER_DPS):
+        nu1, nu2, mu12, th = (mp.mpf(v) for v in (m.nu1, m.nu2, m.mu12, theta))
+        alpha = mp.exp(4 * mu12) * mp.sin(th / 2) ** 2 + mp.exp(-4 * mu12) * mp.cos(th / 2) ** 2
+        return min(nu1 * nu2 * alpha, mp.mpf(1))
+
+
+def reference_ledger(m: MomentSet, theta: float, omega1: float, omega2: float,
+                     p: float | None = None) -> dict:
+    """The closed-form cycle ledger evaluated in 50-digit mpmath, as floats.
+
+    Closure fixes p unless p is given; a degenerate closed cycle
+    (1 - nu1 nu2 alpha < 1e-12) is the no-op row p = p1 = p2 = 1/2 with zero
+    strokes.  Makes the package's checks in its order (realizability bound,
+    closure range, p2 range) and raises KernelInconsistencyError with the
+    package's message, its number formatted from the exact value.  Absent
+    entries (w_ext of an open cycle, efficiency where q2 = 0) are None.
+    """
+    closure = p is None
+    with mp.workdps(_LEDGER_DPS):
+        nu1, nu2, e12, mu12, th = (mp.mpf(v) for v in (m.nu1, m.nu2, m.e12, m.mu12, theta))
+        log_bound = mp.log(nu1) + mp.log(nu2) + 4 * abs(mu12)
+        if log_bound > _LOG_BOUND_MAX:
+            raise KernelInconsistencyError(
+                f"nu1*nu2*exp(4|mu12|) = exp({float(log_bound)!r}) exceeds 1 beyond "
+                f"tolerance 1e-09; {_UNREALIZABLE}")
+        product = reference_contraction(m, theta)
+        signal = nu2 * mp.sin(2 * e12) * mp.sin(th)
+        degenerate = bool(1 - product < _DEGENERACY_TOL)
+        noop = degenerate and closure
+        half = mp.mpf(0.5)
+        if noop:
+            p = half
+        elif closure:
+            p = half - signal / 2 / (product - 1)
+            if not -_RANGE_TOL <= p <= 1 + _RANGE_TOL:
+                raise KernelInconsistencyError(
+                    f"closure population {float(p)!r} falls outside [0, 1]; {_UNREALIZABLE}")
+            p = min(max(p, mp.mpf(0)), mp.mpf(1))
+        else:
+            p = mp.mpf(p)
+        p1 = half + (p - half) * nu1
+        p2 = p * product + (1 - product) / 2 + signal / 2
+        if noop:
+            p2 = p
+        elif not -_RANGE_TOL <= p2 <= 1 + _RANGE_TOL:
+            raise KernelInconsistencyError(
+                f"second-kick population {float(p2)!r} falls outside [0, 1]; {_UNREALIZABLE}")
+        p2 = min(max(p2, mp.mpf(0)), mp.mpf(1))
+        d_omega = mp.mpf(omega1) - mp.mpf(omega2)
+        work = (p1 - p) * d_omega
+        q2, q4 = omega1 * (p1 - p), omega2 * (p2 - p1)
+        closed = closure or bool(abs(p2 - p) <= _RANGE_TOL)
+        return {
+            "product": float(product), "p": float(p), "p1": float(p1), "p2": float(p2),
+            "w1": 0.0 if noop else float(p * d_omega),
+            "w3": 0.0 if noop else float(-p1 * d_omega),
+            "q2": float(q2), "q4": float(q4), "q_total": float(q2 + q4),
+            "w_ext": float(work) if closed else None,
+            "efficiency": float(work / q2) if closed and q2 != 0 else None,
+            "pwc": bool(closed and work > 0), "degenerate": degenerate, "closed": closed,
+        }

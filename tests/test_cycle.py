@@ -216,6 +216,28 @@ class TestStrokeLedger:
         assert report.closed
         assert report.w_ext is not None
 
+    def test_infinite_phase_raises_value_error(self):
+        # a kick at tau = inf has no phase: the scalar API raises as math.sin does
+        m = MomentSet(0.8, 0.7, 0.3, 0.05)
+        config = CycleConfig(first=_event(0.0, 1.0), second=_event(math.inf, 3.0))
+        with pytest.raises(ValueError, match="math domain error"):
+            stroke_ledger(config, m)
+        with pytest.raises(ValueError, match="math domain error"):
+            cyclic_initial_population(m, -math.inf)
+
+    def test_imposed_population_on_degenerate_product(self):
+        # W11 = W22 = mu12 = 1/2 saturates the Gram bound, and at theta = -pi
+        # nu1 nu2 alpha = 1: closure cannot fix p, but an imposed p still
+        # passes through both kicks
+        m = MomentSet(math.exp(-1.0), math.exp(-1.0), 0.0, 0.5)
+        config = CycleConfig(first=_event(0.0, 2.0), second=_event(math.pi, 1.0), initial_p=0.2)
+        report = stroke_ledger(config, m)
+        assert report.degenerate
+        assert report.p1 == p_after_first(0.2, m)
+        assert report.p1 == pytest.approx(0.3896361676485673, abs=1e-15)
+        assert report.closed and report.w_ext is not None
+        assert abs(report.w_ext - (report.q2 + report.q4)) < 1e-12
+
     def test_efficiency_is_work_over_first_heat(self):
         m = minkowski_moments(MinkowskiParams(100.0, 1.0, 1.5))
         config = CycleConfig(first=_event(0.0, 1.0, 100.0), second=_event(1.5, 3.0, 1.0))

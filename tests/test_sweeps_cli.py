@@ -9,6 +9,7 @@ import pytest
 
 import ottoqft
 from ottoqft import oracle, sweeps
+from ottoqft.algebra import MomentSet, p_after_first
 from ottoqft.cli import main
 from ottoqft.config import parse_config
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep
@@ -167,6 +168,35 @@ class TestRunPoint:
         assert "\nw_ext = 0\n" in run_point(spec)
 
 
+def _point(**values):
+    spec = parse_config("mode = single-point", [f"{key}={value}" for key, value in values.items()])
+    return dict(line.split(" = ") for line in run_point(spec).strip().split("\n"))
+
+
+class TestPointMatchesSweep:
+    # point evaluates its cycle through the sweep's kernel: every 17-digit
+    # cell of a sweep row is the text point prints at the same parameters
+    CURVE_KEYS = dict(zip(CURVE_COLUMNS, (
+        None, "theta", "nu1", "nu2", "e12", "mu12", "p", "p1", "w_ext", "pwc")))
+
+    def test_curve_cells(self):
+        spec = parse_config(FIG4A_CFG.format(out="x.csv"),
+                            ["tau2_start=0.05", "tau2_stop=12.0", "tau2_count=2000"])
+        header, rows = _rows(run_sweep(spec))
+        for row in rows:
+            entries = _point(omega1=1.0, omega2=3.0, tau1=0.0, tau2=row[0],
+                             lambda1=100.0, lambda2=1.0)
+            assert [entries[self.CURVE_KEYS[key]] for key in header[1:]] == row[1:], row[0]
+
+    def test_grid_cells(self):
+        spec = parse_config(GRID_CFG.format(out="x.csv"), ["lambda1_count=20", "lambda2_count=20"])
+        _, rows = _rows(run_sweep(spec))
+        for row in rows:
+            entries = _point(omega1=1.0, omega2=3.0, tau1=0.0, tau2=1.5,
+                             lambda1=row[0], lambda2=row[1])
+            assert [entries["w_ext"], entries["pwc"]] == row[2:], row[:2]
+
+
 class TestCli:
     def test_sweep_determinism(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -227,6 +257,22 @@ class TestCli:
         assert code == 0
         entries = dict(line.split(" = ") for line in out.strip().split("\n"))
         assert math.isfinite(float(entries["w_ext"]))
+
+    def test_imposed_population_on_degenerate_product(self, capsys):
+        # at tau2 = 1e-8 with lambda1 = lambda2 the Gram bound is saturated and
+        # theta ~ -pi gives nu1 nu2 alpha = 1; the imposed p still takes both kicks
+        code = main(["point", "--set", "omega1=1", "--set", "omega2=314159265.35897932",
+                     "--set", "tau1=0", "--set", "tau2=1e-8", "--set", "lambda1=5",
+                     "--set", "lambda2=5", "--set", "initial_p=0.2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        entries = dict(line.split(" = ") for line in out.strip().split("\n"))
+        assert entries["degenerate"] == "true"
+        m = MomentSet(*(float(entries[key]) for key in ("nu1", "nu2", "e12", "mu12")))
+        assert float(entries["p1"]) == p_after_first(0.2, m)
+        assert float(entries["p1"]) == pytest.approx(0.41545637450988898, abs=1e-15)
+        w_ext, heat = float(entries["w_ext"]), float(entries["q2"]) + float(entries["q4"])
+        assert abs(w_ext - heat) <= 1e-12 * abs(w_ext)
 
     def test_underflowing_nu_is_a_validation_error(self, capsys):
         code = main(["point", "--set", "omega1=1", "--set", "omega2=3",

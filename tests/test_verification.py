@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import ottoqft.cycle as cycle
 import ottoqft.verification as verification
 from ottoqft.algebra import MomentSet, moment_set_from_kernel
-from ottoqft.cycle import DegenerateCycleError
+from ottoqft.cycle import ledger_arrays
 from ottoqft.verification import (
     DEFAULT_TOLERANCES,
     format_report,
@@ -28,21 +29,23 @@ def test_batched_moment_sets_equal_one_draw_per_call(zero_signal):
     assert list(sets) == expected
 
 
+def _record_kernel_calls(monkeypatch):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return ledger_arrays(*args)
+
+    monkeypatch.setattr(verification, "ledger_arrays", record)
+    return calls
+
+
+def _columns(sets):
+    return [[getattr(m, name) for m in sets] for name in ("nu1", "nu2", "e12", "mu12")]
+
+
 def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
-    seen_theta, seen_work_args = [], []
-    original_p, original_w = (verification.cyclic_initial_population,
-                              verification.extracted_work)
-
-    def record_p(m, th):
-        seen_theta.append((m, th))
-        return original_p(m, th)
-
-    def record_w(m, th, d_omega):
-        seen_work_args.append((m, th, d_omega))
-        return original_w(m, th, d_omega)
-
-    monkeypatch.setattr(verification, "cyclic_initial_population", record_p)
-    monkeypatch.setattr(verification, "extracted_work", record_w)
+    calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     count = 1500
     list(verification._check_cycle_properties(rng, DEFAULT_TOLERANCES, count))
@@ -52,32 +55,36 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(0.1, 5.0), ref_rng.uniform(0.1, 5.0))
              for _ in range(count)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert seen_theta == [(m, th) for m, (th, _, _) in zip(sets, draws)]
-    expected_work_args = []
-    for m, (th, o1, o2) in zip(sets, draws):
-        try:
-            original_p(m, th)
-        except DegenerateCycleError:  # the loop skips these after drawing
-            continue
-        expected_work_args.append((m, th, o1 - o2))
-    assert seen_work_args == expected_work_args
+    (args,) = calls  # one kernel call for every cycle, degenerate ones too
+    assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *_columns(sets)]
 
 
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
-    seen = []
-    original = verification.extracted_work
-
-    def record(m, th, d_omega):
-        seen.append((m, th, d_omega))
-        return original(m, th, d_omega)
-
-    monkeypatch.setattr(verification, "extracted_work", record)
+    calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     list(verification._check_no_signaling(rng, DEFAULT_TOLERANCES, 1100))
     sets = sample_gram_moment_sets(ref_rng, 1100, zero_signal=True)
-    expected = [(m, ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for m in sets]
+    draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for _ in sets]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert seen == expected
+    (args,) = calls
+    theta, d_omega = map(list, zip(*draws))
+    # the gaps enter as (d_omega, 0): the work sees only their difference
+    assert [np.asarray(a).tolist() for a in args] == [theta, d_omega, 0.0, *_columns(sets)]
+
+
+def test_perturbed_kernel_fails_the_cycle_checks(monkeypatch):
+    # verify checks the kernel that writes every sweep: a 1e-9 error in its
+    # second-kick population must fail the closure check
+    original = cycle._population_columns
+
+    def perturbed(*args, **kwargs):
+        (product, p, p1, p2, degenerate), checks = original(*args, **kwargs)
+        return (product, p, p1, p2 + 1e-9, degenerate), checks
+
+    monkeypatch.setattr(cycle, "_population_columns", perturbed)
+    results = {r.name: r for r in run_verification(cases=4, dim=40)}
+    assert not results["fixed_point"].passed
+    assert not results["first_law"].passed
 
 
 def test_all_checks_pass_on_correct_build():
