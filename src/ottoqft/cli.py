@@ -94,7 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TruncationError) as exc:  # ConfigError is one; dim is user input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except QuadratureConvergenceError as exc:
+    except (QuadratureConvergenceError, ArithmeticError) as exc:  # the Fock oracle's lost trace
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -88,8 +88,8 @@ class WorkReport:
     """Per-stroke ledger of one cycle.
 
     w_ext and efficiency are None when the cycle does not close (an imposed
-    initial_p whose final population differs from it); pwc records whether
-    the closed cycle outputs net work.
+    initial_p whose final population differs from it), efficiency also where
+    w_ext / q2 is undefined or overflows; pwc flags net work output.
     """
 
     p: float
@@ -180,7 +180,7 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
 
 
 # ledger of many cycles: one array per column, the columns broadcast together;
-# w_ext is NaN where the cycle does not close, efficiency where it is undefined
+# w_ext is NaN where the cycle does not close, efficiency where undefined or overflowing
 LedgerColumns = namedtuple(
     "LedgerColumns",
     "theta nu1 nu2 e12 mu12 p p1 p2 w1 w3 q2 q4 q_total w_ext efficiency pwc degenerate closed "
@@ -192,28 +192,30 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None
     """stroke_ledger over broadcastable arrays: the one implementation of the
     cycle, which the scalar functions wrap.
 
-    Checks, in order: the MomentSet checks, gap > 0 and tau2 > tau1 (and an
-    imposed initial_p in [0, 1]), then the population checks.  The first
-    failing point in C order raises the first check it fails, with the
-    message of the scalar type that makes it.
+    Checks, in order: the MomentSet checks, gap > 0, tau2 > tau1 and an
+    imposed initial_p in [0, 1], a finite theta, then the population checks.
+    The first failing point in C order raises the first check it fails, with
+    the message of the scalar type that makes it (a ValueError for theta).
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
         omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)))
     omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12 = args
-    kicks_ok = (omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1)
-    if initial_p is not None:
-        initial_p = np.asarray(initial_p, dtype=float)
-        kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
-    th = omega1 * tau1 - omega2 * tau2
-    checks = [
-        (np.isfinite(e12) & np.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
-         & (0.0 < nu2) & (nu2 <= 1.0),
-         lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12))),
-        (kicks_ok, lambda at: CycleConfig(
-            InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
-            None if initial_p is None else at(initial_p))),
-    ]
     with np.errstate(all="ignore"):  # failing points raise, after every check is made
+        th = omega1 * tau1 - omega2 * tau2
+        kicks_ok = (omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1)
+        if initial_p is not None:
+            initial_p = np.asarray(initial_p, dtype=float)
+            kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
+        checks = [
+            (np.isfinite(e12) & np.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
+             & (0.0 < nu2) & (nu2 <= 1.0),
+             lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12))),
+            (kicks_ok, lambda at: CycleConfig(
+                InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
+                None if initial_p is None else at(initial_p))),
+            (np.isfinite(th), lambda at: ValueError(
+                f"phase omega1*tau1 - omega2*tau2 = {at(th)!r} is not finite")),
+        ]
         return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, np, checks)
 
 
@@ -239,7 +241,8 @@ def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> 
     q2 = omega1 * (p1 - p)
     q4 = omega2 * (p2 - p1)
     w_ext = xp.where(closed, work + 0.0, xp.nan)  # + 0.0 prints -0 as 0
-    efficiency = work / xp.where(closed & (q2 != 0.0), q2, xp.nan)
+    ratio = work / xp.where(closed & (q2 != 0.0), q2, xp.nan)
+    efficiency = xp.where(xp.abs(ratio) < math.inf, ratio, xp.nan)  # overflow: absent
     return LedgerColumns(
         theta, nu1, nu2, e12, mu12, p, p1, p2,
         xp.where(noop, 0.0, p * delta_omega), xp.where(noop, 0.0, -p1 * delta_omega),

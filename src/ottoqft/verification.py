@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import MomentSet, moment_set_from_kernel, weyl_moments
+from .algebra import moment_set_from_kernel, weyl_moments
 from .cycle import cycle_arrays, extracted_work_arrays, ledger_arrays
 from .minkowski import MinkowskiParams, dawson, minkowski_moments
 from .oracle import (
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20250810
-_ROWS_PER_BLOCK = 1024
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "fock_p1": 1e-8,
@@ -53,8 +52,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 # reference Dawson values, 17 significant digits, computed once from the
-# high-precision Maclaurin/asymptotic series; points cover [0.0625, 50],
-# with pairs straddling x = 2.5 and x = 6
+# high-precision Maclaurin/asymptotic series; points cover [0.0625, 50]
+# and are kept as frozen regression values
 _DAWSON_TABLE: tuple[tuple[float, float], ...] = (
     (0.0625, 0.06233749361289894),
     (0.5, 0.4244363835020223),
@@ -90,40 +89,31 @@ class CheckResult:
         )
 
 
-def _rows(draws: np.ndarray) -> Iterator[list[float]]:
-    """Rows of draws as lists of Python floats, converted a block at a time
-    so no list of every row is ever held."""
-    for start in range(0, len(draws), _ROWS_PER_BLOCK):
-        yield from draws[start:start + _ROWS_PER_BLOCK].tolist()
+def _gram_columns(draws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """W11, W22, Im W12, Re W12 of Gram rows (W11, W22, frac[, phase]).
 
-
-def _gram_moment_set(w11: float, w22: float, frac: float, phase: float = 0.0) -> MomentSet:
-    radius = frac * math.sqrt(w11 * w22)
-    w12 = radius * complex(math.cos(phase), math.sin(phase))
-    return MomentSet(
-        nu1=math.exp(-2.0 * w11),
-        nu2=math.exp(-2.0 * w22),
-        e12=2.0 * w12.imag,
-        mu12=w12.real,
-    )
+    W12 = frac sqrt(W11 W22) e^{i phase} obeys |W12|^2 <= W11 W22, exactly
+    the realizability envelope; a row without a phase has W12 real.
+    """
+    w11, w22, frac, *phase = draws.T
+    phase = phase[0] if phase else 0.0
+    radius = frac * np.sqrt(w11 * w22)
+    return w11, w22, radius * np.sin(phase), radius * np.cos(phase)
 
 
 def sample_moment_sets(
     rng: np.random.Generator, count: int, zero_signal: bool = False
-) -> Iterator[MomentSet]:
-    """Random moment sets realizable by a quasi-free state.
-
-    Draws diagonal values W11, W22 >= 0 and a cross value obeying the Gram
-    bound |W12|^2 <= W11 * W22, which is exactly the realizability envelope;
-    zero_signal forces the cross value real (e12 = 0).
+) -> tuple[np.ndarray, ...]:
+    """Columns (nu1, nu2, e12, mu12) of count random moment sets realizable
+    by a quasi-free state (see _gram_columns); zero_signal forces e12 = 0.
 
     Every uniform is drawn by this call, in one array filled in C order: the
     same numbers, and the same generator state afterwards, as one
-    rng.uniform call per value.  The sets are built as they are iterated.
+    rng.uniform call per value.
     """
     high = (2.0, 2.0, 1.0) if zero_signal else (2.0, 2.0, 1.0, 2.0 * math.pi)
-    draws = rng.uniform(0.0, high, size=(count, len(high)))
-    return (_gram_moment_set(*row) for row in _rows(draws))
+    w11, w22, im_w12, re_w12 = _gram_columns(rng.uniform(0.0, high, size=(count, len(high))))
+    return np.exp(-2.0 * w11), np.exp(-2.0 * w22), 2.0 * im_w12, re_w12
 
 
 def _sample_fock_cases(rng: np.random.Generator, count: int) -> list[tuple]:
@@ -142,14 +132,15 @@ def _sample_fock_cases(rng: np.random.Generator, count: int) -> list[tuple]:
 
 
 def _check_fock_populations(rng, tol: Mapping[str, float], cases: int, dim: int):
-    fock, moment_sets = [], []
+    fock, moments = [], []
     sampled = _sample_fock_cases(rng, cases)
     for a1, a2, nbar, p, o1, o2, t1, t2 in sampled:
         fp = FockParams(alpha1=a1, alpha2=a2, nbar=nbar, dim=dim)
         fock.append(simulate_cycle_fock(fp, o1, o2, t1, t2, p))
-        moment_sets.append(moment_set_from_kernel(single_mode_kernel(fp)))
+        m = moment_set_from_kernel(single_mode_kernel(fp))
+        moments.append((m.nu1, m.nu2, m.e12, m.mu12))
     p, omega1, omega2, tau1, tau2 = np.array([case[3:] for case in sampled]).T
-    c = cycle_arrays(omega1, omega2, tau1, tau2, *_moment_arrays(moment_sets), initial_p=p)
+    c = cycle_arrays(omega1, omega2, tau1, tau2, *np.array(moments).T, initial_p=p)
     p1_fock, p2_fock = np.array(fock).T
     dev1 = float(np.max(np.abs(p1_fock - c.p1)))
     dev2 = float(np.max(np.abs(p2_fock - c.p2)))
@@ -183,19 +174,15 @@ def _check_weyl(rng, tol: Mapping[str, float], cases: int, dim: int):
 def _check_appendix_identities(rng, tol: Mapping[str, float], count: int = 1000):
     # nu of the sum/difference regions follows from kernel bilinearity:
     # W(f1 +/- f2, f1 +/- f2) = W11 +/- 2 mu12 + W22
-    dev = 0.0
     draws = rng.uniform(0.0, (2.0, 2.0, 1.0, 2.0 * math.pi), size=(count, 4))
-    for w11, w22, frac, phase in _rows(draws):
-        radius = frac * math.sqrt(w11 * w22)
-        mu12 = radius * math.cos(phase)
-        nu1, nu2 = math.exp(-2.0 * w11), math.exp(-2.0 * w22)
-        nu_minus = math.exp(-2.0 * (w11 - 2.0 * mu12 + w22))
-        nu_plus = math.exp(-2.0 * (w11 + 2.0 * mu12 + w22))
-        dev = max(
-            dev,
-            abs(nu_minus + nu_plus - 2.0 * nu1 * nu2 * math.cosh(4.0 * mu12)),
-            abs(nu_minus - nu_plus - 2.0 * nu1 * nu2 * math.sinh(4.0 * mu12)),
-        )
+    w11, w22, _, mu12 = _gram_columns(draws)
+    nu1, nu2 = np.exp(-2.0 * w11), np.exp(-2.0 * w22)
+    nu_minus = np.exp(-2.0 * (w11 - 2.0 * mu12 + w22))
+    nu_plus = np.exp(-2.0 * (w11 + 2.0 * mu12 + w22))
+    dev = float(np.max(np.maximum(
+        np.abs(nu_minus + nu_plus - 2.0 * nu1 * nu2 * np.cosh(4.0 * mu12)),
+        np.abs(nu_minus - nu_plus - 2.0 * nu1 * nu2 * np.sinh(4.0 * mu12)),
+    )))
     yield CheckResult(
         "appendix_identities", dev, tol["appendix_identities"],
         dev < tol["appendix_identities"],
@@ -231,14 +218,8 @@ def _check_dawson(tol: Mapping[str, float]):
     )
 
 
-def _moment_arrays(moment_sets: Iterable[MomentSet]) -> np.ndarray:
-    """nu1, nu2, e12, mu12 of the sets, one array each, holding no list of them."""
-    values = (v for m in moment_sets for v in (m.nu1, m.nu2, m.e12, m.mu12))
-    return np.fromiter(values, dtype=float).reshape(-1, 4).T
-
-
 def _check_cycle_properties(rng, tol: Mapping[str, float], count: int = 10_000):
-    nu1, nu2, e12, mu12 = _moment_arrays(sample_moment_sets(rng, count))
+    nu1, nu2, e12, mu12 = sample_moment_sets(rng, count)
     # theta, omega1, omega2 per cycle, drawn for degenerate cycles as well
     theta, omega1, omega2 = rng.uniform((-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), size=(count, 3)).T
     c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
@@ -258,7 +239,7 @@ def _check_cycle_properties(rng, tol: Mapping[str, float], count: int = 10_000):
 
 
 def _check_no_signaling(rng, tol: Mapping[str, float], count: int = 1000):
-    moments = _moment_arrays(sample_moment_sets(rng, count, zero_signal=True))
+    moments = sample_moment_sets(rng, count, zero_signal=True)
     theta, d_omega = rng.uniform((-8.0, -5.0), (8.0, 5.0), size=(count, 2)).T
     # the work depends on the gaps only through their difference
     worst = float(np.max(np.abs(ledger_arrays(theta, d_omega, 0.0, *moments).w_ext)))

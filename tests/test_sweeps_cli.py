@@ -240,6 +240,21 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_lost_unit_trace_is_a_verification_failure(self, monkeypatch, capsys):
+        original = oracle._kick_cos_sin
+
+        def leaky(alpha, dim):
+            cos_m, sin_m = original(alpha, dim)
+            return cos_m, 1.01 * sin_m
+
+        monkeypatch.setattr(oracle, "_kick_cos_sin", leaky)
+        code = main(["verify", "--set", "cases=2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: evolution lost unit trace")
+
     def test_point_stdout(self, capsys):
         code = main(["point", "--set", "omega1=1", "--set", "omega2=3",
                      "--set", "tau1=0", "--set", "tau2=1.5",

@@ -15,18 +15,32 @@ from ottoqft.verification import (
     sample_moment_sets,
 )
 
-from support import sample_gram_moment_sets  # one scalar rng.uniform call per number
+
+def _reference_columns(rng, count, zero_signal=False):
+    """nu1, nu2, e12, mu12 lists of count Gram moment sets, drawn with one
+    scalar rng.uniform call per number and mapped through
+    W12 = frac sqrt(W11 W22) e^{i phase} in NumPy."""
+    draws = []
+    for _ in range(count):
+        w11, w22, frac = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
+        phase = 0.0 if zero_signal else rng.uniform(0.0, 2.0 * np.pi)
+        draws.append((w11, w22, frac, phase))
+    w11, w22, frac, phase = np.array(draws).T
+    radius = frac * np.sqrt(w11 * w22)
+    columns = (np.exp(-2.0 * w11), np.exp(-2.0 * w22),
+               2.0 * radius * np.sin(phase), radius * np.cos(phase))
+    return [c.tolist() for c in columns]
 
 
 @pytest.mark.parametrize("zero_signal", [False, True])
 def test_batched_moment_sets_equal_one_draw_per_call(zero_signal):
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    count = 2 * 1024 + 5  # spans partial conversion blocks
-    sets = sample_moment_sets(rng, count, zero_signal=zero_signal)
-    expected = sample_gram_moment_sets(ref_rng, count, zero_signal)
-    # every number is drawn by the call, before the sets are built
+    count = 2 * 1024 + 5
+    columns = sample_moment_sets(rng, count, zero_signal=zero_signal)
+    expected = _reference_columns(ref_rng, count, zero_signal)
+    # every number is drawn by the one call
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert list(sets) == expected
+    assert [c.tolist() for c in columns] == expected
 
 
 def _record_kernel_calls(monkeypatch):
@@ -40,10 +54,6 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
-def _columns(sets):
-    return [[getattr(m, name) for m in sets] for name in ("nu1", "nu2", "e12", "mu12")]
-
-
 def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -51,25 +61,25 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     list(verification._check_cycle_properties(rng, DEFAULT_TOLERANCES, count))
 
     # reference: theta, omega1, omega2 drawn per cycle after all moment sets
-    sets = sample_gram_moment_sets(ref_rng, count)
+    columns = _reference_columns(ref_rng, count)
     draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(0.1, 5.0), ref_rng.uniform(0.1, 5.0))
              for _ in range(count)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     (args,) = calls  # one kernel call for every cycle, degenerate ones too
-    assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *_columns(sets)]
+    assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *columns]
 
 
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     list(verification._check_no_signaling(rng, DEFAULT_TOLERANCES, 1100))
-    sets = sample_gram_moment_sets(ref_rng, 1100, zero_signal=True)
-    draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for _ in sets]
+    columns = _reference_columns(ref_rng, 1100, zero_signal=True)
+    draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for _ in range(1100)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     (args,) = calls
     theta, d_omega = map(list, zip(*draws))
     # the gaps enter as (d_omega, 0): the work sees only their difference
-    assert [np.asarray(a).tolist() for a in args] == [theta, d_omega, 0.0, *_columns(sets)]
+    assert [np.asarray(a).tolist() for a in args] == [theta, d_omega, 0.0, *columns]
 
 
 def test_perturbed_kernel_fails_the_cycle_checks(monkeypatch):
