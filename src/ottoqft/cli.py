@@ -11,12 +11,13 @@ Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .config import ConfigError, parse_config
 from .oracle import QuadratureConvergenceError, TruncationError
-from .sweeps import run_point, run_sweep
+from .sweeps import run_point, sweep_chunks
 from .verification import run_verify
 
 __all__ = ["main"]
@@ -52,8 +53,7 @@ def _build_parser() -> _Parser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _read(args.config)
     spec = parse_config(text, args.sets)
-    csv_doc = run_sweep(spec)  # rejects non-sweep modes
-    _write(spec.output_path, csv_doc)
+    _write(spec.output_path, sweep_chunks(spec))  # sweep_chunks rejects non-sweep modes
     return 0
 
 
@@ -77,9 +77,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+def _write(path: str, chunks: Iterable[str]) -> None:
+    # to a new file next to path, renamed onto it once every chunk is written:
+    # a failed run leaves no partial CSV and keeps an existing one
+    temp = f"{path}.{os.getpid()}.tmp"
+    handle = open(temp, "x", encoding="utf-8", newline="")  # O_EXCL, mode 0o666 & ~umask
+    try:
+        with handle:
+            handle.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -17,7 +17,8 @@ from .config import SweepSpec
 from .cycle import cycle_arrays
 from .minkowski import minkowski_moment_arrays
 
-__all__ = ["run_sweep", "run_point", "figure4a_curve", "CURVE_COLUMNS", "GRID_COLUMNS"]
+__all__ = ["run_sweep", "sweep_chunks", "run_point", "figure4a_curve",
+           "CURVE_COLUMNS", "GRID_COLUMNS"]
 
 CURVE_COLUMNS = (
     "tau2_over_sigma", "theta", "nu1", "nu2", "E12", "mu12",
@@ -26,7 +27,7 @@ CURVE_COLUMNS = (
 GRID_COLUMNS = ("lambda1_over_sigma", "lambda2_over_sigma", "w_ext_sigma", "pwc")
 
 # grid points evaluated and rendered per chunk
-_CHUNK = 4096
+_CHUNK = 2048
 
 
 def _render(value: object) -> str:
@@ -35,12 +36,10 @@ def _render(value: object) -> str:
     return format(value, ".17g")
 
 
-def _render_rows(columns: Sequence[np.ndarray]) -> str:
-    # "%.17g" % x is format(x, ".17g"); the last column is the pwc flag
-    *numbers, flags = columns
-    row = ",".join(["%.17g"] * len(numbers)) + ",%s\n"
+def _render_rows(row: str, columns: Sequence[list], flags: np.ndarray) -> str:
+    # "%.17g" % x is format(x, ".17g"); flags is the pwc column
     words = np.where(flags, "true", "false").tolist()
-    return "".join(row % values for values in zip(*(c.tolist() for c in numbers), words))
+    return "".join(row % values for values in zip(*columns, words))
 
 
 def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None):
@@ -48,30 +47,42 @@ def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None):
     return cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p)
 
 
-def _chunks(s: SweepSpec) -> Iterator[tuple]:
-    """CSV columns of the grid points in declared order, _CHUNK points at a time."""
-    if s.mode == "curve-tau2":
+def _chunks(s: SweepSpec) -> Iterator[str]:
+    """The CSV header, then the rows of _CHUNK grid points at a time in declared order."""
+    curve = s.mode == "curve-tau2"
+    yield ",".join(CURVE_COLUMNS if curve else GRID_COLUMNS) + "\n"
+    if curve:
         axis = np.asarray(s.tau2_axis.points())
         for start in range(0, axis.size, _CHUNK):
             tau2 = axis[start:start + _CHUNK]
             c = _cycles(s.omega1, s.omega2, s.tau1, tau2, s.lambda1, s.lambda2)
-            yield tau2, c.theta, c.nu1, c.nu2, c.e12, c.mu12, c.p, c.p1, c.w_ext, c.pwc
+            # nu1 and nu2 follow the couplings alone: the same two cells in every row
+            row = "%.17g,%.17g," + "%.17g,%.17g" % (c.nu1[0], c.nu2[0]) + ",%.17g" * 5 + ",%s\n"
+            columns = (tau2, c.theta, c.e12, c.mu12, c.p, c.p1, c.w_ext)
+            yield _render_rows(row, [column.tolist() for column in columns], c.pwc)
         return
     axis1, axis2 = np.asarray(s.lambda1_axis.points()), np.asarray(s.lambda2_axis.points())
+    # each axis value is formatted once; a row formats only its w_ext
+    text1, text2 = (["%.17g," % value for value in axis.tolist()] for axis in (axis1, axis2))
     for start in range(0, axis1.size * axis2.size, _CHUNK):
         # row-major: lambda1 is the outer axis
-        flat = np.arange(start, min(start + _CHUNK, axis1.size * axis2.size))
-        lambda1, lambda2 = axis1[flat // axis2.size], axis2[flat % axis2.size]
-        c = _cycles(s.omega1, s.omega2, s.tau1, s.tau2, lambda1, lambda2)
-        yield lambda1, lambda2, c.w_ext, c.pwc
+        i, j = divmod(np.arange(start, min(start + _CHUNK, axis1.size * axis2.size)), axis2.size)
+        c = _cycles(s.omega1, s.omega2, s.tau1, s.tau2, axis1[i], axis2[j])
+        columns = [text1[k] for k in i.tolist()], [text2[k] for k in j.tolist()], c.w_ext.tolist()
+        yield _render_rows("%s%s%.17g,%s\n", columns, c.pwc)
+
+
+def sweep_chunks(spec: SweepSpec) -> Iterator[str]:
+    """The CSV document of run_sweep as text chunks.  A mode that is not a
+    sweep raises ValueError here, before any chunk is asked for."""
+    if spec.mode not in ("curve-tau2", "grid-couplings"):
+        raise ValueError(f"sweep requires mode curve-tau2 or grid-couplings, got {spec.mode!r}")
+    return _chunks(spec)
 
 
 def run_sweep(spec: SweepSpec) -> str:
     """Evaluate the grid described by spec and return the CSV document."""
-    headers = {"curve-tau2": CURVE_COLUMNS, "grid-couplings": GRID_COLUMNS}
-    if spec.mode not in headers:
-        raise ValueError(f"sweep requires mode curve-tau2 or grid-couplings, got {spec.mode!r}")
-    return ",".join(headers[spec.mode]) + "\n" + "".join(map(_render_rows, _chunks(spec)))
+    return "".join(sweep_chunks(spec))
 
 
 def figure4a_curve(

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import ottoqft
 from ottoqft import oracle, sweeps
-from ottoqft.algebra import MomentSet, p_after_first
+from ottoqft.algebra import KernelInconsistencyError, MomentSet, p_after_first
 from ottoqft.cli import main
 from ottoqft.config import parse_config
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep
@@ -195,6 +196,93 @@ class TestPointMatchesSweep:
             entries = _point(omega1=1.0, omega2=3.0, tau1=0.0, tau2=1.5,
                              lambda1=row[0], lambda2=row[1])
             assert [entries["w_ext"], entries["pwc"]] == row[2:], row[:2]
+
+
+class TestStreamedSweep:
+    """The command line writes the sweep chunk by chunk through a temporary
+    file in the output's directory, renamed into place at the end."""
+
+    def _sweep(self, tmp_path, cfg, *overrides, out="out.csv"):
+        config = tmp_path / "run.cfg"
+        config.write_text(cfg.format(out=tmp_path / out))
+        argv = ["sweep", "--config", str(config)]
+        for item in overrides:
+            argv += ["--set", item]
+        return main(argv)
+
+    @pytest.mark.parametrize("cfg, overrides", [
+        # three chunks or more, whose boundaries fall inside a lambda1 row
+        (GRID_CFG, ["lambda2_count=13", f"lambda1_count={2 * sweeps._CHUNK // 13 + 2}"]),
+        (FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 3}"]),
+    ])
+    def test_file_is_the_in_memory_document(self, tmp_path, cfg, overrides):
+        old = os.umask(0o027)
+        try:
+            assert self._sweep(tmp_path, cfg, *overrides) == 0
+        finally:
+            os.umask(old)
+        out = tmp_path / "out.csv"
+        spec = parse_config(cfg.format(out=out), overrides)
+        if spec.mode == "grid-couplings":
+            assert sweeps._CHUNK % 13 and 13 * len(spec.lambda1_axis.points()) > 2 * sweeps._CHUNK
+        assert out.read_bytes() == run_sweep(spec).encode("utf-8")
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def second_chunk_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KernelInconsistencyError("second chunk")
+            return original(*args)
+
+        original = sweeps.cycle_arrays
+        monkeypatch.setattr(sweeps, "cycle_arrays", second_chunk_fails)
+        overrides = [f"tau2_count={2 * sweeps._CHUNK}"]
+        assert self._sweep(tmp_path, FIG4A_CFG, *overrides) == 1
+        assert capsys.readouterr().err == "error: second chunk\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+        (tmp_path / "out.csv").write_bytes(b"kept\n")
+        calls.clear()
+        assert self._sweep(tmp_path, FIG4A_CFG, *overrides) == 1
+        assert len(calls) == 2
+        assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        (tmp_path / "out.csv").mkdir()
+        assert self._sweep(tmp_path, GRID_CFG) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+        assert not any((tmp_path / "out.csv").iterdir())
+
+    def test_point_mode_opens_no_file(self, tmp_path, monkeypatch, capsys):
+        def no_open(*args, **kwargs):
+            raise AssertionError("a file was opened for writing")
+
+        config = tmp_path / "run.cfg"
+        config.write_text("mode = single-point\nomega1 = 1\nomega2 = 3\ntau1 = 0\n"
+                          "tau2 = 1.5\nlambda1 = 100\nlambda2 = 1\n")
+        monkeypatch.setattr(os, "open", no_open)
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep requires mode curve-tau2 or grid-couplings, got 'single-point'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the 1001x61 grid-stress grid: its CSV is 3.3 MB, held whole before
+        # streaming (tracemalloc peak 6.9 MB); streamed, one chunk at a time
+        tracemalloc.start()
+        try:
+            code = self._sweep(tmp_path, GRID_CFG, "lambda1_count=1001", "lambda2_count=61")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3e6
 
 
 class TestCli:
