@@ -254,8 +254,8 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p=None, xp=np):
         p = 0.5 + half_signal / xp.maximum(1.0 - product, _DEGENERACY_TOL)
         checks.append(_range_check("closure population", p, _CLOSURE_TOL))
         p = xp.minimum(xp.maximum(p, 0.0), 1.0)
-    p1 = 0.5 + (p - 0.5) * nu1
-    # p * product, so a unit contraction returns p exactly
+    # p * nu1 and p * product, so a unit contraction returns p exactly
+    p1 = p * nu1 + 0.5 * (1.0 - nu1)
     p2 = p * product + 0.5 * (1.0 - product) + half_signal
     checks.append(_range_check("second-kick population", p2, _SIMPLEX_TOL))
     return (product, p, p1, xp.minimum(xp.maximum(p2, 0.0), 1.0), degenerate), checks
@@ -276,7 +276,7 @@ def _check_probability(p: float) -> float:
 def p_after_first(p: float, m: MomentSet) -> float:
     """Excited-state population after the first kick: 1/2 + (p - 1/2) nu1."""
     p = _check_probability(p)
-    return 0.5 + (p - 0.5) * m.nu1
+    return p * m.nu1 + 0.5 * (1.0 - m.nu1)
 
 
 def contraction_factor(m: MomentSet, theta: float) -> float:

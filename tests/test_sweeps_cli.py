@@ -168,6 +168,14 @@ class TestRunPoint:
         )
         assert "\nw_ext = 0\n" in run_point(spec)
 
+    def test_uncoupled_kick_keeps_a_tiny_population(self):
+        # p far below the float spacing at 1/2: unit nu1 must return p itself
+        entries = _point(omega1=1, omega2=3, tau1=0, tau2=1, lambda1=0, lambda2=0,
+                         initial_p=1e-20)
+        assert entries["p1"] == entries["p"] == format(1e-20, ".17g")
+        assert entries["w_ext"] == "0"
+        assert entries["pwc"] == "false"
+
 
 def _point(**values):
     spec = parse_config("mode = single-point", [f"{key}={value}" for key, value in values.items()])
