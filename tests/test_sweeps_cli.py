@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import ottoqft
-from ottoqft import oracle, sweeps
+from ottoqft import cli, oracle, sweeps
 from ottoqft.algebra import KernelInconsistencyError, MomentSet, p_after_first
 from ottoqft.cli import main
 from ottoqft.config import parse_config
@@ -210,9 +210,9 @@ class TestStreamedSweep:
     """The command line writes the sweep chunk by chunk through a temporary
     file in the output's directory, renamed into place at the end."""
 
-    def _sweep(self, tmp_path, cfg, *overrides, out="out.csv"):
+    def _sweep(self, tmp_path, cfg, *overrides):
         config = tmp_path / "run.cfg"
-        config.write_text(cfg.format(out=tmp_path / out))
+        config.write_text(cfg.format(out=tmp_path / "out.csv"))
         argv = ["sweep", "--config", str(config)]
         for item in overrides:
             argv += ["--set", item]
@@ -268,21 +268,21 @@ class TestStreamedSweep:
         assert not any((tmp_path / "out.csv").iterdir())
 
     def test_point_mode_opens_no_file(self, tmp_path, monkeypatch, capsys):
-        def no_open(*args, **kwargs):
-            raise AssertionError("a file was opened for writing")
+        def no_write(*args, **kwargs):
+            raise AssertionError("the output was opened")
 
         config = tmp_path / "run.cfg"
         config.write_text("mode = single-point\nomega1 = 1\nomega2 = 3\ntau1 = 0\n"
                           "tau2 = 1.5\nlambda1 = 100\nlambda2 = 1\n")
-        monkeypatch.setattr(os, "open", no_open)
+        monkeypatch.setattr(cli, "_write", no_write)
         assert main(["sweep", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
             "error: sweep requires mode curve-tau2 or grid-couplings, got 'single-point'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path):
-        # the 1001x61 grid-stress grid: its CSV is 3.3 MB, held whole before
-        # streaming (tracemalloc peak 6.9 MB); streamed, one chunk at a time
+        # the 1001x61 grid-stress grid: its CSV is 3.5 MB, and holding the
+        # whole document before one write peaks at about 7 MB
         tracemalloc.start()
         try:
             code = self._sweep(tmp_path, GRID_CFG, "lambda1_count=1001", "lambda2_count=61")
