@@ -8,7 +8,6 @@ import ottoqft.verification as verification
 from ottoqft.algebra import MomentSet, moment_set_from_kernel
 from ottoqft.cycle import ledger_arrays
 from ottoqft.verification import (
-    DEFAULT_TOLERANCES,
     format_report,
     run_verification,
     run_verify,
@@ -58,7 +57,7 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     count = 1500
-    list(verification._check_cycle_properties(rng, DEFAULT_TOLERANCES, count))
+    list(verification._check_cycle_properties(rng, count))
 
     # reference: theta, omega1, omega2 drawn per cycle after all moment sets
     columns = _reference_columns(ref_rng, count)
@@ -72,7 +71,7 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    list(verification._check_no_signaling(rng, DEFAULT_TOLERANCES, 1100))
+    list(verification._check_no_signaling(rng, 1100))
     columns = _reference_columns(ref_rng, 1100, zero_signal=True)
     draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for _ in range(1100)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -144,6 +143,18 @@ def test_perturbed_dawson_crossover_is_caught(monkeypatch):
     monkeypatch.setattr(verification, "dawson", bent)
     results = {r.name: r for r in run_verification(cases=4, dim=40)}
     assert not results["dawson_spot"].passed
+
+
+def test_pass_rule_at_the_threshold():
+    # the exact checks pass at their threshold, every other check only below it
+    first = {r.name: r for r in run_verification(cases=4, dim=40)}
+    assert first["thermal_e12"].deviation == first["no_signaling"].deviation == 0.0
+    dawson_dev = first["dawson_spot"].deviation
+    overrides = {"thermal_e12": 0.0, "no_signaling": 0.0, "dawson_spot": dawson_dev}
+    at = {r.name: r for r in run_verification(overrides, cases=4, dim=40)}
+    assert at["thermal_e12"].passed and at["no_signaling"].passed
+    assert at["dawson_spot"].deviation == at["dawson_spot"].threshold == dawson_dev
+    assert not at["dawson_spot"].passed
 
 
 def test_tolerance_override_changes_verdict():
