@@ -62,19 +62,16 @@ class FockParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-rule settings for the radial two-point integral."""
+    """Composite Simpson settings for the radial two-point integral."""
 
     k_max: float = 16.0
     n_points: int = 257
-    rule: str = "simpson"
 
     def __post_init__(self) -> None:
         if not self.k_max > 0.0:
             raise ValueError(f"k_max must be > 0, got {self.k_max!r}")
         if self.n_points < 16:
             raise ValueError(f"n_points must be >= 16, got {self.n_points!r}")
-        if self.rule not in ("simpson", "trapezoid"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 def single_mode_kernel(fp: FockParams) -> TwoPointKernel:
@@ -208,34 +205,32 @@ def verify_weyl_moments(fp: FockParams) -> float:
     return max(abs(brute[name] - complex(getattr(closed, name))) for name in brute)
 
 
-def _integrate(values: np.ndarray, h: float, rule: str) -> float:
-    if rule == "trapezoid":
-        return float(np.trapezoid(values, dx=h))
+def _integrate(values: np.ndarray, h: float) -> float:
     # composite Simpson, odd node count
     acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
     return float(acc * h / 3.0)
 
 
 def radial_wightman_integral(
-    sigma: float, dtau: float, k_max: float, n_points: int, rule: str
+    sigma: float, dtau: float, k_max: float, n_points: int
 ) -> complex:
     """Single-pass value of integral_0^k_max k exp(-k^2 sigma^2 / 2) exp(i k dtau) dk."""
     n = n_points if n_points % 2 == 1 else n_points + 1  # Simpson needs odd counts
     k = np.linspace(0.0, k_max, n)
     h = k[1] - k[0]
     damped = k * np.exp(-0.5 * (k * sigma) ** 2)
-    re = _integrate(damped * np.cos(k * dtau), h, rule)
-    im = _integrate(damped * np.sin(k * dtau), h, rule)
+    re = _integrate(damped * np.cos(k * dtau), h)
+    im = _integrate(damped * np.sin(k * dtau), h)
     return complex(re, im)
 
 
 def _converged_radial(sigma: float, dtau: float, spec: QuadratureSpec) -> complex:
     target_rel, target_abs = 1e-10, 1e-13
     n = spec.n_points | 1
-    previous = radial_wightman_integral(sigma, dtau, spec.k_max, n, spec.rule)
+    previous = radial_wightman_integral(sigma, dtau, spec.k_max, n)
     for _ in range(_REFINE_LIMIT):
         n = 2 * n - 1
-        current = radial_wightman_integral(sigma, dtau, spec.k_max, n, spec.rule)
+        current = radial_wightman_integral(sigma, dtau, spec.k_max, n)
         if abs(current - previous) <= target_abs + target_rel * abs(current):
             return current
         previous = current

@@ -177,22 +177,19 @@ class TestQuadrature:
             QuadratureSpec(k_max=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(n_points=8)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rule="midpoint")
         with pytest.raises(ValueError, match="k_max"):
             quadrature_minkowski_moments(1.0, 1.0, 1.0, 1.0, QuadratureSpec(k_max=8.0))
 
     def test_convergence_order(self):
-        # reference from a very fine pass; ratios follow the rule order
+        # reference from a very fine pass; ratios follow Simpson's order
         sigma, dtau, k_max = 1.0, 1.8, 16.0
-        exact = radial_wightman_integral(sigma, dtau, k_max, 262145, "simpson")
-        for rule, low, high in (("simpson", 10.0, 26.0), ("trapezoid", 3.4, 4.6)):
-            errors = [
-                abs(radial_wightman_integral(sigma, dtau, k_max, n, rule) - exact)
-                for n in (513, 1025, 2049)
-            ]
-            for coarse, fine in zip(errors, errors[1:]):
-                assert low < coarse / fine < high
+        exact = radial_wightman_integral(sigma, dtau, k_max, 262145)
+        errors = [
+            abs(radial_wightman_integral(sigma, dtau, k_max, n) - exact)
+            for n in (513, 1025, 2049)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 10.0 < coarse / fine < 26.0
 
     def test_non_convergent_refinement_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "_REFINE_LIMIT", 1)
