@@ -114,13 +114,10 @@ def _kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mode_state(fp: FockParams) -> np.ndarray:
-    if fp.nbar == 0.0:
-        diag = np.zeros(fp.dim)
-        diag[0] = 1.0
-    else:
-        q = fp.nbar / (fp.nbar + 1.0)
-        diag = q ** np.arange(fp.dim, dtype=float)
-        diag /= diag.sum()  # unit trace on the truncated space
+    # thermal weights q^n; at nbar = 0, q = 0 gives the vacuum (0^0 = 1)
+    q = fp.nbar / (fp.nbar + 1.0)
+    diag = q ** np.arange(fp.dim, dtype=float)
+    diag /= diag.sum()  # unit trace on the truncated space
     return np.diag(diag).astype(complex)
 
 

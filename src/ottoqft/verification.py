@@ -180,14 +180,12 @@ def _check_appendix_identities(rng, count: int = 1000):
 def _check_quadrature():
     spec = QuadratureSpec()
     dev = 0.0
-    for l1 in (0.5, 10.0, 100.0):
-        for l2 in (0.5, 1.25, 2.0):
-            for dtau in (0.25, 1.0, 3.0):
-                analytic = minkowski_moments(MinkowskiParams(l1, l2, dtau))
-                numeric = quadrature_minkowski_moments(l1, l2, 1.0, dtau, spec)
-                for name in ("nu1", "nu2", "e12", "mu12"):
-                    a, b = getattr(analytic, name), getattr(numeric, name)
-                    dev = max(dev, abs(a - b) / max(abs(a), abs(b), 1e-300))
+    for l1, l2, dtau in itertools.product((0.5, 10.0, 100.0), (0.5, 1.25, 2.0), (0.25, 1.0, 3.0)):
+        analytic = minkowski_moments(MinkowskiParams(l1, l2, dtau))
+        numeric = quadrature_minkowski_moments(l1, l2, 1.0, dtau, spec)
+        for name in ("nu1", "nu2", "e12", "mu12"):
+            a, b = getattr(analytic, name), getattr(numeric, name)
+            dev = max(dev, abs(a - b) / max(abs(a), abs(b), 1e-300))
     yield "quadrature_kernel", dev, "analytic vs quadrature moments, 3x3x3 grid (relative)"
 
 
@@ -239,12 +237,10 @@ def run_verification(
     dim: int = 60,
 ) -> list[CheckResult]:
     """Run every cross-check; overrides may replace individual tolerances."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if overrides:
-        unknown = set(overrides) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown tolerance override(s): {sorted(unknown)}")
-        tol.update(overrides)
+    tol = {**DEFAULT_TOLERANCES, **(overrides or {})}
+    unknown = set(tol) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise ValueError(f"unknown tolerance override(s): {sorted(unknown)}")
     rng = np.random.default_rng(seed)
     # generators: each check runs, and draws from rng, only when the loop reaches it
     measurements = itertools.chain(
