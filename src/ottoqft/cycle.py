@@ -89,7 +89,8 @@ class WorkReport:
 
     w_ext and efficiency are None when the cycle does not close (an imposed
     initial_p whose final population differs from it), efficiency also where
-    w_ext / q2 is undefined or overflows; pwc flags net work output.
+    the population work (p1 - p) (gap1 - gap2) over q2 is undefined or
+    overflows; pwc flags net work output.
     """
 
     p: float
@@ -136,19 +137,20 @@ def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
     product = contraction_factor(m, theta)
-    return float(extracted_work_arrays(m.nu1, m.nu2, m.e12, theta, product, delta_omega))
+    return extracted_work_arrays(m.nu1, m.nu2, m.e12, theta, product, delta_omega, _POINT)
 
 
-def extracted_work_arrays(nu1, nu2, e12, theta, product, delta_omega):
-    """extracted_work over broadcastable arrays, given the contraction factor
-    product of each cycle: the paper's closed form
+def extracted_work_arrays(nu1, nu2, e12, theta, product, delta_omega, xp=np):
+    """extracted_work over broadcastable arrays, or at one point of Python
+    floats with xp = _POINT, given the contraction factor product of each
+    cycle: the paper's closed form
     0.5 nu2 sin(2 e12) sin(theta) (1 - nu1) delta_omega / (product - 1),
     and 0 on degenerate cycles (1 - product < 1e-12).
     """
     live = 1.0 - product >= _DEGENERACY_TOL
-    numerator = 0.5 * nu2 * np.sin(2.0 * e12) * np.sin(theta) * (1.0 - nu1) * live
+    numerator = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(theta) * (1.0 - nu1) * live
     # at most -1e-12, so that a degenerate cycle gives 0 / -1e-12
-    denominator = np.minimum(product - 1.0, -_DEGENERACY_TOL)
+    denominator = xp.minimum(product - 1.0, -_DEGENERACY_TOL)
     return numerator * delta_omega / denominator + 0.0  # + 0.0 prints -0 as 0
 
 
@@ -229,7 +231,10 @@ def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12, p=None) -> LedgerC
 def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> LedgerColumns:
     """Populations, then the strokes, once the caller's checks and the
     population checks pass.  The no-op row of a degenerate closed cycle has
-    p = p1 = p2 = 1/2 and zero work and heat in every stroke."""
+    p = p1 = p2 = 1/2 and zero work and heat in every stroke.  w_ext of a
+    cycle the closure condition closes is the paper's closed form, which
+    keeps a signal below the float spacing at 1/2; efficiency is the
+    population work (p1 - p) delta_omega over q2."""
     closure = p is None
     (product, p, p1, p2, degenerate), population_checks = _population_columns(
         nu1, nu2, e12, mu12, theta, p, xp)
@@ -240,7 +245,10 @@ def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> 
     closed = closure | (xp.abs(p2 - p) <= _CLOSURE_TOL)
     q2 = omega1 * (p1 - p)
     q4 = omega2 * (p2 - p1)
-    w_ext = xp.where(closed, work + 0.0, xp.nan)  # + 0.0 prints -0 as 0
+    if closure:
+        w_ext = extracted_work_arrays(nu1, nu2, e12, theta, product, delta_omega, xp)
+    else:
+        w_ext = xp.where(closed, work + 0.0, xp.nan)  # + 0.0 prints -0 as 0
     ratio = work / xp.where(closed & (q2 != 0.0), q2, xp.nan)
     efficiency = xp.where(xp.abs(ratio) < math.inf, ratio, xp.nan)  # overflow: absent
     return LedgerColumns(

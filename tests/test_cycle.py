@@ -238,6 +238,13 @@ class TestStrokeLedger:
         assert report.closed and report.w_ext is not None
         assert abs(report.w_ext - (report.q2 + report.q4)) < 1e-12
 
+    def test_signal_below_the_float_spacing_at_half(self):
+        # p - 1/2 ~ 1e-21 rounds away in p1 - p: w_ext is the closed form
+        m = MomentSet(0.5, 0.5, 1e-20, 0.0)
+        report = stroke_ledger(CycleConfig(_event(0.0, 3.0), _event(1.0, 1.0)), m)
+        assert report.w_ext == extracted_work(m, -1.0, 2.0) == 5.6098065653859764e-21
+        assert report.pwc and positive_work_condition(m, -1.0)
+
     def test_efficiency_is_work_over_first_heat(self):
         m = minkowski_moments(MinkowskiParams(100.0, 1.0, 1.5))
         config = CycleConfig(first=_event(0.0, 1.0, 100.0), second=_event(1.5, 3.0, 1.0))

@@ -13,6 +13,8 @@ from ottoqft import cli, oracle, sweeps
 from ottoqft.algebra import KernelInconsistencyError, MomentSet, p_after_first
 from ottoqft.cli import main
 from ottoqft.config import parse_config
+from ottoqft.cycle import extracted_work
+from ottoqft.minkowski import MinkowskiParams, minkowski_moments
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep
 
 FIG4A_CFG = """\
@@ -175,6 +177,21 @@ class TestRunPoint:
         assert entries["p1"] == entries["p"] == format(1e-20, ".17g")
         assert entries["w_ext"] == "0"
         assert entries["pwc"] == "false"
+
+    @pytest.mark.parametrize("values", [
+        # nu1 = nu2 = 1/2, as in the stroke_ledger case, at a long separation
+        dict(omega1=3.0, omega2=1.0, tau1=0.0, tau2=9.4,
+             lambda1=3.698942676997608, lambda2=3.698942676997608),
+        # the last row of the 20,000-point Fig. 4a curve
+        dict(omega1=1.0, omega2=3.0, tau1=0.0, tau2=12.0, lambda1=100.0, lambda2=1.0),
+    ])
+    def test_signal_below_the_float_spacing_prints_the_closed_form(self, values):
+        entries = _point(**values)
+        m = minkowski_moments(MinkowskiParams(
+            values["lambda1"], values["lambda2"], values["tau2"] - values["tau1"]))
+        work = extracted_work(m, float(entries["theta"]), values["omega1"] - values["omega2"])
+        assert entries["w_ext"] == format(work, ".17g")
+        assert entries["pwc"] == "true" and work > 0.0
 
 
 def _point(**values):
