@@ -83,11 +83,15 @@ def minkowski_moment_arrays(lambda1, lambda2, dtau) -> tuple[np.ndarray, ...]:
     if (lambda1 < 0.0).any() or (lambda2 < 0.0).any() or (dtau < 0.0).any():
         raise ValueError("couplings and dtau must be >= 0")
     x = dtau / math.sqrt(2.0)
-    pref = lambda1 * lambda2
-    nu1 = np.exp(-lambda1 ** 2 / (2.0 * math.pi ** 2))
-    nu2 = np.exp(-lambda2 ** 2 / (2.0 * math.pi ** 2))
-    e12 = pref / (2.0 * math.pi ** 1.5) * x * np.exp(-x * x)
-    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
+    # from 2^1023 on, 2 x overflows, as does an infinite dtau (an overflowing
+    # tau2 - tau1): there e12 = mu12 = 0, the limit the cap gives exactly
+    x = np.where(x >= 2.0 ** 1023, _RYBICKI_CAP, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge couplings: checked by the consumer
+        pref = lambda1 * lambda2
+        nu1 = np.exp(-lambda1 ** 2 / (2.0 * math.pi ** 2))
+        nu2 = np.exp(-lambda2 ** 2 / (2.0 * math.pi ** 2))
+        e12 = pref / (2.0 * math.pi ** 1.5) * x * np.exp(-x * x)
+        mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
     return nu1, nu2, e12, mu12
 
 

@@ -43,7 +43,8 @@ def _render_rows(row: str, columns: Sequence[list], flags: np.ndarray) -> str:
 
 
 def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None):
-    moments = minkowski_moment_arrays(lambda1, lambda2, tau2 - tau1)
+    with np.errstate(over="ignore"):  # an overflowing separation is infinite
+        moments = minkowski_moment_arrays(lambda1, lambda2, tau2 - tau1)
     return cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p)
 
 

@@ -6,6 +6,7 @@ because hypothesis reruns a test body many times inside one fixture scope.
 
 import contextlib
 import io
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,8 +36,8 @@ def test_parse_config_raises_only_config_error(lines, sets):
 
 
 _GAPS = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
-_LAMBDAS = st.floats(min_value=0.0, max_value=1e4)
-_TAUS = st.floats(min_value=-1e3, max_value=1e3)
+_LAMBDAS = st.floats(min_value=0.0, max_value=1e308)
+_TAUS = st.floats(min_value=-1e308, max_value=1e308)
 
 
 @settings(deadline=None)
@@ -44,13 +45,19 @@ _TAUS = st.floats(min_value=-1e3, max_value=1e3)
 @example(omega1=1.401298464324817e-45, omega2=2.5191046292098296e+263, tau1=0.0, tau2=1.0,
          lambda1=0.0, lambda2=0.0, initial_p=1.175494351e-38)
 @example(omega1=1.0, omega2=1e308, tau1=0.0, tau2=1e3, lambda1=1.0, lambda2=1.0, initial_p=None)
+# x * x overflows in e12; tau2 - tau1 overflows; the couplings' product overflows
+@example(omega1=1.0, omega2=3.0, tau1=0.0, tau2=1e160, lambda1=1.0, lambda2=1.0, initial_p=None)
+@example(omega1=1e-300, omega2=1e-300, tau1=-1e308, tau2=1e308, lambda1=1.0, lambda2=1.0,
+         initial_p=None)
+@example(omega1=1.0, omega2=3.0, tau1=0.0, tau2=1.0, lambda1=1e200, lambda2=1e200,
+         initial_p=None)
 @given(omega1=_GAPS, omega2=_GAPS, tau1=_TAUS, tau2=_TAUS, lambda1=_LAMBDAS,
        lambda2=_LAMBDAS, initial_p=st.none() | st.floats(min_value=0.0, max_value=1.0))
 def test_point_exits_cleanly_over_the_valid_box(omega1, omega2, tau1, tau2, lambda1,
                                                 lambda2, initial_p):
     tau1, tau2 = sorted((tau1, tau2))
     if tau1 == tau2:
-        tau2 += 1.0
+        tau2 = math.nextafter(tau2, math.inf)
     params = dict(omega1=omega1, omega2=omega2, tau1=tau1, tau2=tau2,
                   lambda1=lambda1, lambda2=lambda2)
     if initial_p is not None:

@@ -422,6 +422,22 @@ class TestCli:
         assert len(rows) == 3600
         assert all(math.isfinite(float(v)) for row in rows for v in row[:3])
 
+    def test_overflowing_separation_takes_the_far_limit(self, tmp_path, capsys):
+        # tau2 - tau1 overflows at the last point: its moments take the limit
+        # e12 = mu12 = 0, and the run prints no warning
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "curve.csv"
+        cfg.write_text(FIG4A_CFG.format(out=out))
+        assert main(["sweep", "--config", str(cfg), "--set", "omega1=1e-300",
+                     "--set", "omega2=1e-300", "--set", "tau1=-1e308", "--set", "lambda1=1",
+                     "--set", "lambda2=1", "--set", "tau2_start=1e307",
+                     "--set", "tau2_stop=1e308", "--set", "tau2_count=3"]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _rows(out.read_text())
+        last = dict(zip(header, rows[-1]))
+        assert (last["theta"], last["E12"], last["mu12"]) == ("-200000000", "0", "0")
+        assert (last["w_ext_sigma"], last["pwc"]) == ("0", "false")
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode = curve-tau2\nlambda1 = -3\n")
