@@ -47,7 +47,8 @@ class InteractionEvent:
     """One instantaneous kick: proper time, gap at the kick, coupling.
 
     All values are expressed in units of the smearing width (tau in sigma,
-    gap in 1/sigma, coupling in sigma).
+    gap in 1/sigma, coupling in sigma).  The ledger does not read coupling:
+    the MomentSet of the cycle carries it.
     """
 
     tau: float
