@@ -59,8 +59,11 @@ class Axis:
     count: int
 
     def points(self) -> list[float]:
-        step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count - 1)] + [self.stop]
+        n = self.count - 1
+        step = (self.stop - self.start) / n
+        if step == math.inf:  # a span beyond the float range: divide each end first
+            return [self.start + i * (self.stop / n) - i * (self.start / n) for i in range(n)] + [self.stop]
+        return [self.start + i * step for i in range(n)] + [self.stop]
 
 
 @dataclass(frozen=True)

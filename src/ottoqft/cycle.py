@@ -254,6 +254,6 @@ def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> 
     efficiency = xp.where(xp.abs(ratio) < math.inf, ratio, xp.nan)  # overflow: absent
     return LedgerColumns(
         theta, nu1, nu2, e12, mu12, p, p1, p2,
-        xp.where(noop, 0.0, p * delta_omega), xp.where(noop, 0.0, -p1 * delta_omega),
+        xp.where(noop, 0.0, p * delta_omega + 0.0), xp.where(noop, 0.0, -p1 * delta_omega + 0.0),
         q2, q4, q2 + q4, w_ext, efficiency, w_ext > 0.0, degenerate, closed, product,
     )

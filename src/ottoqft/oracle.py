@@ -9,6 +9,7 @@ two routes is the evidence the rest of the package stands on.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -99,26 +100,37 @@ def _quadrature_eigh(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix cosine and sine of the kick quadrature alpha a + conj(alpha) a^dag.
+def _kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(|alpha| w), sin(|alpha| w) and phases d = exp(i n arg alpha) of the
+    kick alpha a + conj(alpha) a^dag, with (w, v) from _quadrature_eigh.
 
-    With D = diag(exp(i n arg alpha)) the kick is |alpha| D^dag (a + a^dag) D,
-    exactly on the truncated space too (a has only a superdiagonal), so
-    f(kick)[m, n] = exp(i (n - m) arg alpha) (v f(|alpha| w) v^T)[m, n].
+    With D = diag(d) the kick is |alpha| D^dag (a + a^dag) D, exactly on the
+    truncated space too (a has only a superdiagonal), so
+    f(kick) = D^dag v diag(f(|alpha| w)) v^T D.
     """
-    w, v = _quadrature_eigh(dim)
-    rw = abs(alpha) * w
-    d = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
-    phase = np.outer(d.conj(), d)
-    return phase * ((v * np.cos(rw)) @ v.T), phase * ((v * np.sin(rw)) @ v.T)
+    rw = abs(alpha) * _quadrature_eigh(dim)[0]
+    return np.cos(rw), np.sin(rw), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
 
 
-def _mode_state(fp: FockParams) -> np.ndarray:
+def _kick_columns(fp: FockParams, stage: str) -> tuple[np.ndarray, ...]:
+    """The first kick's real cosine and sine on the Fock columns of nonzero
+    weight in the mode state, each scaled by the root of its weight; those
+    columns in the eigenbasis of the second kick's quadrature; the second
+    kick's cosine and sine there, as column vectors.  D1 acts on the columns
+    of the diagonal state as unit scalars and drops out; between the kicks
+    the phases meet as D2 D1^dag, and the final D2^dag moves no modulus."""
     # thermal weights q^n; at nbar = 0, q = 0 gives the vacuum (0^0 = 1)
-    q = fp.nbar / (fp.nbar + 1.0)
-    diag = q ** np.arange(fp.dim, dtype=float)
-    diag /= diag.sum()  # unit trace on the truncated space
-    return np.diag(diag).astype(complex)
+    weights = (fp.nbar / (fp.nbar + 1.0)) ** np.arange(fp.dim, dtype=float)
+    weights /= weights.sum()  # unit trace on the truncated space
+    _check_truncation(float(weights[-1]), fp.dim, stage)
+    _, v = _quadrature_eigh(fp.dim)
+    c1, s1, d1 = _kick_cos_sin(complex(fp.alpha1), fp.dim)
+    c2, s2, d2 = _kick_cos_sin(complex(fp.alpha2), fp.dim)
+    levels = np.flatnonzero(weights)
+    first = v @ (np.stack([c1, s1])[:, :, None] * (v[levels] * np.sqrt(weights[levels])[:, None]).T)
+    # a real product on the interleaved (re, im) pairs: no complex matrix product
+    moved = (v.T @ ((d2 * d1.conj())[:, None] * first).view(float)).view(complex)
+    return first, moved, c2[:, None], s2[:, None]
 
 
 def _check_truncation(top_level: float, dim: int, stage: str) -> None:
@@ -141,63 +153,55 @@ def simulate_cycle_fock(
 
     Each kick applies 1 (x) cos(phi_j) - i mu_j (x) sin(phi_j), where phi_j is
     the Hermitian mode quadrature of kick j and mu_j carries the accumulated
-    monopole phase omega_j * tau_j.  Populations come from the partial trace
-    over the mode after each kick.
+    monopole phase omega_j * tau_j.  The state diag(p, 1 - p) (x) thermal is
+    diagonal: its basis columns of nonzero weight are evolved, and the
+    populations, top-level occupation and trace are their weighted norms.
     """
     if not tau2 > tau1:
         raise ValueError(f"tau2 = {tau2!r} must exceed tau1 = {tau1!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"population must lie in [0, 1], got {p!r}")
     dim = fp.dim
-    rho_mode = _mode_state(fp)
-    _check_truncation(float(rho_mode[-1, -1].real), dim, "before the first kick")
-    # joint state on (qubit excited/ground) (x) mode, stored as 2x2 blocks
-    rho = np.kron(np.diag([p, 1.0 - p]).astype(complex), rho_mode)
-
-    def kick(rho: np.ndarray, alpha: complex, phase: float) -> np.ndarray:
-        cos_m, sin_m = _kick_cos_sin(alpha, dim)
-        u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        u[:dim, :dim] = cos_m
-        u[dim:, dim:] = cos_m
-        u[:dim, dim:] = -1j * np.exp(1j * phase) * sin_m
-        u[dim:, :dim] = -1j * np.exp(-1j * phase) * sin_m
-        return u @ rho @ u.conj().T
-
+    (cos1, sin1), (tc, ts), c2, s2 = _kick_columns(fp, "before the first kick")
+    _, v = _quadrature_eigh(dim)
+    z = cmath.exp(1j * (omega2 * tau2 - omega1 * tau1))
+    zc, zs = z * tc, z * ts
+    # blocks: (excited, ground) rows of the columns that start excited (weight
+    # p), then in the ground state (1 - p), up to unit phases; the second kick
+    # is diagonal in the eigenbasis of its quadrature
+    weight = (p, p, 1.0 - p, 1.0 - p)
     populations = []
-    for alpha, phase, stage in (
-        (fp.alpha1, omega1 * tau1, "after the first kick"),
-        (fp.alpha2, omega2 * tau2, "after the second kick"),
+    for blocks, top_row, stage in (
+        ((cos1, sin1, sin1, cos1), lambda b: b[-1], "after the first kick"),
+        ((c2 * tc - s2 * zs, s2 * tc + c2 * zs, c2 * ts + s2 * zc, c2 * zc - s2 * ts),
+         lambda b: v[-1] @ b, "after the second kick"),
     ):
-        rho = kick(rho, complex(alpha), phase)
-        diag = np.diagonal(rho).real
-        _check_truncation(float(diag[dim - 1] + diag[2 * dim - 1]), dim, stage)
-        trace = float(diag.sum())
+        top = sum(w * np.vdot(row, row).real for w, row in zip(weight, map(top_row, blocks)))
+        _check_truncation(float(top), dim, stage)
+        norms = [w * np.vdot(b, b).real for w, b in zip(weight, blocks)]
+        trace = float(sum(norms))
         if abs(trace - 1.0) > 1e-12:
             raise ArithmeticError(f"evolution lost unit trace {stage}: {trace!r}")
-        populations.append(float(diag[:dim].sum()))
+        populations.append(float(norms[0] + norms[2]))
     return populations[0], populations[1]
+
+
+def _weyl_traces(fp: FockParams) -> dict[str, complex]:
+    """The six moments Tr(rho A (B C) D) = sum_n q_n (A (B C) D)_nn of the
+    diagonal mode state, taken in the second kick's eigenbasis, where its
+    middle products B C are diagonal."""
+    _, (tc, ts), c2, s2 = _kick_columns(fp, "in the initial state")
+    cc, ss, sc = c2 * c2, s2 * s2, s2 * c2
+    return {name: complex(np.vdot(left, middle * right)) for name, (left, middle, right) in {
+        "cccc": (tc, cc, tc), "cssc": (tc, ss, tc), "sccs": (ts, cc, ts),
+        "ssss": (ts, ss, ts), "csc_s": (tc, sc, ts), "ssc_c": (ts, sc, tc),
+    }.items()}
 
 
 def verify_weyl_moments(fp: FockParams) -> float:
     """Max deviation between matrix-evaluated fourth-order moments and their
     closed forms, over all six moments."""
-    dim = fp.dim
-    rho = _mode_state(fp)
-    _check_truncation(float(rho[-1, -1].real), dim, "in the initial state")
-    c1, s1 = _kick_cos_sin(complex(fp.alpha1), dim)
-    c2, s2 = _kick_cos_sin(complex(fp.alpha2), dim)
-
-    def ev(m: np.ndarray) -> complex:
-        return complex(np.trace(rho @ m))
-
-    brute = {
-        "cccc": ev(c1 @ c2 @ c2 @ c1),
-        "cssc": ev(c1 @ s2 @ s2 @ c1),
-        "sccs": ev(s1 @ c2 @ c2 @ s1),
-        "ssss": ev(s1 @ s2 @ s2 @ s1),
-        "csc_s": ev(c1 @ s2 @ c2 @ s1),
-        "ssc_c": ev(s1 @ s2 @ c2 @ c1),
-    }
+    brute = _weyl_traces(fp)
     closed = weyl_moments(moment_set_from_kernel(single_mode_kernel(fp)))
     return max(abs(brute[name] - complex(getattr(closed, name))) for name in brute)
 
@@ -238,17 +242,17 @@ def _converged_radial(sigma: float, dtau: float, spec: QuadratureSpec) -> comple
 
 
 def quadrature_minkowski_moments(
-    lambda1: float,
-    lambda2: float,
-    sigma: float,
-    dtau: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> MomentSet:
+    lambda1, lambda2, sigma: float, dtau, spec: QuadratureSpec = QuadratureSpec()
+) -> MomentSet | list[MomentSet]:
     """Moment set of the Gaussian-smeared Minkowski vacuum by direct quadrature.
 
     Reduces the three-dimensional two-point integral to its radial form
     (lambda1 lambda2 / 4 pi^2) * integral_0^inf k exp(-k^2 sigma^2/2) exp(i k dtau) dk
     and refines the node count until successive doublings agree.
+
+    lambda1, lambda2 and dtau broadcast: scalars give one MomentSet, arrays a
+    list in C order.  The couplings only scale the radial integral, so it is
+    evaluated once for dtau = 0 (the diagonal) and once per distinct dtau.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
@@ -258,11 +262,11 @@ def quadrature_minkowski_moments(
             "truncation error above target"
         )
     pref = 1.0 / (4.0 * math.pi ** 2)
-    diag = _converged_radial(sigma, 0.0, spec).real
-    cross = _converged_radial(sigma, dtau, spec)
-    kernel = TwoPointKernel(
-        w11=lambda1 * lambda1 * pref * diag,
-        w22=lambda2 * lambda2 * pref * diag,
-        w12=lambda1 * lambda2 * pref * cross,
-    )
-    return moment_set_from_kernel(kernel)
+    shape = np.broadcast(lambda1, lambda2, dtau).shape
+    lambda1, lambda2, dtau = (np.broadcast_to(a, shape).ravel().tolist() for a in (lambda1, lambda2, dtau))
+    radial = {d: _converged_radial(sigma, d, spec) for d in dict.fromkeys([0.0, *dtau])}
+    diag = radial[0.0].real
+    sets = [moment_set_from_kernel(TwoPointKernel(
+        w11=l1 * l1 * pref * diag, w22=l2 * l2 * pref * diag, w12=l1 * l2 * pref * radial[d],
+    )) for l1, l2, d in zip(lambda1, lambda2, dtau)]
+    return sets if shape else sets[0]

@@ -4,8 +4,10 @@ generators of admissible moment data.
 The oracles here are deliberately independent of the package code paths they
 check: the Dawson references sum series in arbitrary precision, the
 fourth-order moments are expanded term by term through the exponentiated
-commutation relations rather than through the closed hyperbolic forms, and
-the cycle closure and ledger are the scalar formulas evaluated in mpmath.
+commutation relations rather than through the closed hyperbolic forms, the
+truncated-Fock references evolve the full density matrix with cosines and
+sines from a generic eigendecomposition, and the cycle closure and ledger are
+the scalar formulas evaluated in mpmath.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ottoqft.algebra import KernelInconsistencyError, MomentSet
+from ottoqft.oracle import FockParams, TruncationError
 
 
 def dawson_series_oracle(x: float) -> float:
@@ -125,6 +128,71 @@ def generic_kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarr
     w, v = np.linalg.eigh(alpha * a + np.conj(alpha) * a.conj().T)
     vh = v.conj().T
     return (v * np.cos(w)) @ vh, (v * np.sin(w)) @ vh
+
+
+_TRUNCATION_TOL = 1e-10
+
+
+def _reference_mode_state(fp: FockParams) -> np.ndarray:
+    """The thermal (vacuum at nbar = 0) mode state on dim levels, unit trace."""
+    weights = (fp.nbar / (fp.nbar + 1.0)) ** np.arange(fp.dim, dtype=float)
+    return np.diag(weights / weights.sum())
+
+
+def _reference_truncation(top_level: float, dim: int, stage: str) -> None:
+    if top_level > _TRUNCATION_TOL:
+        raise TruncationError(
+            f"top Fock level holds {top_level:.3e} of the state {stage}; "
+            f"increase dim (currently {dim}, try {2 * dim})"
+        )
+
+
+def reference_cycle_fock(fp: FockParams, omega1: float, omega2: float, tau1: float,
+                         tau2: float, p: float) -> tuple[float, float]:
+    """(p1, p2) of the two-kick evolution on the full density matrix.
+
+    rho = diag(p, 1 - p) (x) mode state, built with np.kron, evolves as
+    u rho u^dag under each 2 dim x 2 dim kick, whose cosine and sine come
+    from generic_kick_cos_sin; the top Fock level is checked at the same
+    stages as the package, with the same TruncationError message.
+    """
+    dim = fp.dim
+    mode = _reference_mode_state(fp)
+    _reference_truncation(mode[-1, -1], dim, "before the first kick")
+    rho = np.kron(np.diag([p, 1.0 - p]), mode).astype(complex)
+    populations = []
+    for alpha, phase, stage in (
+        (fp.alpha1, omega1 * tau1, "after the first kick"),
+        (fp.alpha2, omega2 * tau2, "after the second kick"),
+    ):
+        cos_m, sin_m = generic_kick_cos_sin(complex(alpha), dim)
+        u = np.block([
+            [cos_m, -1j * cmath.exp(1j * phase) * sin_m],
+            [-1j * cmath.exp(-1j * phase) * sin_m, cos_m],
+        ])
+        rho = u @ rho @ u.conj().T
+        diag = np.diagonal(rho).real
+        _reference_truncation(diag[dim - 1] + diag[2 * dim - 1], dim, stage)
+        populations.append(float(diag[:dim].sum()))
+    return populations[0], populations[1]
+
+
+def reference_weyl_traces(fp: FockParams) -> dict[str, complex]:
+    """The six fourth-order moments as direct traces Tr(rho A B C D) of four
+    full matrix products, cosines and sines from generic_kick_cos_sin."""
+    rho = _reference_mode_state(fp)
+    _reference_truncation(rho[-1, -1], fp.dim, "in the initial state")
+    c1, s1 = generic_kick_cos_sin(complex(fp.alpha1), fp.dim)
+    c2, s2 = generic_kick_cos_sin(complex(fp.alpha2), fp.dim)
+
+    def ev(a, b, c, d) -> complex:
+        return complex(np.trace(rho @ a @ b @ c @ d))
+
+    return {
+        "cccc": ev(c1, c2, c2, c1), "cssc": ev(c1, s2, s2, c1),
+        "sccs": ev(s1, c2, c2, s1), "ssss": ev(s1, s2, s2, s1),
+        "csc_s": ev(c1, s2, c2, s1), "ssc_c": ev(s1, s2, c2, c1),
+    }
 
 
 def gram_moment_set(w11: float, w22: float, frac: float, phase: float) -> MomentSet:

@@ -1,5 +1,7 @@
 """Config document parsing and validation."""
 
+import math
+
 import pytest
 
 from ottoqft.config import Axis, ConfigError, parse_config
@@ -133,3 +135,16 @@ class TestAxis:
         assert pts[0] == 0.5
         assert pts[-1] == 8.0
         assert all(b > a for a, b in zip(pts, pts[1:]))
+
+    def test_span_beyond_the_float_range(self):
+        # (stop - start) overflows: the points stay finite and evenly spaced
+        assert Axis(start=-9e307, stop=9e307, count=3).points() == [-9e307, 0.0, 9e307]
+        pts = Axis(start=-1.7e308, stop=1.7e308, count=5).points()
+        assert all(math.isfinite(x) for x in pts)
+        steps = [b - a for a, b in zip(pts, pts[1:])]
+        assert max(steps) - min(steps) <= 1e-15 * max(steps)
+
+    def test_finite_step_is_start_plus_multiples(self):
+        axis = Axis(start=0.05, stop=12.0, count=20000)
+        step = (12.0 - 0.05) / 19999
+        assert axis.points() == [0.05 + i * step for i in range(19999)] + [12.0]

@@ -1,5 +1,6 @@
 """Import layering of the package, read from the source: the kernel layers
-(algebra, minkowski) and the cycle layer import nothing above them."""
+(algebra, minkowski) and the cycle layer import nothing above them, and the
+brute-force oracles use no more than the algebra they check."""
 
 import ast
 import pathlib
@@ -31,6 +32,7 @@ IMPORTS = {path.stem: _package_imports(path) for path in SOURCES}
     ("algebra", set()),
     ("minkowski", {"algebra"}),
     ("cycle", {"algebra"}),
+    ("oracle", {"algebra"}),
 ])
 def test_layer_imports(module, allowed):
     assert IMPORTS[module] <= allowed

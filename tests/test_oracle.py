@@ -1,7 +1,9 @@
 """Brute-force routes: truncated-mode evolution and radial quadrature."""
 
 import cmath
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,17 @@ from ottoqft.oracle import (
     verify_weyl_moments,
 )
 
-from support import generic_kick_cos_sin
+from support import generic_kick_cos_sin, reference_cycle_fock, reference_weyl_traces
+
+
+# zero coupling and a generic pair, on the vacuum and two thermal states, at
+# three truncations; the larger nbar does not fit in the smaller dims
+REFERENCE_CASES = list(itertools.product(
+    [(0.0, 0.0), (0.31 - 0.12j, -0.07 + 0.44j)], [0.0, 1.0, 5.0], [8, 60, 120]))
+
+
+def _stage(error: TruncationError) -> str:
+    return re.search(r"of the state (.*?);", str(error)).group(1)
 
 
 def _random_case(rng, nbar_choices=(0.0, 1.0)):
@@ -70,7 +82,11 @@ class TestKickCosSin:
         1.1 - 0.4j, cmath.rect(3.0, 2.1), cmath.rect(3.0, -0.7),
     ])
     def test_matches_generic_eigendecomposition(self, alpha, dim):
-        cos_m, sin_m = oracle_mod._kick_cos_sin(complex(alpha), dim)
+        # the real frame: f(kick) = D^dag v diag(f(|alpha| w)) v^T D, D = diag(d)
+        cos_w, sin_w, d = oracle_mod._kick_cos_sin(complex(alpha), dim)
+        _, v = oracle_mod._quadrature_eigh(dim)
+        phase = np.outer(d.conj(), d)
+        cos_m, sin_m = phase * ((v * cos_w) @ v.T), phase * ((v * sin_w) @ v.T)
         cos_ref, sin_ref = generic_kick_cos_sin(complex(alpha), dim)
         assert np.max(np.abs(cos_m - cos_ref)) < 1e-13
         assert np.max(np.abs(sin_m - sin_ref)) < 1e-13
@@ -120,9 +136,29 @@ class TestSimulateCycleFock:
         assert abs(a[0] - b[0]) < 1e-9
         assert abs(a[1] - b[1]) < 1e-9
 
+    @pytest.mark.parametrize("alphas, nbar, dim", REFERENCE_CASES)
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_matches_density_matrix_reference(self, alphas, nbar, dim, p):
+        fp = FockParams(*alphas, nbar=nbar, dim=dim)
+        args = (fp, 1.3, 2.2, 0.4, 1.9, p)
+        try:
+            expected = reference_cycle_fock(*args)
+        except TruncationError as ref:
+            with pytest.raises(TruncationError) as got:
+                simulate_cycle_fock(*args)
+            assert _stage(got.value) == _stage(ref)
+            return
+        p1, p2 = simulate_cycle_fock(*args)
+        assert abs(p1 - expected[0]) < 1e-14
+        assert abs(p2 - expected[1]) < 1e-14
+
     def test_truncation_guard(self):
-        with pytest.raises(TruncationError, match="increase dim"):
-            simulate_cycle_fock(FockParams(3.0, 0.1, dim=8), 1.0, 3.0, 0.0, 1.5, 0.2)
+        args = (FockParams(3.0, 0.1, dim=8), 1.0, 3.0, 0.0, 1.5, 0.2)
+        with pytest.raises(TruncationError, match="increase dim") as got:
+            simulate_cycle_fock(*args)
+        with pytest.raises(TruncationError) as ref:
+            reference_cycle_fock(*args)
+        assert _stage(got.value) == _stage(ref.value) == "after the first kick"
 
     def test_ordering_validation(self):
         with pytest.raises(ValueError):
@@ -144,6 +180,20 @@ class TestVerifyWeylMoments:
     def test_randomized(self, rng):
         for _ in range(5):
             assert verify_weyl_moments(_random_case(rng)) < 1e-8
+
+    @pytest.mark.parametrize("alphas, nbar, dim", REFERENCE_CASES)
+    def test_traces_match_direct_products(self, alphas, nbar, dim):
+        fp = FockParams(*alphas, nbar=nbar, dim=dim)
+        try:
+            expected = reference_weyl_traces(fp)
+        except TruncationError as ref:
+            with pytest.raises(TruncationError) as got:
+                oracle_mod._weyl_traces(fp)
+            assert _stage(got.value) == _stage(ref)
+            return
+        got = oracle_mod._weyl_traces(fp)
+        assert got.keys() == expected.keys()
+        assert max(abs(got[name] - expected[name]) for name in got) < 1e-14
 
 
 class TestQuadrature:
@@ -190,6 +240,21 @@ class TestQuadrature:
         ]
         for coarse, fine in zip(errors, errors[1:]):
             assert 10.0 < coarse / fine < 26.0
+
+    def test_arrays_integrate_once_per_dtau(self, monkeypatch):
+        grid = list(itertools.product((0.5, 100.0), (0.5, 2.0), (0.25, 1.0, 3.0)))
+        lambda1, lambda2, dtau = np.array(grid).T
+        original, integrated = oracle_mod._converged_radial, []
+
+        def counted(sigma, d, spec):
+            integrated.append(d)
+            return original(sigma, d, spec)
+
+        monkeypatch.setattr(oracle_mod, "_converged_radial", counted)
+        sets = quadrature_minkowski_moments(lambda1, lambda2, 1.0, dtau)
+        assert sorted(integrated) == [0.0, 0.25, 1.0, 3.0]
+        # each point is the scalar call's moment set, bit for bit
+        assert sets == [quadrature_minkowski_moments(l1, l2, 1.0, d) for l1, l2, d in grid]
 
     def test_non_convergent_refinement_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "_REFINE_LIMIT", 1)

@@ -138,6 +138,16 @@ class TestRunSweep:
 
 
 class TestRunPoint:
+    @pytest.mark.parametrize("values, key", [
+        (["omega1=2", "omega2=2", "tau1=0", "tau2=1", "lambda1=1", "lambda2=1"], "w3"),
+        (["omega1=1", "omega2=3", "tau1=0", "tau2=1.5", "lambda1=1", "lambda2=1",
+          "initial_p=0"], "w1"),
+    ])
+    def test_zero_stroke_work_prints_without_sign(self, values, key):
+        entries = dict(line.split(" = ") for line in run_point(
+            parse_config("mode = single-point", values)).strip().split("\n"))
+        assert entries[key] == "0"
+
     def test_report_lines(self):
         spec = parse_config(
             "mode = single-point",
@@ -357,8 +367,8 @@ class TestCli:
         original = oracle._kick_cos_sin
 
         def leaky(alpha, dim):
-            cos_m, sin_m = original(alpha, dim)
-            return cos_m, 1.01 * sin_m
+            cos_w, sin_w, phases = original(alpha, dim)
+            return cos_w, 1.01 * sin_w, phases
 
         monkeypatch.setattr(oracle, "_kick_cos_sin", leaky)
         code = main(["verify", "--set", "cases=2"])
@@ -437,6 +447,20 @@ class TestCli:
         last = dict(zip(header, rows[-1]))
         assert (last["theta"], last["E12"], last["mu12"]) == ("-200000000", "0", "0")
         assert (last["w_ext_sigma"], last["pwc"]) == ("0", "false")
+
+    def test_tau2_span_beyond_the_float_range(self, tmp_path, capsys):
+        # tau2_stop - tau2_start overflows; the axis is still -9e307, 0, 9e307
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "curve.csv"
+        cfg.write_text(FIG4A_CFG.format(out=out))
+        assert main(["sweep", "--config", str(cfg), "--set", "omega1=1e-300",
+                     "--set", "omega2=1e-300", "--set", "tau1=-1e308", "--set", "lambda1=1",
+                     "--set", "lambda2=1", "--set", "tau2_start=-9e307",
+                     "--set", "tau2_stop=9e307", "--set", "tau2_count=3"]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _rows(out.read_text())
+        assert [float(row[0]) for row in rows] == [-9e307, 0.0, 9e307]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:-1])
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
