@@ -1,8 +1,8 @@
 """Flat key=value configuration for sweeps and verification runs.
 
 Documents are line oriented, UTF-8, with ``#`` comments; keys are
-case-sensitive and unknown keys are rejected with their line number.
-Command-line ``--set key=value`` entries override file values.
+case-sensitive and an unknown key is rejected with its line or ``--set #N``.
+Command-line ``--set key=value`` entries override file values, not the mode.
 """
 
 from __future__ import annotations
@@ -16,17 +16,47 @@ from .verification import DEFAULT_TOLERANCES
 __all__ = ["Axis", "SweepSpec", "ConfigError", "parse_config", "MODES"]
 
 MODES = ("curve-tau2", "grid-couplings", "single-point", "verify")
+_TOL_KEYS = tuple(f"tol_{name}" for name in DEFAULT_TOLERANCES)
 
-_FLOAT_KEYS = {
-    "omega1", "omega2", "tau1", "tau2", "lambda1", "lambda2",
-    "tau2_start", "tau2_stop",
-    "lambda1_start", "lambda1_stop", "lambda2_start", "lambda2_stop",
-    "initial_p",
+# a range requirement: the text a diagnostic prints after "must be", and a
+# test of the value given the values parsed before it
+_FINITE = ("finite", lambda value, parsed: math.isfinite(value))
+_POSITIVE = ("> 0", lambda value, parsed: value > 0.0)
+_NON_NEGATIVE = (">= 0", lambda value, parsed: value >= 0)
+_AT_LEAST_TWO = (">= 2", lambda value, parsed: value >= 2)
+_AFTER_TAU1 = ("> tau1 (second kick strictly later)", lambda value, parsed: value > parsed["tau1"])
+
+
+def _below(key: str) -> tuple:
+    return (f"< {key}", lambda value, parsed: value < parsed[key])
+
+
+# key -> (type, range requirements); parse_config checks the keys in this
+# order, so a requirement reads only keys above it. Floats must be finite.
+_KEYS: dict[str, tuple] = {
+    "mode": (str,),
+    "output": (str,),
+    "omega1": (float, _POSITIVE),
+    "omega2": (float, _POSITIVE),
+    "tau1": (float,),
+    "tau2": (float, _AFTER_TAU1),
+    "lambda1": (float, _NON_NEGATIVE),
+    "lambda2": (float, _NON_NEGATIVE),
+    "initial_p": (float, ("in [0, 1]", lambda value, parsed: 0.0 <= value <= 1.0)),
+    "tau2_stop": (float,),
+    "tau2_start": (float, _below("tau2_stop"), _AFTER_TAU1),
+    "tau2_count": (int, _AT_LEAST_TWO),
+    "lambda1_stop": (float, _NON_NEGATIVE),
+    "lambda1_start": (float, _NON_NEGATIVE, _below("lambda1_stop")),
+    "lambda1_count": (int, _AT_LEAST_TWO),
+    "lambda2_stop": (float, _NON_NEGATIVE),
+    "lambda2_start": (float, _NON_NEGATIVE, _below("lambda2_stop")),
+    "lambda2_count": (int, _AT_LEAST_TWO),
+    "seed": (int, _NON_NEGATIVE),
+    "cases": (int, _AT_LEAST_TWO),
+    "dim": (int, _AT_LEAST_TWO),
+    **{key: (float, _NON_NEGATIVE) for key in _TOL_KEYS},
 }
-_INT_KEYS = {"tau2_count", "lambda1_count", "lambda2_count", "seed", "cases", "dim"}
-_STR_KEYS = {"mode", "output"}
-_TOL_KEYS = {f"tol_{name}" for name in DEFAULT_TOLERANCES}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _TOL_KEYS
 
 _REQUIRED = {
     "curve-tau2": ("omega1", "omega2", "tau1", "lambda1", "lambda2",
@@ -42,7 +72,7 @@ _ALLOWED = {
     "curve-tau2": set(_REQUIRED["curve-tau2"]),
     "grid-couplings": set(_REQUIRED["grid-couplings"]),
     "single-point": set(_REQUIRED["single-point"]) | {"initial_p"},
-    "verify": {"seed", "cases", "dim"} | _TOL_KEYS,
+    "verify": {"seed", "cases", "dim", *_TOL_KEYS},
 }
 
 
@@ -88,57 +118,32 @@ class SweepSpec:
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
 
 
-def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
-    """key -> (raw value, source label); rejects unknown and duplicate keys."""
+def _read(text: str, overrides: Iterable[str]) -> dict[str, tuple[str, str]]:
+    """key -> (raw value, source label): the file lines, then the --set entries."""
+    lines = [(f"line {n}", raw.split("#", 1)[0].strip(), f"'key = value', got {raw.strip()!r}")
+             for n, raw in enumerate(text.splitlines(), start=1)]
+    sets = [(f"--set #{i}", item, f"key=value, got {item!r}")
+            for i, item in enumerate(overrides, start=1)]
     entries: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in entries:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if not value:
-            raise ConfigError(f"line {lineno}: empty value for key {key!r}")
-        entries[key] = (value, f"line {lineno}")
-    return entries
-
-
-def _apply_overrides(entries: dict[str, tuple[str, str]], overrides: Iterable[str]) -> None:
-    for i, item in enumerate(overrides, start=1):
+    for source, item, form in [line for line in lines if line[1]] + sets:
         if "=" not in item:
-            raise ConfigError(f"--set #{i}: expected key=value, got {item!r}")
+            raise ConfigError(f"{source}: expected {form}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"--set #{i}: unknown key {key!r}")
+        if key not in _KEYS:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        if key in entries and source.startswith("line"):  # a --set may override, a line may not
+            raise ConfigError(f"{source}: duplicate key {key!r}")
         if not value:
-            raise ConfigError(f"--set #{i}: empty value for key {key!r}")
-        entries[key] = (value, f"--set #{i}")
-
-
-def _number(entries: dict, key: str, kind: str) -> object:
-    value, source = entries[key]
-    try:
-        if kind == "int":
-            return int(value)
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r}: cannot parse {value!r} as {kind}") from None
-
-
-def _fail_range(entries: dict, key: str, requirement: str) -> None:
-    _, source = entries[key]
-    raise ConfigError(f"{source}: key {key!r} out of range: must be {requirement}")
+            raise ConfigError(f"{source}: empty value for key {key!r}")
+        if key == "mode" and key in entries and value != entries[key][0]:
+            raise ConfigError(f"{source}: key 'mode' must be {entries[key][0]!r}, got {value!r}")
+        entries[key] = (value, source)
+    return entries
 
 
 def parse_config(text: str, overrides: Iterable[str] = ()) -> SweepSpec:
     """Parse and validate a configuration document plus --set overrides."""
-    entries = _parse_lines(text)
-    _apply_overrides(entries, overrides)
+    entries = _read(text, overrides)
 
     if "mode" not in entries:
         raise ConfigError("missing key: mode")
@@ -159,73 +164,22 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SweepSpec:
             raise ConfigError(f"missing key: {key}")
 
     values: dict[str, object] = {}
-    for key in entries:
-        if key == "mode" or key == "output":
+    for key, (kind, *requirements) in _KEYS.items():
+        if key not in entries:
             continue
-        if key in _INT_KEYS:
-            values[key] = _number(entries, key, "int")
-        else:
-            number = _number(entries, key, "float")
-            if not math.isfinite(number):
-                _fail_range(entries, key, "finite")
-            values[key] = number
+        raw, source = entries[key]
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"{source}: key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
+        for requirement, test in (_FINITE, *requirements) if kind is float else requirements:
+            if not test(value, values):
+                raise ConfigError(f"{source}: key {key!r} out of range: must be {requirement}")
+        values[key] = value
 
-    for key in ("omega1", "omega2"):
-        if key in values and not values[key] > 0.0:
-            _fail_range(entries, key, "> 0")
-    for key in ("lambda1", "lambda2", "lambda1_start", "lambda1_stop",
-                "lambda2_start", "lambda2_stop"):
-        if key in values and values[key] < 0.0:
-            _fail_range(entries, key, ">= 0")
-    for key in ("tau2_count", "lambda1_count", "lambda2_count"):
-        if key in values and values[key] < 2:
-            _fail_range(entries, key, ">= 2")
-    for key in ("cases", "dim"):
-        if key in values and values[key] < 2:
-            _fail_range(entries, key, ">= 2")
-    if "initial_p" in values and not 0.0 <= values["initial_p"] <= 1.0:
-        _fail_range(entries, "initial_p", "in [0, 1]")
-    for prefix in ("tau2", "lambda1", "lambda2"):
-        start, stop = f"{prefix}_start", f"{prefix}_stop"
-        if start in values and not values[start] < values[stop]:
-            _fail_range(entries, start, f"< {stop}")
-    for key in _TOL_KEYS:
-        if key in values and values[key] < 0.0:
-            _fail_range(entries, key, ">= 0")
-
-    if mode == "curve-tau2" and not values["tau2_start"] > values["tau1"]:
-        _fail_range(entries, "tau2_start", "> tau1 (second kick strictly later)")
-    if mode in ("grid-couplings", "single-point") and not values["tau2"] > values["tau1"]:
-        _fail_range(entries, "tau2", "> tau1 (second kick strictly later)")
-
-    def axis(prefix: str) -> Optional[Axis]:
-        if f"{prefix}_start" not in values:
-            return None
-        return Axis(
-            start=float(values[f"{prefix}_start"]),
-            stop=float(values[f"{prefix}_stop"]),
-            count=int(values[f"{prefix}_count"]),
-        )
-
-    return SweepSpec(
-        mode=mode,
-        omega1=values.get("omega1"),
-        omega2=values.get("omega2"),
-        tau1=values.get("tau1"),
-        tau2=values.get("tau2"),
-        lambda1=values.get("lambda1"),
-        lambda2=values.get("lambda2"),
-        tau2_axis=axis("tau2"),
-        lambda1_axis=axis("lambda1"),
-        lambda2_axis=axis("lambda2"),
-        initial_p=values.get("initial_p"),
-        output_path=entries["output"][0] if "output" in entries else None,
-        seed=values.get("seed"),
-        cases=values.get("cases"),
-        dim=values.get("dim"),
-        tolerance_overrides={
-            name: float(values[f"tol_{name}"])
-            for name in DEFAULT_TOLERANCES
-            if f"tol_{name}" in values
-        },
-    )
+    axes = {f"{prefix}_axis": Axis(values.pop(f"{prefix}_start"), values.pop(f"{prefix}_stop"),
+                                   values.pop(f"{prefix}_count"))
+            for prefix in ("tau2", "lambda1", "lambda2") if f"{prefix}_start" in values}
+    tolerances = {key[len("tol_"):]: values.pop(key) for key in _TOL_KEYS if key in values}
+    return SweepSpec(output_path=values.pop("output", None), tolerance_overrides=tolerances,
+                     **axes, **values)

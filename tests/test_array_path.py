@@ -203,8 +203,9 @@ def test_strong_coupling_parity():
                for name in cols._fields if name != "efficiency")
 
 
-@pytest.mark.xfail(strict=True, reason="nu1 nu2 exp(4 mu12) is formed from logs of size ~600, "
-                   "whose rounding exp carries; carrying W11, W22 removes it (ROADMAP item 4)")
+@pytest.mark.xfail(strict=True, reason="the exponent log nu1 + log nu2 + 4 mu12 is a float sum of "
+                   "two terms of about 1300 that nearly cancel, and exp carries its rounding; the "
+                   "logs are exact (log nu1 == -2 W11), so forming it from W11, W22 gives the same")
 def test_strong_coupling_contraction_factor_matches_reference():
     # log nu1 + log nu2 = -1305.9 and 4 mu12 = 1304.3 nearly cancel: the
     # kernel gives 0.14800900283973498, mpmath 0.14800900283971813

@@ -1,10 +1,12 @@
 """Config document parsing and validation."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from ottoqft.config import Axis, ConfigError, parse_config
+from ottoqft.config import _ALLOWED, _KEYS, MODES, Axis, ConfigError, parse_config
 
 FIG4A = """\
 # second-kick-time sweep
@@ -97,6 +99,13 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="--set #2"):
             parse_config(FIG4A, ["lambda2=2.0", "nonsense"])
 
+    def test_set_may_repeat_the_mode_but_not_change_it(self):
+        assert parse_config(FIG4A, ["mode=curve-tau2"]) == parse_config(FIG4A)
+        assert parse_config("", ["mode=verify", "seed=3"]).seed == 3
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(FIG4A, ["lambda2=2.0", "mode=grid-couplings"])
+        assert str(excinfo.value) == "--set #2: key 'mode' must be 'curve-tau2', got 'grid-couplings'"
+
     def test_override_still_range_checked(self):
         with pytest.raises(ConfigError, match="omega1"):
             parse_config(FIG4A, ["omega1=-1"])
@@ -108,6 +117,12 @@ class TestVerifyAndPointModes:
         assert spec.seed == 7
         assert spec.cases == 10
         assert spec.tolerance_overrides == {"fock_p2": 1e-5}
+
+    def test_seed_is_non_negative(self):
+        assert parse_config("mode = verify", ["seed=0"]).seed == 0
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("mode = verify\nseed = -1\n")
+        assert str(excinfo.value) == "line 2: key 'seed' out of range: must be >= 0"
 
     def test_unknown_tolerance_key_rejected(self):
         with pytest.raises(ConfigError, match="tol_bogus"):
@@ -125,6 +140,27 @@ class TestVerifyAndPointModes:
         )
         assert spec.initial_p == 0.25
         assert spec.tau2 == 1.5
+
+
+def test_readme_key_table_matches_the_key_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Key | Type | Range | Modes |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, kind, requirement, modes = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = kind, requirement, modes
+    assert list(rows) == list(_KEYS)
+    for key, (kind, *requirements) in _KEYS.items():
+        assert rows[key][0] == kind.__name__
+        if kind is not str:
+            texts = ["finite"] * (kind is float) + [text for text, _ in requirements]
+            assert rows[key][1] == ", ".join(texts)
+        if key != "mode":
+            assert re.findall(r"`([a-z0-9-]+)`", rows[key][2]) == [
+                mode for mode in MODES if key in _ALLOWED[mode]]
 
 
 class TestAxis:

@@ -12,16 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ottoqft.cli import main
-from ottoqft.config import _ALL_KEYS, MODES, ConfigError, parse_config
+from ottoqft.config import _KEYS, MODES, ConfigError, parse_config
 
-_KEYS = st.sampled_from(sorted(_ALL_KEYS)) | st.text(max_size=8)
+_KEY_TEXT = st.sampled_from(sorted(_KEYS)) | st.text(max_size=8)
 _VALUES = (
     st.sampled_from(MODES)
     | st.floats().map(repr)
     | st.integers().map(str)
     | st.text(max_size=10)
 )
-_PAIRS = st.tuples(_KEYS, _VALUES)
+_PAIRS = st.tuples(_KEY_TEXT, _VALUES)
 _LINES = _PAIRS.map(lambda kv: f"{kv[0]} = {kv[1]}") | st.text(max_size=20)
 _SETS = _PAIRS.map(lambda kv: f"{kv[0]}={kv[1]}") | st.text(max_size=15)
 

@@ -46,6 +46,15 @@ output = {out}
 """
 
 
+def _cli_process(argv, **env):
+    """Run the CLI in a fresh interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(ottoqft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))), **env)
+    return subprocess.run([sys.executable, "-m", "ottoqft.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _rows(csv_text):
     lines = csv_text.strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -345,16 +354,34 @@ class TestCli:
         assert "FAIL" in out
 
     def test_verify_too_small_dim_is_a_validation_error(self):
-        src = os.path.dirname(os.path.dirname(ottoqft.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run(
-            [sys.executable, "-m", "ottoqft.cli", "verify", "--set", "cases=4", "--set", "dim=30"],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = _cli_process(["verify", "--set", "cases=4", "--set", "dim=30"])
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "increase dim" in lines[0]
+
+    def test_diagnostic_does_not_depend_on_the_hash_seed(self):
+        # several bad tol_ keys: the error names the same one in every process
+        argv = ["verify", "--set", "tol_fock_p1=-1", "--set", "tol_fock_p2=-1",
+                "--set", "tol_first_law=-1", "--set", "tol_dawson_spot=-1"]
+        runs = [_cli_process(argv, PYTHONHASHSEED=seed) for seed in ("1", "4")]
+        assert [done.returncode for done in runs] == [1, 1]
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr.count("\n") == 1 and runs[0].stderr.startswith("error: --set #")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--set", "seed=-1"], "--set #1: key 'seed' out of range: must be >= 0"),
+        (["verify", "--set", "mode=single-point", "--set", "omega1=1", "--set", "omega2=3",
+          "--set", "tau1=0", "--set", "tau2=1.5", "--set", "lambda1=1", "--set", "lambda2=1"],
+         "--set #1: key 'mode' must be 'verify', got 'single-point'"),
+        (["point", "--set", "omega1=1", "--set", "mode=verify"],
+         "--set #2: key 'mode' must be 'single-point', got 'verify'"),
+    ])
+    def test_bad_set_is_one_line_naming_key_and_source(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_unsettled_quadrature_is_a_verification_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "_REFINE_LIMIT", 0)
