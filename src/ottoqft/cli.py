@@ -73,7 +73,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # drops a leading byte-order mark
         return handle.read()
 
 
@@ -100,7 +100,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_point(args)
-    except (ValueError, TruncationError) as exc:  # ConfigError is one; dim is user input
+    except (ValueError, TruncationError, MemoryError) as exc:  # ConfigError; dim too small or large
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureConvergenceError, ArithmeticError) as exc:  # the Fock oracle's lost trace

@@ -9,13 +9,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .verification import DEFAULT_TOLERANCES
-
-__all__ = ["Axis", "SweepSpec", "ConfigError", "parse_config", "MODES"]
+__all__ = ["Axis", "SweepSpec", "ConfigError", "parse_config", "MODES", "DEFAULT_TOLERANCES"]
 
 MODES = ("curve-tau2", "grid-couplings", "single-point", "verify")
+
+# verify's checks and their default thresholds; each is a tol_<check> key
+DEFAULT_TOLERANCES: dict[str, float] = {
+    "fock_p1": 1e-8,
+    "fock_p2": 1e-6,
+    "weyl_moments": 1e-8,
+    "weyl_partition": 1e-12,
+    "appendix_identities": 1e-12,
+    "quadrature_kernel": 1e-3,  # relative
+    "dawson_spot": 1e-12,
+    "first_law": 1e-12,
+    "fixed_point": 1e-12,
+    "no_signaling": 0.0,  # exact zero
+    "thermal_e12": 1e-15,
+}
 _TOL_KEYS = tuple(f"tol_{name}" for name in DEFAULT_TOLERANCES)
 
 # a range requirement: the text a diagnostic prints after "must be", and a
@@ -88,12 +101,15 @@ class Axis:
     stop: float
     count: int
 
-    def points(self) -> list[float]:
+    def points(self) -> Iterator[float]:
+        """The points in order, one at a time: a long axis is never held whole."""
         n = self.count - 1
         step = (self.stop - self.start) / n
         if step == math.inf:  # a span beyond the float range: divide each end first
-            return [self.start + i * (self.stop / n) - i * (self.start / n) for i in range(n)] + [self.stop]
-        return [self.start + i * step for i in range(n)] + [self.stop]
+            yield from (self.start + i * (self.stop / n) - i * (self.start / n) for i in range(n))
+        else:
+            yield from (self.start + i * step for i in range(n))
+        yield self.stop
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ truncated bosonic mode under two kicks, direct matrix evaluation of the
 fourth-order moments, and numerical quadrature of the smeared Minkowski
 two-point integral.
 
-Nothing here reuses the closed forms being checked; agreement between the
-two routes is the evidence the rest of the package stands on.
+No brute-force value uses the closed forms it checks (verify_weyl_moments calls
+weyl_moments only to compare); agreement is the evidence the package stands on.
 """
 
 from __future__ import annotations

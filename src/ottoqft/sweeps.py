@@ -8,6 +8,7 @@ run_point evaluates its one cycle through the same two calls.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -53,17 +54,17 @@ def _chunks(s: SweepSpec) -> Iterator[str]:
     curve = s.mode == "curve-tau2"
     yield ",".join(CURVE_COLUMNS if curve else GRID_COLUMNS) + "\n"
     if curve:
-        axis = np.asarray(s.tau2_axis.points())
-        for start in range(0, axis.size, _CHUNK):
-            tau2 = axis[start:start + _CHUNK]
+        points = s.tau2_axis.points()
+        for _ in range(0, s.tau2_axis.count, _CHUNK):
+            tau2 = np.fromiter(itertools.islice(points, _CHUNK), float)
             c = _cycles(s.omega1, s.omega2, s.tau1, tau2, s.lambda1, s.lambda2)
             # nu1 and nu2 follow the couplings alone: the same two cells in every row
             row = "%.17g,%.17g," + "%.17g,%.17g" % (c.nu1[0], c.nu2[0]) + ",%.17g" * 5 + ",%s\n"
             columns = (tau2, c.theta, c.e12, c.mu12, c.p, c.p1, c.w_ext)
             yield _render_rows(row, [column.tolist() for column in columns], c.pwc)
         return
-    axis1, axis2 = np.asarray(s.lambda1_axis.points()), np.asarray(s.lambda2_axis.points())
-    # each axis value is formatted once; a row formats only its w_ext
+    # a grid holds both axes whole, each value formatted once; a row formats only its w_ext
+    axis1, axis2 = (np.fromiter(axis.points(), float) for axis in (s.lambda1_axis, s.lambda2_axis))
     text1, text2 = (["%.17g," % value for value in axis.tolist()] for axis in (axis1, axis2))
     for start in range(0, axis1.size * axis2.size, _CHUNK):
         # row-major: lambda1 is the outer axis

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .algebra import moment_set_from_kernel, weyl_moments
+from .config import DEFAULT_TOLERANCES
 from .cycle import cycle_arrays, ledger_arrays
 from .minkowski import MinkowskiParams, dawson, minkowski_moments
 from .oracle import (
@@ -38,19 +39,6 @@ __all__ = [
 
 DEFAULT_SEED = 20250810
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "fock_p1": 1e-8,
-    "fock_p2": 1e-6,
-    "weyl_moments": 1e-8,
-    "weyl_partition": 1e-12,
-    "appendix_identities": 1e-12,
-    "quadrature_kernel": 1e-3,  # relative
-    "dawson_spot": 1e-12,
-    "first_law": 1e-12,
-    "fixed_point": 1e-12,
-    "no_signaling": 0.0,  # exact zero
-    "thermal_e12": 1e-15,
-}
 # a check passes strictly below its threshold, an exact check also at it
 _PASSES_AT_THRESHOLD = ("no_signaling", "thermal_e12")
 

@@ -15,7 +15,7 @@ from ottoqft.cli import main
 from ottoqft.config import parse_config
 from ottoqft.cycle import extracted_work
 from ottoqft.minkowski import MinkowskiParams, minkowski_moments
-from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep
+from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep, sweep_chunks
 
 FIG4A_CFG = """\
 mode = curve-tau2
@@ -268,7 +268,7 @@ class TestStreamedSweep:
         out = tmp_path / "out.csv"
         spec = parse_config(cfg.format(out=out), overrides)
         if spec.mode == "grid-couplings":
-            assert sweeps._CHUNK % 13 and 13 * len(spec.lambda1_axis.points()) > 2 * sweeps._CHUNK
+            assert sweeps._CHUNK % 13 and 13 * spec.lambda1_axis.count > 2 * sweeps._CHUNK
         assert out.read_bytes() == run_sweep(spec).encode("utf-8")
         assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
@@ -328,6 +328,20 @@ class TestStreamedSweep:
         assert code == 0
         assert peak < 3e6
 
+    def test_curve_axis_is_not_held_whole(self):
+        # a 10^6-point curve: its tau2 axis as one list of floats takes about 32 MB
+        spec = parse_config(FIG4A_CFG.format(out="x.csv"), ["tau2_count=1000000"])
+        tracemalloc.start()
+        try:
+            chunks = sweep_chunks(spec)
+            header, first = next(chunks), next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert header.startswith("tau2_over_sigma,")
+        assert first.count("\n") == sweeps._CHUNK
+        assert peak < 4e6
+
 
 class TestCli:
     def test_sweep_determinism(self, tmp_path):
@@ -359,6 +373,14 @@ class TestCli:
         assert "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "increase dim" in lines[0]
+
+    def test_verify_out_of_memory_is_a_validation_error(self):
+        # the Fock oracle's 10^7-level quadrature matrix would take 728 TiB; the
+        # arrays made before that allocation fails come to about 160 MB
+        done = _cli_process(["verify", "--set", "dim=10000000"])
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
 
     def test_diagnostic_does_not_depend_on_the_hash_seed(self):
         # several bad tol_ keys: the error names the same one in every process
@@ -494,6 +516,14 @@ class TestCli:
         cfg.write_text("mode = curve-tau2\nlambda1 = -3\n")
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeff" + FIG4A_CFG.format(out=tmp_path / "out.csv"), encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        expected = run_sweep(parse_config(FIG4A_CFG.format(out="x.csv")))
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == expected
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["sweep", "--config", "/nope/missing.cfg"]) == 3
