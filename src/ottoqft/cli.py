@@ -16,9 +16,15 @@ import sys
 from typing import Iterable, Sequence
 
 from .config import ConfigError, parse_config
-from .oracle import QuadratureConvergenceError, TruncationError
-from .sweeps import run_point, sweep_chunks
-from .verification import run_verify
+
+# NumPy's OpenBLAS starts a spinning thread per CPU at import, and nothing here
+# gains from them (sweeps call no BLAS routine; verify's matrices are small): run
+# it on one unless the caller chose. This must precede the imports that load NumPy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .oracle import QuadratureConvergenceError, TruncationError  # noqa: E402
+from .sweeps import run_point, sweep_chunks  # noqa: E402
+from .verification import run_verify  # noqa: E402
 
 __all__ = ["main"]
 

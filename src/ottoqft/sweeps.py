@@ -37,6 +37,11 @@ def _render(value: object) -> str:
     return format(value, ".17g")
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    # one axis cell each, with its comma
+    return ["%.17g," % value for value in values.tolist()]
+
+
 def _render_rows(row: str, columns: Sequence[list], flags: np.ndarray) -> str:
     # "%.17g" % x is format(x, ".17g"); flags is the pwc column
     words = np.where(flags, "true", "false").tolist()
@@ -63,15 +68,18 @@ def _chunks(s: SweepSpec) -> Iterator[str]:
             columns = (tau2, c.theta, c.e12, c.mu12, c.p, c.p1, c.w_ext)
             yield _render_rows(row, [column.tolist() for column in columns], c.pwc)
         return
-    # a grid holds both axes whole, each value formatted once; a row formats only its w_ext
+    # a grid holds both float axes whole, and a chunk formats only the axis values its rows
+    # use; a lambda2 axis no longer than a chunk is formatted once, as every chunk uses it all
     axis1, axis2 = (np.fromiter(axis.points(), float) for axis in (s.lambda1_axis, s.lambda2_axis))
-    text1, text2 = (["%.17g," % value for value in axis.tolist()] for axis in (axis1, axis2))
+    text2 = _texts(axis2) if axis2.size <= _CHUNK else None
     for start in range(0, axis1.size * axis2.size, _CHUNK):
-        # row-major: lambda1 is the outer axis
+        # row-major: lambda1 is the outer axis, so i is a run of consecutive indices
         i, j = divmod(np.arange(start, min(start + _CHUNK, axis1.size * axis2.size)), axis2.size)
         c = _cycles(s.omega1, s.omega2, s.tau1, s.tau2, axis1[i], axis2[j])
-        columns = [text1[k] for k in i.tolist()], [text2[k] for k in j.tolist()], c.w_ext.tolist()
-        yield _render_rows("%s%s%.17g,%s\n", columns, c.pwc)
+        text1 = _texts(axis1[i[0]:i[-1] + 1])
+        column1 = [text1[k] for k in (i - i[0]).tolist()]
+        column2 = _texts(axis2[j]) if text2 is None else [text2[k] for k in j.tolist()]
+        yield _render_rows("%s%s%.17g,%s\n", (column1, column2, c.w_ext.tolist()), c.pwc)
 
 
 def sweep_chunks(spec: SweepSpec) -> Iterator[str]:

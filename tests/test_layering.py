@@ -81,6 +81,18 @@ def test_scan_sees_the_package_imports():
     assert {"config", "cycle", "minkowski"} <= IMPORTS["sweeps"]
 
 
+def _python(script, **env):
+    """The JSON that script prints, run in a fresh interpreter on this checkout's
+    package.  OPENBLAS_NUM_THREADS is what env says, never inherited: importing
+    ottoqft.cli sets it in this process."""
+    src = str(pathlib.Path(ottoqft.__file__).parents[1])
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**base, **env}, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
 def test_importing_the_package_or_config_loads_no_numpy():
     script = (
         "import json, sys\n"
@@ -90,12 +102,32 @@ def test_importing_the_package_or_config_loads_no_numpy():
         "import ottoqft.config\n"
         "print(json.dumps([package, loaded()]))\n"
     )
-    src = str(pathlib.Path(ottoqft.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert json.loads(done.stdout) == [["ottoqft"], ["ottoqft", "ottoqft.config"]]
+    assert _python(script) == [["ottoqft"], ["ottoqft", "ottoqft.config"]]
+
+
+# records OPENBLAS_NUM_THREADS as numpy is first imported, and again at the end
+WATCH_NUMPY = (
+    "import importlib.abc, json, os, sys\n"
+    "seen = []\n"
+    "class Watch(importlib.abc.MetaPathFinder):\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.meta_path.insert(0, Watch())\n"
+    "{statement}\n"
+    "print(json.dumps(seen + [os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+)
+
+
+@pytest.mark.parametrize("statement, caller, seen", [
+    ("import ottoqft.cli", None, "1"),  # the CLI runs OpenBLAS on one thread
+    ("import runpy; runpy.run_module('ottoqft.cli')", None, "1"),  # as python -m runs it
+    ("import ottoqft.cli", "3", "3"),  # the caller's setting wins
+    ("import ottoqft.sweeps", None, None),  # a library import changes nothing
+])
+def test_blas_threads_are_set_before_numpy_loads(statement, caller, seen):
+    env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    assert _python(WATCH_NUMPY.format(statement=statement), **env) == [seen, seen]
 
 
 def test_public_names_keep_their_order():

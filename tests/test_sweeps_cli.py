@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -108,6 +109,18 @@ class TestRunSweep:
             if float(row[1]) == 0.0:
                 assert row[2] == "0"  # not -0, although gap1 < gap2
                 assert row[3] == "false"
+
+    @pytest.mark.parametrize("counts", [
+        (2 * sweeps._CHUNK // 13 + 2, 13),  # chunk boundaries fall inside a lambda1 row
+        (3, sweeps._CHUNK + 5),  # a lambda2 axis longer than a chunk
+    ])
+    def test_grid_axis_cells_across_chunks(self, counts):
+        spec = parse_config(GRID_CFG.format(out="x.csv"),
+                            [f"lambda1_count={counts[0]}", f"lambda2_count={counts[1]}"])
+        _, rows = _rows(run_sweep(spec))
+        expected = [("%.17g" % a, "%.17g" % b) for a in spec.lambda1_axis.points()
+                    for b in spec.lambda2_axis.points()]
+        assert [(row[0], row[1]) for row in rows] == expected
 
     def test_grid_row_major_order(self):
         spec = parse_config(GRID_CFG.format(out="x.csv"))
@@ -342,6 +355,23 @@ class TestStreamedSweep:
         assert first.count("\n") == sweeps._CHUNK
         assert peak < 4e6
 
+    @pytest.mark.parametrize("counts", [("lambda1_count=1000000", "lambda2_count=2"),
+                                        ("lambda1_count=2", "lambda2_count=1000000")])
+    def test_grid_axis_text_is_not_held_whole(self, counts):
+        # a 10^6-value coupling axis: its floats take 8 MB, and its text, formatted
+        # whole before the first row, took the peak to about 116 MB
+        spec = parse_config(GRID_CFG.format(out="x.csv"), list(counts))
+        tracemalloc.start()
+        try:
+            chunks = sweep_chunks(spec)
+            header, first = next(chunks), next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert header.startswith("lambda1_over_sigma,")
+        assert first.count("\n") == sweeps._CHUNK
+        assert peak < 20e6
+
 
 class TestCli:
     def test_sweep_determinism(self, tmp_path):
@@ -366,6 +396,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 2
         assert "FAIL" in out
+
+    def test_verify_report_does_not_depend_on_blas_threads(self):
+        argv = ["verify", "--set", "seed=101", "--set", "cases=8", "--set", "dim=40"]
+        runs = [_cli_process(argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert [done.returncode for done in runs] == [0, 0]
+        (*report1, elapsed1), (*report2, elapsed2) = (done.stdout.splitlines() for done in runs)
+        assert report1 == report2 and len(report1) == 11
+        for line in elapsed1, elapsed2:
+            assert re.fullmatch(r"11/11 checks passed in [0-9.]+ s", line)
 
     def test_verify_too_small_dim_is_a_validation_error(self):
         done = _cli_process(["verify", "--set", "cases=4", "--set", "dim=30"])
