@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Iterable, Sequence
@@ -22,9 +23,21 @@ from .config import ConfigError, parse_config
 # it on one unless the caller chose. This must precede the imports that load NumPy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .oracle import QuadratureConvergenceError, TruncationError  # noqa: E402
-from .sweeps import run_point, sweep_chunks  # noqa: E402
-from .verification import run_verify  # noqa: E402
+# The imports below leave ~20,000 long-lived objects that every collection would
+# walk again: dozens of young passes while NumPy loads, and full ones at
+# interpreter shutdown. Load them with the collector off, then freeze them out
+# of collection; the command runs with the collector back on, unless the caller
+# had switched it off.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from .oracle import QuadratureConvergenceError, TruncationError
+    from .sweeps import run_point, sweep_chunks
+    from .verification import run_verify
+    gc.freeze()
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 __all__ = ["main"]
 

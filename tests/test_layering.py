@@ -105,29 +105,39 @@ def test_importing_the_package_or_config_loads_no_numpy():
     assert _python(script) == [["ottoqft"], ["ottoqft", "ottoqft.config"]]
 
 
-# records OPENBLAS_NUM_THREADS as numpy is first imported, and again at the end
+# records OPENBLAS_NUM_THREADS and whether the cyclic collector is on as numpy is
+# first imported, and both again at the end with whether any objects are frozen
 WATCH_NUMPY = (
-    "import importlib.abc, json, os, sys\n"
+    "import gc, importlib.abc, json, os, sys\n"
+    "state = lambda: [os.environ.get('OPENBLAS_NUM_THREADS'), gc.isenabled()]\n"
     "seen = []\n"
     "class Watch(importlib.abc.MetaPathFinder):\n"
     "    def find_spec(self, name, path=None, target=None):\n"
     "        if name == 'numpy' and not seen:\n"
-    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "            seen.append(state())\n"
     "sys.meta_path.insert(0, Watch())\n"
     "{statement}\n"
-    "print(json.dumps(seen + [os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    "print(json.dumps(seen + [state() + [gc.get_freeze_count() > 0]]))\n"
 )
 
 
-@pytest.mark.parametrize("statement, caller, seen", [
-    ("import ottoqft.cli", None, "1"),  # the CLI runs OpenBLAS on one thread
-    ("import runpy; runpy.run_module('ottoqft.cli')", None, "1"),  # as python -m runs it
-    ("import ottoqft.cli", "3", "3"),  # the caller's setting wins
-    ("import ottoqft.sweeps", None, None),  # a library import changes nothing
+# [OPENBLAS_NUM_THREADS, collector on] as numpy loads; at the end, also [frozen]
+@pytest.mark.parametrize("statement, caller, at_numpy, at_end", [
+    # the CLI loads NumPy on one BLAS thread with the collector off, then freezes
+    # what its imports made and switches the collector back on
+    ("import ottoqft.cli", None, ["1", False], ["1", True, True]),
+    ("import runpy; runpy.run_module('ottoqft.cli')", None,  # as python -m runs it
+     ["1", False], ["1", True, True]),
+    ("import ottoqft.cli", "3", ["3", False], ["3", True, True]),  # the caller's setting wins
+    ("import gc; gc.disable(); import ottoqft.cli", None,  # so does a disabled collector
+     ["1", False], ["1", False, True]),
+    # a library import changes nothing
+    ("import ottoqft.sweeps", None, [None, True], [None, True, False]),
 ])
-def test_blas_threads_are_set_before_numpy_loads(statement, caller, seen):
+def test_blas_threads_and_collector_are_set_before_numpy_loads(statement, caller, at_numpy,
+                                                               at_end):
     env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
-    assert _python(WATCH_NUMPY.format(statement=statement), **env) == [seen, seen]
+    assert _python(WATCH_NUMPY.format(statement=statement), **env) == [at_numpy, at_end]
 
 
 def test_public_names_keep_their_order():

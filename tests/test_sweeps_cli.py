@@ -259,23 +259,26 @@ class TestStreamedSweep:
     """The command line writes the sweep chunk by chunk through a temporary
     file in the output's directory, renamed into place at the end."""
 
-    def _sweep(self, tmp_path, cfg, *overrides):
+    def _sweep(self, tmp_path, cfg, *overrides, fresh=False):
+        """The exit code of a sweep run by main() in process, or in a fresh
+        interpreter through python -m ottoqft.cli if fresh is set."""
         config = tmp_path / "run.cfg"
         config.write_text(cfg.format(out=tmp_path / "out.csv"))
         argv = ["sweep", "--config", str(config)]
         for item in overrides:
             argv += ["--set", item]
-        return main(argv)
+        return _cli_process(argv).returncode if fresh else main(argv)
 
+    @pytest.mark.parametrize("fresh", [False, True], ids=["main", "python-m"])
     @pytest.mark.parametrize("cfg, overrides", [
         # three chunks or more, whose boundaries fall inside a lambda1 row
         (GRID_CFG, ["lambda2_count=13", f"lambda1_count={2 * sweeps._CHUNK // 13 + 2}"]),
         (FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 3}"]),
     ])
-    def test_file_is_the_in_memory_document(self, tmp_path, cfg, overrides):
-        old = os.umask(0o027)
+    def test_file_is_the_in_memory_document(self, tmp_path, cfg, overrides, fresh):
+        old = os.umask(0o027)  # a child process inherits it
         try:
-            assert self._sweep(tmp_path, cfg, *overrides) == 0
+            assert self._sweep(tmp_path, cfg, *overrides, fresh=fresh) == 0
         finally:
             os.umask(old)
         out = tmp_path / "out.csv"
