@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 import types
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -223,42 +224,44 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
     )
 
 
-def _contraction(nu1, nu2, mu12, theta, xp=np):
-    """The contraction factor nu1 nu2 alpha, clamped to <= 1, and the
-    realizability check of _products."""
-    up, down, bound = _products(nu1, nu2, mu12, xp)
-    s_half, c_half = xp.sin(0.5 * theta), xp.cos(0.5 * theta)
-    return xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0), bound
+# product is the contraction_factor, gap max(1 - product, 1e-12) and signal
+# 0.5 nu2 sin(2 e12) sin(theta), 0 on a closed degenerate cycle
+_PopulationColumns = namedtuple("_PopulationColumns", "product gap signal p p1 p2 degenerate")
 
 
 def _population_columns(nu1, nu2, e12, mu12, theta, p=None, xp=np):
-    """(product, p, p1, p2, degenerate) of many cycles over broadcastable
-    arrays, or of one point of Python floats with xp = _POINT, and their
-    checks for _raise_first_failure: the realizability bound, then the
-    closure p and p2 in [0, 1] up to 1e-12 (values within it are clipped).
+    """_PopulationColumns of many cycles over broadcastable arrays, or of one
+    point of Python floats with xp = _POINT, and their checks for
+    _raise_first_failure: the realizability bound, then the closure p and p2
+    in [0, 1] up to 1e-12 (values within it are clipped).
 
-    theta is gap1 tau1 - gap2 tau2 and product the contraction_factor.  With
-    p None the closure condition p2 = p fixes p, except on degenerate cycles
-    (1 - product < 1e-12: every p is a fixed point), which give the no-op
-    p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
-    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate under np.errstate.
+    theta is gap1 tau1 - gap2 tau2.  With p None the closure condition
+    p2 = p fixes p, except on degenerate cycles (1 - product < 1e-12: every
+    p is a fixed point), which give the no-op p = p1 = p2 = 1/2; an imposed
+    p takes both kicks, degenerate or not.  Invalid arrays (a NaN, nu <= 0)
+    give NaN: evaluate under np.errstate.
     """
-    product, bound = _contraction(nu1, nu2, mu12, theta, xp)
-    degenerate = 1.0 - product < _DEGENERACY_TOL
-    half_signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(theta)
+    up, down, bound = _products(nu1, nu2, mu12, xp)
+    s_half, c_half = xp.sin(0.5 * theta), xp.cos(0.5 * theta)
+    product = xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
+    one_minus = 1.0 - product
+    degenerate = one_minus < _DEGENERACY_TOL
+    gap = xp.maximum(one_minus, _DEGENERACY_TOL)
+    signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(theta)
     checks = [bound]
     if p is None:
         # a degenerate cycle is then a no-op, exchanging no signal, so
         # that p and p2 below come out 1/2 exactly
-        half_signal = half_signal * xp.logical_not(degenerate)
-        p = 0.5 + half_signal / xp.maximum(1.0 - product, _DEGENERACY_TOL)
+        signal = signal * xp.logical_not(degenerate)
+        p = 0.5 + signal / gap
         checks.append(_range_check("closure population", p, _CLOSURE_TOL))
         p = xp.minimum(xp.maximum(p, 0.0), 1.0)
     # p * nu1 and p * product, so a unit contraction returns p exactly
     p1 = p * nu1 + 0.5 * (1.0 - nu1)
-    p2 = p * product + 0.5 * (1.0 - product) + half_signal
+    p2 = p * product + 0.5 * one_minus + signal
     checks.append(_range_check("second-kick population", p2, _SIMPLEX_TOL))
-    return (product, p, p1, xp.minimum(xp.maximum(p2, 0.0), 1.0), degenerate), checks
+    p2 = xp.minimum(xp.maximum(p2, 0.0), 1.0)
+    return _PopulationColumns(product, gap, signal, p, p1, p2, degenerate), checks
 
 
 def _range_check(name: str, values, tol: float):
@@ -286,9 +289,9 @@ def contraction_factor(m: MomentSet, theta: float) -> float:
     clamped to <= 1.  Raises KernelInconsistencyError on moment data that
     breaks the realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    product, bound = _contraction(m.nu1, m.nu2, m.mu12, theta, _POINT)
-    _raise_first_failure([bound])
-    return product
+    columns, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    _raise_first_failure(checks[:1])
+    return columns.product
 
 
 def p_after_second(p: float, m: MomentSet, theta: float) -> float:
@@ -298,7 +301,7 @@ def p_after_second(p: float, m: MomentSet, theta: float) -> float:
     (gap1 * tau1 - gap2 * tau2).  The map is affine and trace preserving;
     a result outside [0, 1] beyond 1e-12 signals inconsistent moment data.
     """
-    (_, _, _, p2, _), checks = _population_columns(
+    columns, checks = _population_columns(
         m.nu1, m.nu2, m.e12, m.mu12, theta, _check_probability(p), _POINT)
     _raise_first_failure(checks)
-    return p2
+    return columns.p2

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _POINT
-from .algebra import MomentSet, _population_columns, _raise_first_failure, contraction_factor
+from .algebra import MomentSet, _population_columns, _raise_first_failure
 
 __all__ = [
     "InteractionEvent",
@@ -26,7 +26,6 @@ __all__ = [
     "theta",
     "cyclic_initial_population",
     "extracted_work",
-    "extracted_work_arrays",
     "positive_work_condition",
     "stroke_ledger",
     "LedgerColumns",
@@ -120,12 +119,11 @@ def cyclic_initial_population(m: MomentSet, theta: float) -> float:
     Raises DegenerateCycleError when nu1*nu2*alpha is within 1e-12 of 1,
     i.e. when the kicks act trivially and every p is a fixed point.
     """
-    (product, p, _, _, degenerate), checks = _population_columns(
-        m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    c, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
     _raise_first_failure(checks)
-    if degenerate:
-        raise DegenerateCycleError(f"nu1*nu2*alpha = {product!r} is within {_DEGENERACY_TOL} of 1")
-    return p
+    if c.degenerate:
+        raise DegenerateCycleError(f"nu1*nu2*alpha = {c.product!r} is within {_DEGENERACY_TOL} of 1")
+    return c.p
 
 
 def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
@@ -137,22 +135,16 @@ def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     """
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
-    product = contraction_factor(m, theta)
-    return extracted_work_arrays(m.nu1, m.nu2, m.e12, theta, product, delta_omega, _POINT)
+    # only the realizability bound raises: a closure p off [0, 1] has its work
+    c, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    _raise_first_failure(checks[:1])
+    return _closed_form_work(c, m.nu1, delta_omega)
 
 
-def extracted_work_arrays(nu1, nu2, e12, theta, product, delta_omega, xp=np):
-    """extracted_work over broadcastable arrays, or at one point of Python
-    floats with xp = _POINT, given the contraction factor product of each
-    cycle: the paper's closed form
-    0.5 nu2 sin(2 e12) sin(theta) (1 - nu1) delta_omega / (product - 1),
-    and 0 on degenerate cycles (1 - product < 1e-12).
-    """
-    live = 1.0 - product >= _DEGENERACY_TOL
-    numerator = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(theta) * (1.0 - nu1) * live
-    # at most -1e-12, so that a degenerate cycle gives 0 / -1e-12
-    denominator = xp.minimum(product - 1.0, -_DEGENERACY_TOL)
-    return numerator * delta_omega / denominator + 0.0  # + 0.0 prints -0 as 0
+def _closed_form_work(c, nu1, delta_omega):
+    """The paper's closed form signal (1 - nu1) delta_omega / (product - 1) of
+    closed cycles, from their population columns c: 0 on a degenerate one."""
+    return c.signal * (1.0 - nu1) * delta_omega / -c.gap + 0.0  # + 0.0 prints -0 as 0
 
 
 def positive_work_condition(m: MomentSet, theta: float) -> bool:
@@ -237,17 +229,17 @@ def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> 
     keeps a signal below the float spacing at 1/2; efficiency is the
     population work (p1 - p) delta_omega over q2."""
     closure = p is None
-    (product, p, p1, p2, degenerate), population_checks = _population_columns(
-        nu1, nu2, e12, mu12, theta, p, xp)
+    c, population_checks = _population_columns(nu1, nu2, e12, mu12, theta, p, xp)
     _raise_first_failure([*checks, *population_checks])
-    noop = degenerate & closure
+    p, p1, p2 = c.p, c.p1, c.p2
+    noop = c.degenerate & closure
     delta_omega = omega1 - omega2
     work = (p1 - p) * delta_omega
     closed = closure | (xp.abs(p2 - p) <= _CLOSURE_TOL)
     q2 = omega1 * (p1 - p)
     q4 = omega2 * (p2 - p1)
     if closure:
-        w_ext = extracted_work_arrays(nu1, nu2, e12, theta, product, delta_omega, xp)
+        w_ext = _closed_form_work(c, nu1, delta_omega)
     else:
         w_ext = xp.where(closed, work + 0.0, xp.nan)  # + 0.0 prints -0 as 0
     ratio = work / xp.where(closed & (q2 != 0.0), q2, xp.nan)
@@ -255,5 +247,5 @@ def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> 
     return LedgerColumns(
         theta, nu1, nu2, e12, mu12, p, p1, p2,
         xp.where(noop, 0.0, p * delta_omega + 0.0), xp.where(noop, 0.0, -p1 * delta_omega + 0.0),
-        q2, q4, q2 + q4, w_ext, efficiency, w_ext > 0.0, degenerate, closed, product,
+        q2, q4, q2 + q4, w_ext, efficiency, w_ext > 0.0, c.degenerate, closed, c.product,
     )

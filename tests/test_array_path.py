@@ -26,6 +26,7 @@ from ottoqft.cycle import (
     InteractionEvent,
     cycle_arrays,
     cyclic_initial_population,
+    extracted_work,
     stroke_ledger,
     theta,
 )
@@ -175,6 +176,8 @@ def test_scalar_api_is_the_array_element(omega1, omega2, kick_times, m, initial_
             cyclic_initial_population(m, th)
     else:
         assert cyclic_initial_population(m, th) == cols.p.item() == report.p
+    if initial_p is None:
+        assert extracted_work(m, th, omega1 - omega2) == cols.w_ext.item()
 
 
 def test_degenerate_points_give_the_noop_row():

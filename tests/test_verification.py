@@ -81,18 +81,23 @@ def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
     assert [np.asarray(a).tolist() for a in args] == [theta, d_omega, 0.0, *columns]
 
 
-def test_perturbed_kernel_fails_the_cycle_checks(monkeypatch):
-    # verify checks the kernel that writes every sweep: a 1e-9 error in its
-    # second-kick population must fail the closure check
+@pytest.mark.parametrize("name, change, fixed_point_passes", [
+    ("p2", lambda p2: p2 + 1e-9, False),
+    # read by the closed-form w_ext alone, which the strokes must still check
+    ("gap", lambda gap: gap * (1.0 + 1e-9), True),
+], ids=["p2", "gap"])
+def test_perturbed_kernel_fails_the_cycle_checks(monkeypatch, name, change, fixed_point_passes):
+    # verify checks the kernel that writes every sweep: a 1e-9 error in p2 or
+    # gap must fail the work/heat balance, and one in p2 the closure too
     original = cycle._population_columns
 
     def perturbed(*args, **kwargs):
-        (product, p, p1, p2, degenerate), checks = original(*args, **kwargs)
-        return (product, p, p1, p2 + 1e-9, degenerate), checks
+        columns, checks = original(*args, **kwargs)
+        return columns._replace(**{name: change(getattr(columns, name))}), checks
 
     monkeypatch.setattr(cycle, "_population_columns", perturbed)
     results = {r.name: r for r in run_verification(cases=4, dim=40)}
-    assert not results["fixed_point"].passed
+    assert results["fixed_point"].passed == fixed_point_passes
     assert not results["first_law"].passed
 
 
