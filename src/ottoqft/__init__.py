@@ -22,7 +22,7 @@ _EXPORTS = {
               "positive_work_condition", "stroke_ledger"),
     "minkowski": ("MinkowskiParams", "dawson", "minkowski_moments"),
     "sweeps": ("figure4a_curve",),
-    "oracle": ("FockParams", "QuadratureSpec", "TruncationError", "QuadratureConvergenceError",
+    "oracle": ("FockParams", "TruncationError", "QuadratureConvergenceError",
                "single_mode_kernel", "simulate_cycle_fock", "verify_weyl_moments",
                "quadrature_minkowski_moments"),
     "verification": ("run_verification", "run_verify"),

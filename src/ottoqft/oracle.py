@@ -1,7 +1,8 @@
 """Independent brute-force checks: exact unitary evolution of qubit plus a
 truncated bosonic mode under two kicks, direct matrix evaluation of the
 fourth-order moments, and numerical quadrature of the smeared Minkowski
-two-point integral.
+two-point integral.  Like the rest of the package, the oracles work in units
+of the Gaussian smearing width.
 
 No brute-force value uses the closed forms it checks (verify_weyl_moments calls
 weyl_moments only to compare); agreement is the evidence the package stands on.
@@ -20,7 +21,6 @@ from .algebra import MomentSet, TwoPointKernel, moment_set_from_kernel, weyl_mom
 
 __all__ = [
     "FockParams",
-    "QuadratureSpec",
     "TruncationError",
     "QuadratureConvergenceError",
     "single_mode_kernel",
@@ -33,6 +33,11 @@ __all__ = [
 # below this occupation
 _TRUNCATION_TOL = 1e-10
 _REFINE_LIMIT = 12
+# the radial integral runs over k in [0, _K_MAX]: the tail it drops,
+# integral_16^inf k exp(-k^2/2) dk = exp(-128), is far below every target
+_K_MAX = 16.0
+# Simpson node count of the first pass; each refinement doubles the intervals
+_FIRST_NODES = 257
 
 
 class TruncationError(RuntimeError):
@@ -47,7 +52,8 @@ class QuadratureConvergenceError(RuntimeError):
 class FockParams:
     """Single bosonic mode standing in for the field: the smeared field at
     kick j is alpha_j a + conj(alpha_j) a^dag, on a thermal (nbar) or vacuum
-    (nbar = 0) state truncated to dim levels."""
+    (nbar = 0) state truncated to dim levels.  alpha1, alpha2 and nbar must
+    be finite."""
 
     alpha1: complex
     alpha2: complex
@@ -55,24 +61,13 @@ class FockParams:
     dim: int = 60
 
     def __post_init__(self) -> None:
+        for name in ("alpha1", "alpha2", "nbar"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.nbar < 0.0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim!r}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Simpson settings for the radial two-point integral."""
-
-    k_max: float = 16.0
-    n_points: int = 257
-
-    def __post_init__(self) -> None:
-        if not self.k_max > 0.0:
-            raise ValueError(f"k_max must be > 0, got {self.k_max!r}")
-        if self.n_points < 16:
-            raise ValueError(f"n_points must be >= 16, got {self.n_points!r}")
 
 
 def single_mode_kernel(fp: FockParams) -> TwoPointKernel:
@@ -180,7 +175,7 @@ def simulate_cycle_fock(
         _check_truncation(float(top), dim, stage)
         norms = [w * np.vdot(b, b).real for w, b in zip(weight, blocks)]
         trace = float(sum(norms))
-        if abs(trace - 1.0) > 1e-12:
+        if not abs(trace - 1.0) <= 1e-12:  # NaN fails too
             raise ArithmeticError(f"evolution lost unit trace {stage}: {trace!r}")
         populations.append(float(norms[0] + norms[2]))
     return populations[0], populations[1]
@@ -212,26 +207,24 @@ def _integrate(values: np.ndarray, h: float) -> float:
     return float(acc * h / 3.0)
 
 
-def radial_wightman_integral(
-    sigma: float, dtau: float, k_max: float, n_points: int
-) -> complex:
-    """Single-pass value of integral_0^k_max k exp(-k^2 sigma^2 / 2) exp(i k dtau) dk."""
+def radial_wightman_integral(dtau: float, n_points: int) -> complex:
+    """Single-pass value of integral k exp(-k^2 / 2) exp(i k dtau) dk over [0, _K_MAX]."""
     n = n_points if n_points % 2 == 1 else n_points + 1  # Simpson needs odd counts
-    k = np.linspace(0.0, k_max, n)
+    k = np.linspace(0.0, _K_MAX, n)
     h = k[1] - k[0]
-    damped = k * np.exp(-0.5 * (k * sigma) ** 2)
+    damped = k * np.exp(-0.5 * k ** 2)
     re = _integrate(damped * np.cos(k * dtau), h)
     im = _integrate(damped * np.sin(k * dtau), h)
     return complex(re, im)
 
 
-def _converged_radial(sigma: float, dtau: float, spec: QuadratureSpec) -> complex:
+def _converged_radial(dtau: float) -> complex:
     target_rel, target_abs = 1e-10, 1e-13
-    n = spec.n_points | 1
-    previous = radial_wightman_integral(sigma, dtau, spec.k_max, n)
+    n = _FIRST_NODES
+    previous = radial_wightman_integral(dtau, n)
     for _ in range(_REFINE_LIMIT):
         n = 2 * n - 1
-        current = radial_wightman_integral(sigma, dtau, spec.k_max, n)
+        current = radial_wightman_integral(dtau, n)
         if abs(current - previous) <= target_abs + target_rel * abs(current):
             return current
         previous = current
@@ -241,30 +234,22 @@ def _converged_radial(sigma: float, dtau: float, spec: QuadratureSpec) -> comple
     )
 
 
-def quadrature_minkowski_moments(
-    lambda1, lambda2, sigma: float, dtau, spec: QuadratureSpec = QuadratureSpec()
-) -> MomentSet | list[MomentSet]:
+def quadrature_minkowski_moments(lambda1, lambda2, dtau) -> MomentSet | list[MomentSet]:
     """Moment set of the Gaussian-smeared Minkowski vacuum by direct quadrature.
 
     Reduces the three-dimensional two-point integral to its radial form
-    (lambda1 lambda2 / 4 pi^2) * integral_0^inf k exp(-k^2 sigma^2/2) exp(i k dtau) dk
-    and refines the node count until successive doublings agree.
+    (lambda1 lambda2 / 4 pi^2) * integral_0^inf k exp(-k^2/2) exp(i k dtau) dk,
+    with couplings and dtau in units of the smearing width, and refines the
+    node count until successive doublings agree.
 
     lambda1, lambda2 and dtau broadcast: scalars give one MomentSet, arrays a
     list in C order.  The couplings only scale the radial integral, so it is
     evaluated once for dtau = 0 (the diagonal) and once per distinct dtau.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    if spec.k_max * sigma < 12.0:
-        raise ValueError(
-            f"k_max * sigma = {spec.k_max * sigma!r} < 12 leaves a tail "
-            "truncation error above target"
-        )
     pref = 1.0 / (4.0 * math.pi ** 2)
     shape = np.broadcast(lambda1, lambda2, dtau).shape
     lambda1, lambda2, dtau = (np.broadcast_to(a, shape).ravel().tolist() for a in (lambda1, lambda2, dtau))
-    radial = {d: _converged_radial(sigma, d, spec) for d in dict.fromkeys([0.0, *dtau])}
+    radial = {d: _converged_radial(d) for d in dict.fromkeys([0.0, *dtau])}
     diag = radial[0.0].real
     sets = [moment_set_from_kernel(TwoPointKernel(
         w11=l1 * l1 * pref * diag, w22=l2 * l2 * pref * diag, w12=l1 * l2 * pref * radial[d],

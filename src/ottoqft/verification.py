@@ -169,7 +169,7 @@ def _check_quadrature():
     lambda1, lambda2, dtau = np.array(grid).T
     analytic = np.array(minkowski_moment_arrays(lambda1, lambda2, dtau))
     quadrature = np.array([(q.nu1, q.nu2, q.e12, q.mu12)
-                           for q in quadrature_minkowski_moments(lambda1, lambda2, 1.0, dtau)]).T
+                           for q in quadrature_minkowski_moments(lambda1, lambda2, dtau)]).T
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(quadrature)), 1e-300)
     dev = float(np.max(np.abs(analytic - quadrature) / scale))
     yield "quadrature_kernel", dev, "analytic vs quadrature moments, 3x3x3 grid (relative)"
@@ -226,6 +226,8 @@ def run_verification(
     unknown = set(tol) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown tolerance override(s): {sorted(unknown)}")
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases!r}")
     rng = np.random.default_rng(seed)
     # generators: each check runs, and draws from rng, only when the loop reaches it
     measurements = itertools.chain(

@@ -23,7 +23,6 @@ from ottoqft.cycle import DegenerateCycleError, cyclic_initial_population, extra
 from ottoqft.minkowski import MinkowskiParams, dawson, minkowski_moments
 from ottoqft.oracle import (
     FockParams,
-    QuadratureSpec,
     quadrature_minkowski_moments,
     simulate_cycle_fock,
     single_mode_kernel,
@@ -213,13 +212,12 @@ def test_08_cosh_sinh_identities():
 
 def test_09_quadrature_vs_analytic_grid():
     start = time.perf_counter()
-    spec = QuadratureSpec()
     worst = 0.0
     for l1 in np.linspace(0.5, 100.0, 5):
         for l2 in np.linspace(0.5, 2.0, 5):
             for dtau in np.linspace(0.25, 3.0, 5):
                 analytic = minkowski_moments(MinkowskiParams(float(l1), float(l2), float(dtau)))
-                numeric = quadrature_minkowski_moments(float(l1), float(l2), 1.0, float(dtau), spec)
+                numeric = quadrature_minkowski_moments(float(l1), float(l2), float(dtau))
                 for name in ("nu1", "nu2", "e12", "mu12"):
                     a, b = getattr(analytic, name), getattr(numeric, name)
                     worst = max(worst, abs(a - b) / max(abs(a), abs(b)))

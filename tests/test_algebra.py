@@ -63,6 +63,10 @@ class TestMomentSetFromKernel:
         assert m.mu12 == pytest.approx(0.0, abs=1e-15)
         assert m.e12 == pytest.approx(-0.12, abs=1e-15)
 
+    def test_unsupported_index_pair(self):
+        with pytest.raises(KeyError, match=r"\(2, 1\) not supported"):
+            TwoPointKernel(0.1, 0.1, 0.05j).wightman(2, 1)
+
     def test_non_finite_kernel_rejected(self):
         with pytest.raises(InvalidKernelError):
             moment_set_from_kernel(TwoPointKernel(math.nan, 0.0, 0.0))

@@ -49,6 +49,10 @@ class TestParse:
         with pytest.raises(ConfigError, match="duplicate key 'omega1'"):
             parse_config(FIG4A + "omega1 = 2.0\n")
 
+    def test_empty_value_names_line_and_key(self):
+        with pytest.raises(ConfigError, match="line 2: empty value for key 'omega1'"):
+            parse_config("mode = curve-tau2\nomega1 =\n")
+
     def test_unparsable_number_names_line_and_key(self):
         text = FIG4A.replace("omega2 = 3.0", "omega2 = three")
         with pytest.raises(ConfigError, match="key 'omega2': cannot parse 'three'"):

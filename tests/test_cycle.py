@@ -97,6 +97,11 @@ class TestExtractedWork:
     def test_degenerate_gives_zero(self):
         assert extracted_work(MomentSet(1.0, 1.0, 0.0, 0.0), 0.7, 2.0) == 0.0
 
+    @pytest.mark.parametrize("delta_omega", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gap_difference_rejected(self, delta_omega):
+        with pytest.raises(ValueError, match="delta_omega must be finite"):
+            extracted_work(MomentSet(0.6, 0.9, 0.4, 0.05), -0.7, delta_omega)
+
     def test_positive_under_sign_condition(self):
         # sin(2 e12) sin(theta) < 0 with a positive gap difference
         m = MomentSet(0.6, 0.9, math.pi / 4, 0.05)

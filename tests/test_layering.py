@@ -59,7 +59,7 @@ PUBLIC = [
     "theta", "cyclic_initial_population", "extracted_work",
     "positive_work_condition", "stroke_ledger",
     "MinkowskiParams", "dawson", "minkowski_moments", "figure4a_curve",
-    "FockParams", "QuadratureSpec", "TruncationError", "QuadratureConvergenceError",
+    "FockParams", "TruncationError", "QuadratureConvergenceError",
     "single_mode_kernel", "simulate_cycle_fock", "verify_weyl_moments",
     "quadrature_minkowski_moments",
     "run_verification", "run_verify",

@@ -14,7 +14,6 @@ from ottoqft.minkowski import MinkowskiParams, minkowski_moments
 from ottoqft.oracle import (
     FockParams,
     QuadratureConvergenceError,
-    QuadratureSpec,
     TruncationError,
     quadrature_minkowski_moments,
     radial_wightman_integral,
@@ -73,6 +72,14 @@ class TestSingleModeKernel:
             FockParams(0.1, 0.1, nbar=-1.0)
         with pytest.raises(ValueError):
             FockParams(0.1, 0.1, dim=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha1", complex(math.nan, 0.1)), ("alpha2", complex(0.2, math.inf)),
+        ("nbar", math.nan), ("nbar", math.inf),
+    ])
+    def test_non_finite_inputs_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FockParams(**{"alpha1": 0.3, "alpha2": 0.2, name: value})
 
 
 class TestKickCosSin:
@@ -160,6 +167,13 @@ class TestSimulateCycleFock:
             reference_cycle_fock(*args)
         assert _stage(got.value) == _stage(ref.value) == "after the first kick"
 
+    def test_overflowing_kick_is_a_lost_trace(self):
+        # |alpha| w overflows, so every evolved column is NaN: the trace check
+        # must fail on NaN rather than pass it
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArithmeticError, match="lost unit trace"):
+            simulate_cycle_fock(FockParams(1e308, 0.2), 1.0, 3.0, 0.0, 1.5, 0.3)
+
     def test_ordering_validation(self):
         with pytest.raises(ValueError):
             simulate_cycle_fock(FockParams(0.1, 0.1), 1.0, 3.0, 1.0, 1.0, 0.2)
@@ -198,18 +212,18 @@ class TestVerifyWeylMoments:
 
 class TestQuadrature:
     def test_simultaneous_kicks_have_no_signal(self):
-        m = quadrature_minkowski_moments(1.0, 1.0, 1.0, 0.0)
+        m = quadrature_minkowski_moments(1.0, 1.0, 0.0)
         assert abs(m.e12) < 1e-10
 
     def test_signal_value_against_closed_form(self):
-        # lambda1 = lambda2 = sigma = dtau = 1:
+        # lambda1 = lambda2 = dtau = 1 smearing width:
         # e12 = 1 / (2 sqrt(pi^3)) * (1/sqrt(2)) * exp(-1/2)
-        m = quadrature_minkowski_moments(1.0, 1.0, 1.0, 1.0)
+        m = quadrature_minkowski_moments(1.0, 1.0, 1.0)
         expected = (1.0 / (2.0 * math.pi**1.5)) * (1.0 / math.sqrt(2.0)) * math.exp(-0.5)
         assert m.e12 == pytest.approx(expected, rel=1e-3)
 
     def test_diagonal_matches_exponential_form(self):
-        m = quadrature_minkowski_moments(1.3, 0.6, 1.0, 0.8)
+        m = quadrature_minkowski_moments(1.3, 0.6, 0.8)
         assert m.nu1 == pytest.approx(math.exp(-1.3**2 / (2 * math.pi**2)), rel=1e-3)
         assert m.nu2 == pytest.approx(math.exp(-0.6**2 / (2 * math.pi**2)), rel=1e-3)
 
@@ -217,25 +231,17 @@ class TestQuadrature:
         for l1 in (0.5, 50.0):
             for dtau in (0.3, 1.7):
                 analytic = minkowski_moments(MinkowskiParams(l1, 1.2, dtau))
-                numeric = quadrature_minkowski_moments(l1, 1.2, 1.0, dtau)
+                numeric = quadrature_minkowski_moments(l1, 1.2, dtau)
                 for name in ("nu1", "nu2", "e12", "mu12"):
                     a, b = getattr(analytic, name), getattr(numeric, name)
                     assert abs(a - b) <= 1e-3 * max(abs(a), abs(b))
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(k_max=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_points=8)
-        with pytest.raises(ValueError, match="k_max"):
-            quadrature_minkowski_moments(1.0, 1.0, 1.0, 1.0, QuadratureSpec(k_max=8.0))
-
     def test_convergence_order(self):
         # reference from a very fine pass; ratios follow Simpson's order
-        sigma, dtau, k_max = 1.0, 1.8, 16.0
-        exact = radial_wightman_integral(sigma, dtau, k_max, 262145)
+        dtau = 1.8
+        exact = radial_wightman_integral(dtau, 262145)
         errors = [
-            abs(radial_wightman_integral(sigma, dtau, k_max, n) - exact)
+            abs(radial_wightman_integral(dtau, n) - exact)
             for n in (513, 1025, 2049)
         ]
         for coarse, fine in zip(errors, errors[1:]):
@@ -246,20 +252,19 @@ class TestQuadrature:
         lambda1, lambda2, dtau = np.array(grid).T
         original, integrated = oracle_mod._converged_radial, []
 
-        def counted(sigma, d, spec):
+        def counted(d):
             integrated.append(d)
-            return original(sigma, d, spec)
+            return original(d)
 
         monkeypatch.setattr(oracle_mod, "_converged_radial", counted)
-        sets = quadrature_minkowski_moments(lambda1, lambda2, 1.0, dtau)
+        sets = quadrature_minkowski_moments(lambda1, lambda2, dtau)
         assert sorted(integrated) == [0.0, 0.25, 1.0, 3.0]
         # each point is the scalar call's moment set, bit for bit
-        assert sets == [quadrature_minkowski_moments(l1, l2, 1.0, d) for l1, l2, d in grid]
+        assert sets == [quadrature_minkowski_moments(l1, l2, d) for l1, l2, d in grid]
 
     def test_non_convergent_refinement_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "_REFINE_LIMIT", 1)
+        monkeypatch.setattr(oracle_mod, "_FIRST_NODES", 17)
         # one doubling from 17 points cannot settle this oscillatory integrand
         with pytest.raises(QuadratureConvergenceError):
-            quadrature_minkowski_moments(
-                1.0, 1.0, 1.0, 9.0, QuadratureSpec(k_max=16.0, n_points=17)
-            )
+            quadrature_minkowski_moments(1.0, 1.0, 9.0)

@@ -157,6 +157,8 @@ class TestRunSweep:
         spec = parse_config("mode = verify")
         with pytest.raises(ValueError):
             run_sweep(spec)
+        with pytest.raises(ValueError, match="requires mode 'single-point'"):
+            run_point(parse_config(FIG4A_CFG.format(out="x.csv")))
 
 
 class TestRunPoint:

@@ -122,6 +122,12 @@ def test_unknown_override_rejected():
         run_verification({"bogus": 1.0})
 
 
+@pytest.mark.parametrize("cases", [0, -3])
+def test_case_count_below_one_rejected(cases):
+    with pytest.raises(ValueError, match="cases must be >= 1"):
+        run_verification(cases=cases)
+
+
 def test_flipped_signal_sign_is_caught(monkeypatch):
     # corrupt the moment extraction the formula route sees: e12 sign flip
     original = moment_set_from_kernel
