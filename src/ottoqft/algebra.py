@@ -13,10 +13,11 @@ import math
 import operator
 import types
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+
+from .record import Record
 
 __all__ = [
     "MomentSet",
@@ -56,8 +57,7 @@ class KernelInconsistencyError(ValueError):
     """Moment data not realizable by any quasi-free state."""
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(Record):
     """The four smeared two-point numbers that fully determine one engine cycle.
 
     nu1, nu2 are the doubled-exponential diagonal moments, in (0, 1]; e12 is
@@ -94,8 +94,7 @@ class QuasiFreeKernel(Protocol):
     def wightman(self, i: int, j: int) -> complex: ...
 
 
-@dataclass(frozen=True)
-class TwoPointKernel:
+class TwoPointKernel(Record):
     """Concrete kernel backed by explicitly supplied two-point values."""
 
     w11: complex
@@ -110,8 +109,7 @@ class TwoPointKernel:
             raise KeyError(f"wightman index pair {(i, j)} not supported") from None
 
 
-@dataclass(frozen=True)
-class WeylMoments:
+class WeylMoments(Record):
     """The six distinct fourth-order cosine/sine moments of the two kicks.
 
     The four real entries partition unity; the two complex entries are

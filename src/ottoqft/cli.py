@@ -20,10 +20,10 @@ from .config import ConfigError, parse_config
 
 # NumPy's OpenBLAS starts a spinning thread per CPU at import, and nothing here
 # gains from them (sweeps call no BLAS routine; verify's matrices are small): run
-# it on one unless the caller chose. This must precede the imports that load NumPy.
+# it on one unless the caller chose. This must precede the import that loads NumPy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The imports below leave ~20,000 long-lived objects that every collection would
+# The import below leaves ~20,000 long-lived objects that every collection would
 # walk again: dozens of young passes while NumPy loads, and full ones at
 # interpreter shutdown. Load them with the collector off, then freeze them out
 # of collection; the command runs with the collector back on, unless the caller
@@ -31,9 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
-    from .oracle import QuadratureConvergenceError, TruncationError
-    from .sweeps import run_point, sweep_chunks
-    from .verification import run_verify
+    from .sweeps import run_point, sweep_chunks  # verify loads its own modules when it runs
     gc.freeze()
 finally:
     if _gc_was_enabled:
@@ -77,10 +75,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import QuadratureConvergenceError, TruncationError
+    from .verification import run_verify
+
     spec = parse_config("mode = verify", args.sets)
     options = {key: getattr(spec, key) for key in ("seed", "cases", "dim")
                if getattr(spec, key) is not None}
-    status, report = run_verify(spec.tolerance_overrides or None, **options)
+    try:
+        status, report = run_verify(spec.tolerance_overrides or None, **options)
+    except TruncationError as exc:  # dim too small for the sampled kicks
+        return _error(exc, 1)
+    except QuadratureConvergenceError as exc:
+        return _error(exc, 2)
     print(report)
     return status
 
@@ -110,6 +116,11 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+def _error(exc: BaseException, status: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return status
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -119,12 +130,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_point(args)
-    except (ValueError, TruncationError, MemoryError) as exc:  # ConfigError; dim too small or large
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (QuadratureConvergenceError, ArithmeticError) as exc:  # the Fock oracle's lost trace
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, MemoryError) as exc:  # ConfigError; verify's dim too large
+        return _error(exc, 1)
+    except ArithmeticError as exc:  # the Fock oracle's lost trace
+        return _error(exc, 2)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

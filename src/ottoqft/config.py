@@ -8,8 +8,9 @@ Command-line ``--set key=value`` entries override file values, not the mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
+
+from .record import Record, factory
 
 __all__ = ["Axis", "SweepSpec", "ConfigError", "parse_config", "MODES", "DEFAULT_TOLERANCES"]
 
@@ -93,8 +94,7 @@ class ConfigError(ValueError):
     """Invalid configuration document or override."""
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(Record):
     """One swept variable: count evenly spaced points from start to stop."""
 
     start: float
@@ -112,8 +112,7 @@ class Axis:
         yield self.stop
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """Fully validated run description for one CLI invocation."""
 
     mode: str
@@ -131,7 +130,7 @@ class SweepSpec:
     seed: Optional[int] = None
     cases: Optional[int] = None
     dim: Optional[int] = None
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
+    tolerance_overrides: dict[str, float] = factory(dict)
 
 
 def _read(text: str, overrides: Iterable[str]) -> dict[str, tuple[str, str]]:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _POINT
 from .algebra import MomentSet, _population_columns, _raise_first_failure
+from .record import Record
 
 __all__ = [
     "InteractionEvent",
@@ -41,8 +41,7 @@ class DegenerateCycleError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class InteractionEvent:
+class InteractionEvent(Record):
     """One instantaneous kick: proper time, gap at the kick, coupling.
 
     All values are expressed in units of the smearing width (tau in sigma,
@@ -61,8 +60,7 @@ class InteractionEvent:
             raise ValueError(f"coupling must be >= 0, got {self.coupling!r}")
 
 
-@dataclass(frozen=True)
-class CycleConfig:
+class CycleConfig(Record):
     """Two ordered kicks plus an optional externally imposed initial population.
 
     The second kick must be strictly later than the first.  When initial_p
@@ -83,8 +81,7 @@ class CycleConfig:
             raise ValueError(f"initial_p must lie in [0, 1], got {self.initial_p!r}")
 
 
-@dataclass(frozen=True)
-class WorkReport:
+class WorkReport(Record):
     """Per-stroke ledger of one cycle.
 
     w_ext and efficiency are None when the cycle does not close (an imposed
@@ -167,7 +164,7 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     """
     c = _ledger(theta(config), config.first.gap, config.second.gap,
                 m.nu1, m.nu2, m.e12, m.mu12, config.initial_p, _POINT)
-    values = {name: getattr(c, name) for name in WorkReport.__dataclass_fields__}
+    values = {name: getattr(c, name) for name in WorkReport._fields}
     for name in ("w_ext", "efficiency"):  # NaN marks an absent entry
         if math.isnan(values[name]):
             values[name] = None

@@ -8,11 +8,11 @@ couplings and times enter as lambda/sigma and tau/sigma, gaps as gap*sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import MomentSet
+from .record import Record
 
 __all__ = ["MinkowskiParams", "dawson", "minkowski_moments", "minkowski_moment_arrays"]
 
@@ -51,8 +51,7 @@ def dawson(x):
     return result if result.ndim else float(result)
 
 
-@dataclass(frozen=True)
-class MinkowskiParams:
+class MinkowskiParams(Record):
     """Gaussian-smeared inertial detector: two couplings and the kick separation."""
 
     lambda1: float

@@ -13,11 +13,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import MomentSet, TwoPointKernel, moment_set_from_kernel, weyl_moments
+from .record import Record
 
 __all__ = [
     "FockParams",
@@ -48,8 +48,7 @@ class QuadratureConvergenceError(RuntimeError):
     """Doubling the node count failed to settle the radial integral."""
 
 
-@dataclass(frozen=True)
-class FockParams:
+class FockParams(Record):
     """Single bosonic mode standing in for the field: the smeared field at
     kick j is alpha_j a + conj(alpha_j) a^dag, on a thermal (nbar) or vacuum
     (nbar = 0) state truncated to dim levels.  alpha1, alpha2 and nbar must
@@ -208,9 +207,11 @@ def _integrate(values: np.ndarray, h: float) -> float:
 
 
 def radial_wightman_integral(dtau: float, n_points: int) -> complex:
-    """Single-pass value of integral k exp(-k^2 / 2) exp(i k dtau) dk over [0, _K_MAX]."""
-    n = n_points if n_points % 2 == 1 else n_points + 1  # Simpson needs odd counts
-    k = np.linspace(0.0, _K_MAX, n)
+    """Single-pass value of integral k exp(-k^2 / 2) exp(i k dtau) dk over [0, _K_MAX],
+    by Simpson's rule on an odd number n_points of nodes."""
+    if n_points % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd node count, got {n_points!r}")
+    k = np.linspace(0.0, _K_MAX, n_points)
     h = k[1] - k[0]
     damped = k * np.exp(-0.5 * k ** 2)
     re = _integrate(damped * np.cos(k * dtau), h)
@@ -244,11 +245,15 @@ def quadrature_minkowski_moments(lambda1, lambda2, dtau) -> MomentSet | list[Mom
 
     lambda1, lambda2 and dtau broadcast: scalars give one MomentSet, arrays a
     list in C order.  The couplings only scale the radial integral, so it is
-    evaluated once for dtau = 0 (the diagonal) and once per distinct dtau.
+    evaluated once for dtau = 0 (the diagonal) and once per distinct dtau.  A
+    non-finite dtau is a ValueError, raised before any integral runs.
     """
     pref = 1.0 / (4.0 * math.pi ** 2)
     shape = np.broadcast(lambda1, lambda2, dtau).shape
     lambda1, lambda2, dtau = (np.broadcast_to(a, shape).ravel().tolist() for a in (lambda1, lambda2, dtau))
+    for d in dtau:
+        if not math.isfinite(d):
+            raise ValueError(f"dtau must be finite, got {d!r}")
     radial = {d: _converged_radial(d) for d in dict.fromkeys([0.0, *dtau])}
     diag = radial[0.0].real
     sets = [moment_set_from_kernel(TwoPointKernel(

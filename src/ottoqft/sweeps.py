@@ -43,9 +43,10 @@ def _texts(values: np.ndarray) -> list[str]:
 
 
 def _render_rows(row: str, columns: Sequence[list], flags: np.ndarray) -> str:
-    # "%.17g" % x is format(x, ".17g"); flags is the pwc column
+    # one format call for the whole chunk: the row repeated once per grid point, and
+    # its cells flattened in row order; "%.17g" % x is format(x, ".17g"); flags is the pwc column
     words = np.where(flags, "true", "false").tolist()
-    return "".join(row % values for values in zip(*columns, words))
+    return (row * len(words)) % tuple(itertools.chain.from_iterable(zip(*columns, words)))
 
 
 def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None):

@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,6 +26,7 @@ from .oracle import (
     single_mode_kernel,
     verify_weyl_moments,
 )
+from .record import Record
 
 __all__ = [
     "CheckResult",
@@ -64,8 +64,7 @@ _DAWSON_TABLE: tuple[tuple[float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     deviation: float
     threshold: float

@@ -1,7 +1,8 @@
 """Import layering of the package, read from the source: the kernel layers
 (algebra, minkowski) and the cycle layer import nothing above them, the
-brute-force oracles use no more than the algebra they check, config is a
-leaf, and the package namespace resolves its public names lazily."""
+brute-force oracles use no more than the algebra they check, the record base
+is a leaf and config imports only it, and the package namespace resolves its
+public names lazily.  Fresh processes show what each command loads."""
 
 import ast
 import importlib
@@ -38,14 +39,15 @@ IMPORTS = {path.stem: _package_imports(path) for path in SOURCES}
 # module -> the package modules it may import; every module has a row
 LAYERS = {
     "__init__": set(),  # its names resolve through importlib, on first use
-    "algebra": set(),
-    "minkowski": {"algebra"},
-    "cycle": {"algebra"},
-    "oracle": {"algebra"},
-    "config": set(),
-    "verification": {"algebra", "config", "cycle", "minkowski", "oracle"},
+    "record": set(),  # the frozen-record base of every public record type
+    "algebra": {"record"},
+    "minkowski": {"algebra", "record"},
+    "cycle": {"algebra", "record"},
+    "oracle": {"algebra", "record"},
+    "config": {"record"},
+    "verification": {"algebra", "config", "cycle", "minkowski", "oracle", "record"},
     "sweeps": {"config", "cycle", "minkowski"},
-    "cli": {"config", "oracle", "sweeps", "verification"},
+    "cli": {"config", "oracle", "sweeps", "verification"},  # the last two inside verify
 }
 
 # the public names, in order, as the package stated them when each was
@@ -102,7 +104,40 @@ def test_importing_the_package_or_config_loads_no_numpy():
         "import ottoqft.config\n"
         "print(json.dumps([package, loaded()]))\n"
     )
-    assert _python(script) == [["ottoqft"], ["ottoqft", "ottoqft.config"]]
+    assert _python(script) == [["ottoqft"], ["ottoqft", "ottoqft.config", "ottoqft.record"]]
+
+
+# runs the command line as python -m does, with its stdout set aside, then prints
+# the exit status and which of the modules named in LOADED are loaded
+RUN_CLI = (
+    "import contextlib, io, json, runpy, sys\n"
+    "sys.argv = ['ottoqft', *{argv!r}]\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    try:\n"
+    "        runpy.run_module('ottoqft.cli', run_name='__main__', alter_sys=True)\n"
+    "    except SystemExit as done:\n"
+    "        status = done.code\n"
+    "print(json.dumps([status, [name for name in {loaded!r} if name in sys.modules]]))\n"
+)
+LOADED = ("ottoqft.oracle", "ottoqft.verification", "dataclasses")
+
+TINY_CURVE = ("mode = curve-tau2\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\nlambda1 = 100.0\n"
+              "lambda2 = 1.0\ntau2_start = 0.5\ntau2_stop = 8.0\ntau2_count = 5\noutput = {out}\n")
+POINT = ["point", "--set", "omega1=1", "--set", "omega2=3", "--set", "tau1=0",
+         "--set", "tau2=1.5", "--set", "lambda1=100", "--set", "lambda2=1"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    # a sweep or a point never loads the oracles, their checks or dataclasses
+    ("sweep", []),
+    ("point", []),
+    ("verify", ["ottoqft.oracle", "ottoqft.verification"]),  # loaded when it runs
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, command, loaded):
+    config = tmp_path / "curve.cfg"
+    config.write_text(TINY_CURVE.format(out=tmp_path / "curve.csv"), encoding="utf-8")
+    argv = {"sweep": ["sweep", "--config", str(config)], "point": POINT, "verify": ["verify"]}
+    assert _python(RUN_CLI.format(argv=argv[command], loaded=LOADED)) == [0, loaded]
 
 
 # records OPENBLAS_NUM_THREADS and whether the cyclic collector is on as numpy is

@@ -268,3 +268,18 @@ class TestQuadrature:
         # one doubling from 17 points cannot settle this oscillatory integrand
         with pytest.raises(QuadratureConvergenceError):
             quadrature_minkowski_moments(1.0, 1.0, 9.0)
+
+    @pytest.mark.parametrize("dtau", [math.inf, -math.inf, math.nan])
+    def test_non_finite_separation_rejected_before_integrating(self, monkeypatch, dtau):
+        integrated = []
+        monkeypatch.setattr(oracle_mod, "_converged_radial", integrated.append)
+        with pytest.raises(ValueError, match=f"^dtau must be finite, got {dtau!r}$"):
+            quadrature_minkowski_moments(1.0, 1.0, dtau)
+        with pytest.raises(ValueError, match="^dtau must be finite"):  # one bad point of many
+            quadrature_minkowski_moments(1.0, 1.0, np.array([0.5, dtau, 1.5]))
+        assert integrated == []
+
+    @pytest.mark.parametrize("n_points", [2, 256, 1024])
+    def test_even_node_count_rejected(self, n_points):
+        with pytest.raises(ValueError, match=f"odd node count, got {n_points}$"):
+            radial_wightman_integral(1.0, n_points)

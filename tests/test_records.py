@@ -63,6 +63,7 @@ IDS = [record[0].__name__ for record in RECORDS]
 
 @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls, names, values, text):
+    assert cls.__match_args__ == names
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
     for record in (by_position, by_keyword):
