@@ -6,7 +6,7 @@ The field names, in order, are the class's ``_fields`` and ``__match_args__``.
 Records compare and hash by their field values within one class, print as
 ``Type(field=value, ...)`` and refuse assignment and deletion; an optional
 ``__post_init__`` checks the values.  The base imports nothing and generates
-no code, where a frozen dataclass compiles six generated methods per type.
+no code when a subclass is defined: its methods are shared by every type.
 """
 
 from __future__ import annotations
@@ -25,23 +25,19 @@ class Record:
     """Base of a frozen value record (see the module docstring)."""
 
     _fields: tuple[str, ...] = ()
-    _field_set: frozenset[str] = frozenset()
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if cls.__annotations__:  # a subclass that declares no field keeps its parent's
             cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
-            cls._field_set = frozenset(cls._fields)
             cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
 
     def __init__(self, *args, **kwargs) -> None:
-        # every field by position, or every field by name, skips the binding:
-        # these are the calls that build records in bulk
+        # a call giving every field by position skips the binding, which keeps a
+        # scalar MomentSet(...) near the cost of a generated per-type __init__
         if not kwargs and len(args) == len(self._fields):
             self.__dict__.update(zip(self._fields, args))
-        elif not args and kwargs.keys() == self._field_set:
-            self.__dict__.update(kwargs)
         else:
             self.__dict__.update(self._bind(args, kwargs))
         self.__post_init__()
@@ -56,7 +52,7 @@ class Record:
                             f"arguments but {len(args) + 1} were given")
         values = dict(zip(fields, args))
         for name in kwargs:
-            if name not in cls._field_set:
+            if name not in fields:
                 raise TypeError(f"{cls.__qualname__}.__init__() got an unexpected keyword "
                                 f"argument {name!r}")
             if name in values:
