@@ -145,10 +145,10 @@ def moment_set_from_kernel(kernel: QuasiFreeKernel) -> MomentSet:
         if abs(w.imag) > _SIMPLEX_TOL * max(1.0, abs(w.real)):
             raise KernelContractError(f"wightman{label} must be real, got {w!r}")
     return MomentSet(
-        nu1=math.exp(-2.0 * w11.real),
-        nu2=math.exp(-2.0 * w22.real),
-        e12=2.0 * w12.imag,
-        mu12=w12.real,
+        math.exp(-2.0 * w11.real),
+        math.exp(-2.0 * w22.real),
+        2.0 * w12.imag,
+        w12.real,
     )
 
 

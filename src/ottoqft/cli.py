@@ -47,26 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ottoqft", description=__doc__.strip().splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="evaluate a parameter grid and write CSV")
-    sweep.add_argument("--config", required=True, help="path to a key=value config file")
-    sweep.add_argument("--set", dest="sets", action="append", default=[],
-                       metavar="KEY=VALUE", help="override one config key")
-
-    verify = sub.add_parser("verify", help="run the oracle cross-check suite")
-    verify.add_argument("--set", dest="sets", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="override seed/cases/dim or a tol_<check> threshold")
-
-    point = sub.add_parser("point", help="report a single cycle to stdout")
-    point.add_argument("--set", dest="sets", action="append", default=[],
-                       metavar="KEY=VALUE", help="set one parameter (repeatable)")
-    return parser
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _read(args.config)
     spec = parse_config(text, args.sets)
@@ -75,18 +55,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import QuadratureConvergenceError, TruncationError
     from .verification import run_verify
 
     spec = parse_config("mode = verify", args.sets)
     options = {key: getattr(spec, key) for key in ("seed", "cases", "dim")
                if getattr(spec, key) is not None}
-    try:
-        status, report = run_verify(spec.tolerance_overrides or None, **options)
-    except TruncationError as exc:  # dim too small for the sampled kicks
-        return _error(exc, 1)
-    except QuadratureConvergenceError as exc:
-        return _error(exc, 2)
+    status, report = run_verify(spec.tolerance_overrides or None, **options)
     print(report)
     return status
 
@@ -95,6 +69,27 @@ def _cmd_point(args: argparse.Namespace) -> int:
     spec = parse_config("mode = single-point", args.sets)
     sys.stdout.write(run_point(spec))
     return 0
+
+
+# name -> (its help, the help of its --set, its handler); sweep alone also takes --config
+_COMMANDS = {
+    "sweep": ("evaluate a parameter grid and write CSV", "override one config key", _cmd_sweep),
+    "verify": ("run the oracle cross-check suite",
+               "override seed/cases/dim or a tol_<check> threshold", _cmd_verify),
+    "point": ("report a single cycle to stdout", "set one parameter (repeatable)", _cmd_point),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="ottoqft", description=__doc__.strip().splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, set_help, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name == "sweep":
+            command.add_argument("--config", required=True, help="path to a key=value config file")
+        command.add_argument("--set", dest="sets", action="append", default=[],
+                             metavar="KEY=VALUE", help=set_help)
+    return parser
 
 
 def _read(path: str) -> str:
@@ -123,16 +118,12 @@ def _error(exc: BaseException, status: int) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    try:
+    try:  # the exit code follows the exception's class
         args = parser.parse_args(argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_point(args)
-    except (ValueError, MemoryError) as exc:  # ConfigError; verify's dim too large
+        return _COMMANDS[args.command][2](args)
+    except (ValueError, MemoryError) as exc:  # ConfigError, TruncationError; verify's dim too large
         return _error(exc, 1)
-    except ArithmeticError as exc:  # the Fock oracle's lost trace
+    except ArithmeticError as exc:  # QuadratureConvergenceError; the Fock oracle's lost trace
         return _error(exc, 2)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

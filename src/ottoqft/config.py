@@ -14,8 +14,6 @@ from .record import Record, factory
 
 __all__ = ["Axis", "SweepSpec", "ConfigError", "parse_config", "MODES", "DEFAULT_TOLERANCES"]
 
-MODES = ("curve-tau2", "grid-couplings", "single-point", "verify")
-
 # verify's checks and their default thresholds; each is a tol_<check> key
 DEFAULT_TOLERANCES: dict[str, float] = {
     "fock_p1": 1e-8,
@@ -31,6 +29,18 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "thermal_e12": 1e-15,
 }
 _TOL_KEYS = tuple(f"tol_{name}" for name in DEFAULT_TOLERANCES)
+
+# mode -> (the keys it requires, the keys it allows besides them and mode)
+_MODE_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "curve-tau2": (("omega1", "omega2", "tau1", "lambda1", "lambda2",
+                    "tau2_start", "tau2_stop", "tau2_count", "output"), ()),
+    "grid-couplings": (("omega1", "omega2", "tau1", "tau2",
+                        "lambda1_start", "lambda1_stop", "lambda1_count",
+                        "lambda2_start", "lambda2_stop", "lambda2_count", "output"), ()),
+    "single-point": (("omega1", "omega2", "tau1", "tau2", "lambda1", "lambda2"), ("initial_p",)),
+    "verify": ((), ("seed", "cases", "dim", *_TOL_KEYS)),
+}
+MODES = tuple(_MODE_KEYS)
 
 # a range requirement: the text a diagnostic prints after "must be", and a
 # test of the value given the values parsed before it
@@ -67,26 +77,9 @@ _KEYS: dict[str, tuple] = {
     "lambda2_start": (float, _NON_NEGATIVE, _below("lambda2_stop")),
     "lambda2_count": (int, _AT_LEAST_TWO),
     "seed": (int, _NON_NEGATIVE),
-    "cases": (int, _AT_LEAST_TWO),
+    "cases": (int, (">= 1", lambda value, parsed: value >= 1)),
     "dim": (int, _AT_LEAST_TWO),
     **{key: (float, _NON_NEGATIVE) for key in _TOL_KEYS},
-}
-
-_REQUIRED = {
-    "curve-tau2": ("omega1", "omega2", "tau1", "lambda1", "lambda2",
-                   "tau2_start", "tau2_stop", "tau2_count", "output"),
-    "grid-couplings": ("omega1", "omega2", "tau1", "tau2",
-                       "lambda1_start", "lambda1_stop", "lambda1_count",
-                       "lambda2_start", "lambda2_stop", "lambda2_count", "output"),
-    "single-point": ("omega1", "omega2", "tau1", "tau2", "lambda1", "lambda2"),
-    "verify": (),
-}
-
-_ALLOWED = {
-    "curve-tau2": set(_REQUIRED["curve-tau2"]),
-    "grid-couplings": set(_REQUIRED["grid-couplings"]),
-    "single-point": set(_REQUIRED["single-point"]) | {"initial_p"},
-    "verify": {"seed", "cases", "dim", *_TOL_KEYS},
 }
 
 
@@ -168,13 +161,14 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SweepSpec:
             f"{entries['mode'][1]}: key 'mode' must be one of {', '.join(MODES)}, got {mode!r}"
         )
 
-    allowed = _ALLOWED[mode] | {"mode"}
+    required, optional = _MODE_KEYS[mode]
+    allowed = {"mode", *required, *optional}
     for key in entries:
         if key not in allowed:
             raise ConfigError(
                 f"{entries[key][1]}: key {key!r} is not valid in mode {mode!r}"
             )
-    for key in _REQUIRED[mode]:
+    for key in required:
         if key not in entries:
             raise ConfigError(f"missing key: {key}")
 

@@ -168,15 +168,14 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     for name in ("w_ext", "efficiency"):  # NaN marks an absent entry
         if math.isnan(values[name]):
             values[name] = None
-    return WorkReport(**values)
+    return WorkReport(*values.values())
 
 
 # ledger of many cycles: one array per column, the columns broadcast together;
 # w_ext is NaN where the cycle does not close, efficiency where undefined or overflowing
 LedgerColumns = namedtuple(
     "LedgerColumns",
-    "theta nu1 nu2 e12 mu12 p p1 p2 w1 w3 q2 q4 q_total w_ext efficiency pwc degenerate closed "
-    "product",
+    "theta nu1 nu2 e12 mu12 p p1 p2 w1 w3 q2 q4 q_total w_ext efficiency pwc degenerate closed",
 )
 
 
@@ -211,11 +210,11 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None
         return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, np, checks)
 
 
-def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12, p=None) -> LedgerColumns:
+def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12) -> LedgerColumns:
     """The ledger of cycles given their phase difference theta, over
     broadcastable arrays, with the population checks of cycle_arrays."""
     with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p)
+        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None)
 
 
 def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> LedgerColumns:
@@ -244,5 +243,5 @@ def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> 
     return LedgerColumns(
         theta, nu1, nu2, e12, mu12, p, p1, p2,
         xp.where(noop, 0.0, p * delta_omega + 0.0), xp.where(noop, 0.0, -p1 * delta_omega + 0.0),
-        q2, q4, q2 + q4, w_ext, efficiency, w_ext > 0.0, c.degenerate, closed, c.product,
+        q2, q4, q2 + q4, w_ext, efficiency, w_ext > 0.0, c.degenerate, closed,
     )

@@ -40,11 +40,11 @@ _K_MAX = 16.0
 _FIRST_NODES = 257
 
 
-class TruncationError(RuntimeError):
+class TruncationError(RuntimeError, ValueError):
     """Truncated mode dimension too small for the requested couplings."""
 
 
-class QuadratureConvergenceError(RuntimeError):
+class QuadratureConvergenceError(RuntimeError, ArithmeticError):
     """Doubling the node count failed to settle the radial integral."""
 
 
@@ -80,7 +80,7 @@ def single_mode_kernel(fp: FockParams) -> TwoPointKernel:
     def w(x: complex, y: complex) -> complex:
         return x * y.conjugate() * (nb + 1.0) + x.conjugate() * y * nb
 
-    return TwoPointKernel(w11=w(a1, a1), w22=w(a2, a2), w12=w(a1, a2))
+    return TwoPointKernel(w(a1, a1), w(a2, a2), w(a1, a2))
 
 
 @functools.lru_cache(maxsize=4)
@@ -257,6 +257,6 @@ def quadrature_minkowski_moments(lambda1, lambda2, dtau) -> MomentSet | list[Mom
     radial = {d: _converged_radial(d) for d in dict.fromkeys([0.0, *dtau])}
     diag = radial[0.0].real
     sets = [moment_set_from_kernel(TwoPointKernel(
-        w11=l1 * l1 * pref * diag, w22=l2 * l2 * pref * diag, w12=l1 * l2 * pref * radial[d],
+        l1 * l1 * pref * diag, l2 * l2 * pref * diag, l1 * l2 * pref * radial[d],
     )) for l1, l2, d in zip(lambda1, lambda2, dtau)]
     return sets if shape else sets[0]

@@ -124,6 +124,6 @@ def run_point(spec: SweepSpec) -> str:
         raise ValueError(f"run_point requires mode 'single-point', got {spec.mode!r}")
     c = _cycles(spec.omega1, spec.omega2, spec.tau1, spec.tau2, spec.lambda1, spec.lambda2,
                 spec.initial_p)
-    pairs = [(key, getattr(c, key).item()) for key in c._fields if key != "product"]
+    pairs = [(key, column.item()) for key, column in zip(c._fields, c)]
     return "".join(f"{key} = {_render(value)}\n" for key, value in pairs
                    if not (isinstance(value, float) and math.isnan(value)))  # NaN: absent

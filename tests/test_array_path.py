@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottoqft.algebra import KernelInconsistencyError, contraction_factor, p_after_second
+from ottoqft.algebra import (
+    KernelInconsistencyError,
+    _population_columns,
+    contraction_factor,
+    p_after_second,
+)
 from ottoqft.config import parse_config
 from ottoqft.cycle import (
     CycleConfig,
@@ -168,7 +173,8 @@ def test_scalar_api_is_the_array_element(omega1, omega2, kick_times, m, initial_
         column = getattr(cols, name).item()
         assert value == column or (value is None and math.isnan(column)), name
     th = theta(config)
-    assert contraction_factor(m, th) == cols.product.item()
+    population, _ = _population_columns(*map(np.asarray, (*moments, th)))
+    assert contraction_factor(m, th) == population.product.item()
     if initial_p is not None:
         assert p_after_second(initial_p, m, th) == cols.p2.item()
     elif report.degenerate:

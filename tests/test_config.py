@@ -1,12 +1,11 @@
 """Config document parsing and validation."""
 
 import math
-import re
 from pathlib import Path
 
 import pytest
 
-from ottoqft.config import _ALLOWED, _KEYS, MODES, Axis, ConfigError, parse_config
+from ottoqft.config import _KEYS, _MODE_KEYS, MODES, Axis, ConfigError, parse_config
 
 FIG4A = """\
 # second-kick-time sweep
@@ -162,9 +161,12 @@ def test_readme_key_table_matches_the_key_table():
         if kind is not str:
             texts = ["finite"] * (kind is float) + [text for text, _ in requirements]
             assert rows[key][1] == ", ".join(texts)
-        if key != "mode":
-            assert re.findall(r"`([a-z0-9-]+)`", rows[key][2]) == [
-                mode for mode in MODES if key in _ALLOWED[mode]]
+        if key == "mode":
+            assert rows[key][1] == "one of " + ", ".join(f"`{mode}`" for mode in MODES)
+        else:
+            assert rows[key][2] == ", ".join(
+                f"`{mode}`" + " (optional)" * (key in optional)
+                for mode, (required, optional) in _MODE_KEYS.items() if key in required + optional)
 
 
 class TestAxis:

@@ -283,3 +283,14 @@ class TestQuadrature:
     def test_even_node_count_rejected(self, n_points):
         with pytest.raises(ValueError, match=f"odd node count, got {n_points}$"):
             radial_wightman_integral(1.0, n_points)
+
+
+@pytest.mark.parametrize("error, kind, other", [
+    (TruncationError, ValueError, ArithmeticError),
+    (QuadratureConvergenceError, ArithmeticError, ValueError),
+])
+def test_oracle_errors_have_the_base_of_their_exit_code(error, kind, other):
+    # still RuntimeErrors; the command line exits 1 on a ValueError (a
+    # validation error) and 2 on an ArithmeticError (a verification failure)
+    assert issubclass(error, RuntimeError) and issubclass(error, kind)
+    assert not issubclass(error, other)

@@ -388,8 +388,9 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--set", f"output={out2}"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_verify_passes_with_light_settings(self, capsys):
-        code = main(["verify", "--set", "cases=6", "--set", "dim=40"])
+    @pytest.mark.parametrize("cases", ["6", "1"])
+    def test_verify_passes_with_light_settings(self, cases, capsys):
+        code = main(["verify", "--set", f"cases={cases}", "--set", "dim=40"])
         out = capsys.readouterr().out
         assert code == 0
         assert "checks passed" in out
