@@ -171,12 +171,12 @@ def _raise_first_failure(checks) -> None:
 # The functions the kernel calls, on one point of Python floats: a NumPy
 # call costs more than the arithmetic of a point.  The transcendental
 # functions stay NumPy's, so that a point is its array element bit for bit;
-# an infinite phase raises ValueError, as the math module does.
+# the phase they get is finite, and sin(2 e12) raises where 2 e12 overflows,
+# as the math module does.
 _POINT = types.SimpleNamespace(
-    log=lambda x: float(np.log(x)), exp=lambda x: float(np.exp(x)),
+    log=lambda x: float(np.log(x)), exp=lambda x: float(np.exp(x)), cos=lambda x: float(np.cos(x)),
     sin=lambda x: float(np.sin(x)) if math.isfinite(x) else math.sin(x),
-    cos=lambda x: float(np.cos(x)) if math.isfinite(x) else math.cos(x),
-    abs=abs, minimum=min, maximum=max, logical_not=operator.not_,
+    abs=abs, minimum=min, maximum=max, logical_not=operator.not_, isfinite=math.isfinite,
     where=lambda cond, a, b: a if cond else b, nan=math.nan,
 )
 
@@ -230,23 +230,26 @@ _PopulationColumns = namedtuple("_PopulationColumns", "product gap signal p p1 p
 def _population_columns(nu1, nu2, e12, mu12, theta, p=None, xp=np):
     """_PopulationColumns of many cycles over broadcastable arrays, or of one
     point of Python floats with xp = _POINT, and their checks for
-    _raise_first_failure: the realizability bound, then the closure p and p2
-    in [0, 1] up to 1e-12 (values within it are clipped).
+    _raise_first_failure: the input checks (theta finite, then the bound),
+    then the closure p and p2 in [0, 1] up to 1e-12 (clipped within it).
 
-    theta is gap1 tau1 - gap2 tau2.  With p None the closure condition
-    p2 = p fixes p, except on degenerate cycles (1 - product < 1e-12: every
-    p is a fixed point), which give the no-op p = p1 = p2 = 1/2; an imposed
-    p takes both kicks, degenerate or not.  Invalid arrays (a NaN, nu <= 0)
-    give NaN: evaluate under np.errstate.
+    theta is gap1 tau1 - gap2 tau2, read as 0 where it is not finite.  With p
+    None the closure condition p2 = p fixes p, except on degenerate cycles
+    (1 - product < 1e-12: every p is a fixed point), which give the no-op
+    p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
+    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate under np.errstate.
     """
+    finite = xp.isfinite(theta)
+    phase = xp.where(finite, theta, 0.0)  # so that no sine sees a non-finite theta
     up, down, bound = _products(nu1, nu2, mu12, xp)
-    s_half, c_half = xp.sin(0.5 * theta), xp.cos(0.5 * theta)
+    s_half, c_half = xp.sin(0.5 * phase), xp.cos(0.5 * phase)
     product = xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
     one_minus = 1.0 - product
     degenerate = one_minus < _DEGENERACY_TOL
     gap = xp.maximum(one_minus, _DEGENERACY_TOL)
-    signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(theta)
-    checks = [bound]
+    signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(phase)
+    checks = [(finite, lambda at: ValueError(
+        f"phase omega1*tau1 - omega2*tau2 = {at(theta)!r} is not finite")), bound]
     if p is None:
         # a degenerate cycle is then a no-op, exchanging no signal, so
         # that p and p2 below come out 1/2 exactly
@@ -284,11 +287,11 @@ def contraction_factor(m: MomentSet, theta: float) -> float:
     """nu1 nu2 alpha, where alpha = exp(4 mu12) sin^2(theta/2) + exp(-4 mu12) cos^2(theta/2).
 
     The factor by which the two kicks contract the population toward 1/2,
-    clamped to <= 1.  Raises KernelInconsistencyError on moment data that
-    breaks the realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
+    clamped to <= 1.  Raises the kernel's input checks: ValueError on a
+    non-finite theta, then KernelInconsistencyError where nu1 nu2 exp(4 |mu12|) > 1.
     """
     columns, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
-    _raise_first_failure(checks[:1])
+    _raise_first_failure(checks[:2])
     return columns.product
 
 

@@ -56,7 +56,7 @@ class InteractionEvent(Record):
     def __post_init__(self) -> None:
         if not self.gap > 0.0:
             raise ValueError(f"gap must be > 0, got {self.gap!r}")
-        if self.coupling < 0.0:
+        if not self.coupling >= 0.0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling!r}")
 
 
@@ -126,15 +126,15 @@ def cyclic_initial_population(m: MomentSet, theta: float) -> float:
 def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     """Net work output of the closed cycle, (p1 - p) * delta_omega in closed form.
 
-    delta_omega = gap1 - gap2 with its literal sign.  A degenerate cycle
-    returns exactly 0.  The value is 0 whenever e12 = 0: without signal
-    exchange between the kicks no work can be extracted.
+    delta_omega = gap1 - gap2 with its literal sign.  A degenerate cycle returns exactly 0,
+    as does any with e12 = 0: without signal exchange between the kicks no work is extracted.
+    Raises ValueError on a non-finite delta_omega, then contraction_factor's input checks.
     """
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
-    # only the realizability bound raises: a closure p off [0, 1] has its work
+    # only the input checks raise (phase, bound): a closure p off [0, 1] has its work
     c, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
-    _raise_first_failure(checks[:1])
+    _raise_first_failure(checks[:2])
     return _closed_form_work(c, m.nu1, delta_omega)
 
 
@@ -147,9 +147,9 @@ def _closed_form_work(c, nu1, delta_omega):
 def positive_work_condition(m: MomentSet, theta: float) -> bool:
     """True iff sin(2 e12) sin(theta) < 0 and nu1 < 1.
 
-    Stated for the gap convention delta_omega > 0; for delta_omega < 0 the
-    sign of the extracted work flips (use the WorkReport pwc flag for the
-    literal sign of the output).
+    Stated for the gap convention delta_omega > 0; for delta_omega < 0 the sign of the
+    extracted work flips (the WorkReport pwc flag has the literal sign).  Evaluated with
+    math.sin: a NaN theta gives False, an infinite one raises ValueError("math domain error").
     """
     return math.sin(2.0 * m.e12) * math.sin(theta) < 0.0 and m.nu1 < 1.0
 
@@ -184,9 +184,9 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None
     cycle, which the scalar functions wrap.
 
     Checks, in order: the MomentSet checks, gap > 0, tau2 > tau1 and an
-    imposed initial_p in [0, 1], a finite theta, then the population checks.
-    The first failing point in C order raises the first check it fails, with
-    the message of the scalar type that makes it (a ValueError for theta).
+    imposed initial_p in [0, 1], then the population checks, from a finite
+    theta on.  The first failing point in C order raises the first check it
+    fails, with the message the scalar API gives for it.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
         omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)))
@@ -204,15 +204,13 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None
             (kicks_ok, lambda at: CycleConfig(
                 InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
                 None if initial_p is None else at(initial_p))),
-            (np.isfinite(th), lambda at: ValueError(
-                f"phase omega1*tau1 - omega2*tau2 = {at(th)!r} is not finite")),
         ]
         return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, np, checks)
 
 
 def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12) -> LedgerColumns:
-    """The ledger of cycles given their phase difference theta, over
-    broadcastable arrays, with the population checks of cycle_arrays."""
+    """The ledger of cycles given their phase difference theta, over broadcastable
+    arrays, with the population checks of cycle_arrays (a finite theta first)."""
     with np.errstate(all="ignore"):  # failing points raise, after every check is made
         return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None)
 

@@ -59,11 +59,11 @@ class MinkowskiParams(Record):
     dtau: float
 
     def __post_init__(self) -> None:
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
+        if not (self.lambda1 >= 0.0 and self.lambda2 >= 0.0):
             raise ValueError(
                 f"couplings must be >= 0, got ({self.lambda1!r}, {self.lambda2!r})"
             )
-        if self.dtau < 0.0:
+        if not self.dtau >= 0.0:
             raise ValueError(f"dtau must be >= 0, got {self.dtau!r}")
 
 

@@ -110,8 +110,8 @@ def figure4a_curve(
     increasing grid with tau2 > tau1 throughout; degenerate points yield 0.
     """
     grid = np.asarray(tau2_grid, dtype=float)
-    if (grid[1:] <= grid[:-1]).any():
-        raise ValueError("tau2_grid must be strictly increasing")
+    if grid.ndim != 1 or not (np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all()):
+        raise ValueError("tau2_grid must be a strictly increasing 1-D sequence of finite values")
     if grid.size and grid[0] <= tau1:
         raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
     w_ext = _cycles(omega1, omega2, tau1, grid, lambda1, lambda2).w_ext

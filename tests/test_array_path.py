@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from ottoqft.algebra import (
     KernelInconsistencyError,
+    MomentSet,
     _population_columns,
     contraction_factor,
     p_after_second,
@@ -32,6 +33,7 @@ from ottoqft.cycle import (
     cycle_arrays,
     cyclic_initial_population,
     extracted_work,
+    ledger_arrays,
     stroke_ledger,
     theta,
 )
@@ -223,19 +225,41 @@ def test_strong_coupling_contraction_factor_matches_reference():
     assert _close(contraction_factor(m, th), float(reference_contraction(m, th)), TOL)
 
 
-@pytest.mark.parametrize("lambda1, lambda2, tau2, error", [
-    (122.0, 1.0, 1.5, ValueError),  # nu1 underflows to 0
+@pytest.mark.parametrize("omega1, lambda1, lambda2, tau2, error", [
+    (1.0, 122.0, 1.0, 1.5, ValueError),  # nu1 underflows to 0
+    (1.0, 1.0, 1.0, math.inf, ValueError),  # a kick at tau2 = inf: phase -inf
+    (math.inf, 1.0, 1.0, 1.5, ValueError),  # a first gap of inf: phase inf * 0 = nan
 ])
-def test_error_parity(lambda1, lambda2, tau2, error):
+def test_error_parity(omega1, lambda1, lambda2, tau2, error):
     with pytest.raises(error) as scalar:
         m = minkowski_moments(MinkowskiParams(lambda1, lambda2, tau2))
-        stroke_ledger(CycleConfig(InteractionEvent(0.0, 1.0), InteractionEvent(tau2, 3.0)), m)
+        stroke_ledger(CycleConfig(InteractionEvent(0.0, omega1), InteractionEvent(tau2, 3.0)), m)
     # the failing point sits behind a good one in the batch
+    omegas1, taus2 = np.array([1.0, omega1]), np.array([1.5, tau2])
     lambdas1, lambdas2 = np.array([1.0, lambda1]), np.array([1.0, lambda2])
     with pytest.raises(error) as array:
-        cycle_arrays(1.0, 3.0, 0.0, tau2, *minkowski_moment_arrays(lambdas1, lambdas2, tau2))
+        cycle_arrays(omegas1, 3.0, 0.0, taus2, *minkowski_moment_arrays(lambdas1, lambdas2, taus2))
     assert type(array.value) is type(scalar.value)
     assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("th", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda m, th: contraction_factor(m, th),
+    lambda m, th: p_after_second(0.3, m, th),
+    lambda m, th: cyclic_initial_population(m, th),
+    lambda m, th: extracted_work(m, th, -2.0),
+], ids=["contraction_factor", "p_after_second", "cyclic_initial_population", "extracted_work"])
+def test_non_finite_phase_parity(call, th):
+    # every theta-taking function raises the kernel's phase check, as the arrays do
+    m = MomentSet(0.5, 0.6, 0.3, 0.05)
+    with pytest.raises(ValueError) as array:
+        ledger_arrays(np.array([1.0, th]), 1.0, 3.0, m.nu1, m.nu2, m.e12, m.mu12)
+    with pytest.raises(ValueError) as scalar:
+        call(m, th)
+    assert type(scalar.value) is type(array.value) is ValueError
+    assert str(scalar.value) == str(array.value) == (
+        f"phase omega1*tau1 - omega2*tau2 = {th!r} is not finite")
 
 
 def test_sweep_raises_the_first_failing_point():

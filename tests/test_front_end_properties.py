@@ -1,6 +1,7 @@
-"""Property tests of the front end: the config parser and the `point` command.
+"""Property tests of the front end: the config parser, the `point` command
+and the library functions that take a phase difference theta.
 
-Both run in process; output is captured with redirect_stdout/redirect_stderr
+The CLI runs in process; output is captured with redirect_stdout/redirect_stderr
 because hypothesis reruns a test body many times inside one fixture scope.
 """
 
@@ -11,8 +12,11 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ottoqft.algebra import MomentSet, contraction_factor, p_after_second
 from ottoqft.cli import main
 from ottoqft.config import _KEYS, MODES, ConfigError, parse_config
+from ottoqft.cycle import cyclic_initial_population, extracted_work
+from support import realizable_moment_set_strategy
 
 _KEY_TEXT = st.sampled_from(sorted(_KEYS)) | st.text(max_size=8)
 _VALUES = (
@@ -75,3 +79,28 @@ def test_point_exits_cleanly_over_the_valid_box(omega1, omega2, tau1, tau2, lamb
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     text = out.getvalue().lower()
     assert "nan" not in text and "inf" not in text
+
+
+_M = MomentSet(0.5, 0.6, 0.3, 0.05)
+
+
+@settings(deadline=None)
+@example(m=_M, th=math.nan, delta_omega=-2.0, p=0.3)
+@example(m=_M, th=math.inf, delta_omega=-2.0, p=0.3)
+@example(m=_M, th=-math.inf, delta_omega=-2.0, p=0.3)
+@given(m=realizable_moment_set_strategy(), th=st.floats(),
+       delta_omega=st.floats(min_value=-1e6, max_value=1e6), p=st.floats(min_value=0.0, max_value=1.0))
+def test_theta_functions_give_a_finite_value_or_a_diagnostic(m, th, delta_omega, p):
+    calls = (
+        lambda: contraction_factor(m, th),
+        lambda: p_after_second(p, m, th),
+        lambda: cyclic_initial_population(m, th),
+        lambda: extracted_work(m, th, delta_omega),
+    )
+    for call in calls:
+        try:
+            value = call()
+        except (ValueError, ArithmeticError) as exc:
+            assert str(exc) != "math domain error"
+        else:
+            assert isinstance(value, float) and math.isfinite(value)

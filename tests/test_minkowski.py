@@ -104,6 +104,11 @@ class TestFigureCurve:
             figure4a_curve(1.0, 3.0, 0.0, 1.0, 1.0, [1.0, 1.0])
         with pytest.raises(ValueError):
             figure4a_curve(1.0, 3.0, 0.5, 1.0, 1.0, [0.4, 1.0])
+        # a 2-D grid and a NaN point: the grid's own error, not NumPy's or dawson's
+        with pytest.raises(ValueError, match="^tau2_grid must be .*1-D"):
+            figure4a_curve(1.0, 3.0, 0.0, 1.0, 1.0, [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="^tau2_grid must be .*finite"):
+            figure4a_curve(1.0, 3.0, 0.0, 1.0, 1.0, [math.nan])
 
     def test_sign_tracks_signal_condition(self):
         grid = [0.3 + 0.1 * i for i in range(30)]

@@ -162,6 +162,7 @@ def test_too_many_positional_arguments_is_a_type_error():
     (lambda: InteractionEvent(0.0, 0.0), "gap must be > 0, got 0.0"),
     (lambda: InteractionEvent(0.0, float("nan")), "gap must be > 0, got nan"),
     (lambda: InteractionEvent(0.0, 1.0, -1.0), "coupling must be >= 0, got -1.0"),
+    (lambda: InteractionEvent(0.0, 1.0, float("nan")), "coupling must be >= 0, got nan"),
     (lambda: CycleConfig(SECOND, FIRST),
      "second kick must be later than the first (tau2 = 0.0 <= tau1 = 1.5)"),
     (lambda: CycleConfig(FIRST, FIRST),
@@ -171,6 +172,9 @@ def test_too_many_positional_arguments_is_a_type_error():
     (lambda: MinkowskiParams(-1.0, 1.0, 0.5), "couplings must be >= 0, got (-1.0, 1.0)"),
     (lambda: MinkowskiParams(1.0, -2.0, 0.5), "couplings must be >= 0, got (1.0, -2.0)"),
     (lambda: MinkowskiParams(1.0, 1.0, -0.5), "dtau must be >= 0, got -0.5"),
+    (lambda: MinkowskiParams(float("nan"), 1.0, 0.5), "couplings must be >= 0, got (nan, 1.0)"),
+    (lambda: MinkowskiParams(1.0, float("nan"), 0.5), "couplings must be >= 0, got (1.0, nan)"),
+    (lambda: MinkowskiParams(1.0, 1.0, float("nan")), "dtau must be >= 0, got nan"),
     (lambda: FockParams(float("inf"), 0.5), "alpha1 must be finite, got inf"),
     (lambda: FockParams(0.5, complex(0.0, float("nan"))), "alpha2 must be finite, got nanj"),
     (lambda: FockParams(0.5, 0.5, float("inf")), "nbar must be finite, got inf"),
