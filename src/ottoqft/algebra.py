@@ -15,8 +15,6 @@ import types
 from collections import namedtuple
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from .record import Record
 
 __all__ = [
@@ -79,6 +77,12 @@ class MomentSet(Record):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+
+    @functools.cached_property
+    def _point_products(self):
+        # _products of this moment set, formed once: the scalar functions that
+        # read one moment set share its two logs and two exps
+        return _products(self.nu1, self.nu2, self.mu12, _POINT)
 
 
 @runtime_checkable
@@ -145,8 +149,8 @@ def moment_set_from_kernel(kernel: QuasiFreeKernel) -> MomentSet:
         if abs(w.imag) > _SIMPLEX_TOL * max(1.0, abs(w.real)):
             raise KernelContractError(f"wightman{label} must be real, got {w!r}")
     return MomentSet(
-        math.exp(-2.0 * w11.real),
-        math.exp(-2.0 * w22.real),
+        _POINT.exp(-2.0 * w11.real),
+        _POINT.exp(-2.0 * w22.real),
         2.0 * w12.imag,
         w12.real,
     )
@@ -154,36 +158,165 @@ def moment_set_from_kernel(kernel: QuasiFreeKernel) -> MomentSet:
 
 def _raise_first_failure(checks) -> None:
     """checks: (ok, error) pairs in check order, each ok a boolean array (the
-    pairs broadcast together).  For the first point in C order that fails
-    any check, raise error(at) of the first check it fails, where at(array)
-    reads the failing point's value as a Python float."""
-    ok = functools.reduce(operator.and_, (passed for passed, _ in checks))
-    if ok.all() if isinstance(ok, np.ndarray) else ok:
+    pairs broadcast together) or the bool of one point.  For the first point
+    in C order that fails any check, raise error(at) of the first check it
+    fails, where at(array) reads the failing point's value as a Python float."""
+    ok = functools.reduce(operator.and_, [passed for passed, _ in checks])
+    arrays = not isinstance(ok, bool) and ok.ndim > 0
+    if ok.all() if arrays else ok:
         return
-    shape, i = np.shape(ok), int(np.argmin(ok))
+    at = float
+    if arrays:
+        import numpy as np
 
-    def at(values) -> float:
-        return float(np.broadcast_to(values, shape).flat[i])
-
+        shape, i = ok.shape, int(np.argmin(ok))
+        at = lambda values: float(np.broadcast_to(values, shape).flat[i])  # noqa: E731
     raise next(error(at) for passed, error in checks if not at(passed))
 
 
-# The functions the kernel calls, on one point of Python floats: a NumPy
-# call costs more than the arithmetic of a point.  The transcendental
-# functions stay NumPy's, so that a point is its array element bit for bit;
-# the phase they get is finite, and sin(2 e12) raises where 2 e12 overflows,
-# as the math module does.
-_POINT = types.SimpleNamespace(
-    log=lambda x: float(np.log(x)), exp=lambda x: float(np.exp(x)), cos=lambda x: float(np.cos(x)),
-    sin=lambda x: float(np.sin(x)) if math.isfinite(x) else math.sin(x),
-    abs=abs, minimum=min, maximum=max, logical_not=operator.not_, isfinite=math.isfinite,
-    where=lambda cond, a, b: a if cond else b, nan=math.nan,
+# exp and log from IEEE-754 +, -, *, /, rint, frexp and ldexp alone, each of
+# which Python floats and NumPy arrays round alike: one code gives the same
+# bits in both namespaces, on any CPU NumPy dispatches to.  exp is Tang's
+# table-driven method (ACM TOMS 15(2), 1989): x = (32 M + j) ln2/32 + r with
+# |r| <= ln2/64, exp(x) = 2^M 2^(j/32) exp(r).  2^(j/32) is a double-double
+# (hi + lo, from 200-bit arithmetic); ln2/32 is split into a 32-bit head,
+# whose multiples by |N| < 2^16 are exact, and a tail; exp(r) - 1 is its
+# Taylor polynomial of degree 6 (truncation below 4e-18).
+_EXP_TABLE = (
+    (1.0, 0.0),
+    (1.0218971486541166, 5.109225028973444e-17),
+    (1.0442737824274138, 8.551889705537965e-17),
+    (1.0671404006768237, -7.899853966841582e-17),
+    (1.0905077326652577, -3.046782079812471e-17),
+    (1.1143867425958924, 1.0410278456845571e-16),
+    (1.1387886347566916, 8.912812676025408e-17),
+    (1.1637248587775775, 3.8292048369240935e-17),
+    (1.189207115002721, 3.982015231465646e-17),
+    (1.215247359980469, -7.712630692681488e-17),
+    (1.241857812073484, 4.658027591836937e-17),
+    (1.2690509571917332, 2.667932131342186e-18),
+    (1.2968395546510096, 2.5382502794888315e-17),
+    (1.3252366431597413, -2.8587312100388614e-17),
+    (1.3542555469368927, 7.70094837980299e-17),
+    (1.383909881963832, -6.770511658794786e-17),
+    (1.4142135623730951, -9.667293313452913e-17),
+    (1.4451808069770467, -3.0237581349939873e-17),
+    (1.4768261459394993, -3.483994556892796e-17),
+    (1.5091644275934228, -1.016455327754295e-16),
+    (1.5422108254079407, 7.949834809697621e-17),
+    (1.5759808451078865, -1.0136916471278304e-17),
+    (1.6104903319492543, 2.4707192569797888e-17),
+    (1.645755478153965, -1.0125679913674773e-16),
+    (1.681792830507429, 8.199010020581497e-17),
+    (1.718619298122478, -1.851380418263111e-17),
+    (1.7562521603732995, 2.960140695448873e-17),
+    (1.7947090750031072, 1.8227458427912087e-17),
+    (1.8340080864093424, 3.283107224245627e-17),
+    (1.8741676341103, -6.122763413004143e-17),
+    (1.9152065613971474, -1.0619946056195963e-16),
+    (1.9571441241754002, 8.960767791036668e-17),
 )
+_INV_LN2_32 = 46.16624130844683  # 32/ln2
+_LN2_32_HI = 0.02166084938653512  # 0x1.62e42fee00000p-6
+_MINUS_LN2_32_LO = -5.9631716539705866e-12
+# exp overflows above the largest double below 1024 ln2, and is 0 below
+# -1075 ln2 ~ -745.13; arguments are clamped into [-746, _EXP_MAX] first
+_EXP_MAX = 709.782712893384
+_EXP_MIN = -746.0
 
 
-def _products(nu1, nu2, mu12, xp=np):
+def _exp(x, xp):
+    """exp(x) within 0.54 ulp (0.75 ulp where the result is subnormal), over
+    the float or array x in namespace xp; exp(nan) is nan."""
+    t = xp.clip(x, _EXP_MIN, _EXP_MAX)  # nan: _EXP_MIN
+    n = xp.rint(t * _INV_LN2_32)
+    r_hi = t - n * _LN2_32_HI  # exact
+    r_lo = n * _MINUS_LN2_32_LO
+    r = r_hi + r_lo
+    q = r * r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0)))))
+    p = r_hi + (r_lo + q)  # exp(r) - 1
+    n = xp.int(n)
+    j = n & 31
+    hi, lo = xp.exp_hi[j], xp.exp_lo[j]
+    y = xp.ldexp(hi + (lo + (hi + lo) * p), n >> 5)
+    return xp.where(x <= _EXP_MAX, y, xp.maximum(x, math.inf))  # inf, or nan at nan
+
+
+# log is fdlibm's e_log.c: x = 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2),
+# s = f / (2 + f), log(1 + f) = f - (f^2/2 - s (f^2/2 + R(s^2))), R a minimax
+# polynomial, and ln 2 split into a 32-bit head and a tail
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+       2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+       1.479819860511658591e-01)
+
+
+def _log(x, xp):
+    """log(x) within 0.8 ulp over the float or array x in namespace xp:
+    -inf at 0, inf at inf, nan below 0 and at nan."""
+    normal = (x > 0.0) & (x < math.inf)
+    x_normal = xp.where(normal, x, 1.0)
+    m, k = xp.frexp(x_normal)  # m in [1/2, 1)
+    low = m < 0.7071067811865476
+    f = m + m * low - 1.0  # exact
+    k = k - low
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = (z * (_LG[0] + w * (_LG[2] + w * (_LG[4] + w * _LG[6])))
+         + w * (_LG[1] + w * (_LG[3] + w * _LG[5])))
+    half_f2 = 0.5 * f * f
+    y = k * _LN2_HI - ((half_f2 - (s * (half_f2 + r) + k * _LN2_LO)) - f)
+    # y + 0 where x is normal, and log(1) + inf where it is inf
+    return xp.where(x > 0.0, y + (x - x_normal), xp.where(x == 0.0, -math.inf, math.nan))
+
+
+# The functions the kernel calls, on one point of Python floats: a NumPy
+# call costs more than the arithmetic of a point.  exp and log are the ones
+# above, so that a point is its array element bit for bit; sin and cos are
+# the platform's libm, as NumPy's are.  The phase they get is finite, and
+# sin(2 e12) raises where 2 e12 overflows, as the math module does.
+_POINT = types.SimpleNamespace(
+    sin=math.sin, cos=math.cos, abs=abs, logical_not=operator.not_, isfinite=math.isfinite,
+    # min and max as NumPy's minimum and maximum take them (a nan a gives nan), at a
+    # fraction of the builtins' cost
+    minimum=lambda a, b: b if b < a else a, maximum=lambda a, b: b if b > a else a,
+    # x clamped into [low, high], nan read as low, as NumPy's fmin(fmax(x, low), high)
+    clip=lambda x, low, high: high if x > high else x if x >= low else low,
+    where=lambda cond, a, b: a if cond else b, nan=math.nan,
+    # the nearest integer, ties to even, and an integer as the type ldexp and
+    # indexing take (on floats, round gives an int already)
+    rint=round, int=int, frexp=math.frexp, ldexp=math.ldexp,
+    copysign=math.copysign,
+    exp_hi=tuple(hi for hi, _ in _EXP_TABLE), exp_lo=tuple(lo for _, lo in _EXP_TABLE),
+)
+_POINT.exp = lambda x: _exp(x, _POINT)
+_POINT.log = lambda x: _log(x, _POINT)
+
+
+@functools.cache
+def _arrays() -> types.SimpleNamespace:
+    """The functions the kernel calls on NumPy arrays, NumPy imported on first
+    use: a point and a sweep on the float path never load it."""
+    import numpy as np
+
+    xp = types.SimpleNamespace(
+        sin=np.sin, cos=np.cos, abs=np.abs, minimum=np.minimum, maximum=np.maximum,
+        clip=lambda x, low, high: np.fmin(np.fmax(x, low), high), logical_not=np.logical_not,
+        isfinite=np.isfinite, where=np.where, nan=math.nan,
+        rint=np.rint, int=lambda n: n.astype(np.int32), frexp=np.frexp, ldexp=np.ldexp,
+        copysign=np.copysign, exp_hi=np.array(_POINT.exp_hi), exp_lo=np.array(_POINT.exp_lo),
+    )
+    xp.exp = lambda x: _exp(x, xp)
+    xp.log = lambda x: _log(x, xp)
+    return xp
+
+
+def _products(nu1, nu2, mu12, xp):
     """nu1 nu2 exp(4 mu12) and nu1 nu2 exp(-4 mu12), formed in log space, and
-    the realizability check nu1 nu2 exp(4 |mu12|) <= 1 (with 1e-9 slack).
+    log(nu1 nu2 exp(4 |mu12|)), which _bound_check holds to the realizability
+    bound.
 
     The bound is the AM-GM form 4 |mu12| <= 2 (W11 + W22) of the Gram bound
     |W12|^2 <= W11 W22.  Under it neither product exceeds 1 + 1e-9; the
@@ -191,12 +324,16 @@ def _products(nu1, nu2, mu12, xp=np):
     """
     log_nn = xp.log(nu1) + xp.log(nu2)
     arg = 4.0 * mu12
-    log_bound = log_nn + xp.abs(arg)
-    bound = (log_bound <= _LOG_BOUND_MAX, lambda at: KernelInconsistencyError(
+    return (xp.exp(xp.minimum(log_nn + arg, _LOG_BOUND_MAX)),
+            xp.exp(xp.minimum(log_nn - arg, _LOG_BOUND_MAX)), log_nn + xp.abs(arg))
+
+
+def _bound_check(log_bound):
+    """The realizability check nu1 nu2 exp(4 |mu12|) <= 1 (with 1e-9 slack) for
+    _raise_first_failure."""
+    return (log_bound <= _LOG_BOUND_MAX, lambda at: KernelInconsistencyError(
         f"nu1*nu2*exp(4|mu12|) = exp({at(log_bound)!r}) exceeds 1 beyond tolerance 1e-09; "
         + _UNREALIZABLE))
-    return (xp.exp(xp.minimum(log_nn + arg, _LOG_BOUND_MAX)),
-            xp.exp(xp.minimum(log_nn - arg, _LOG_BOUND_MAX)), bound)
 
 
 def weyl_moments(m: MomentSet) -> WeylMoments:
@@ -205,8 +342,8 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
     Raises KernelInconsistencyError on moment data that breaks the
     realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    up, down, bound = _products(m.nu1, m.nu2, m.mu12, _POINT)
-    _raise_first_failure([bound])
+    up, down, log_bound = m._point_products
+    _raise_first_failure([_bound_check(log_bound)])
     nn_ch = 0.5 * (up + down)  # nu1 nu2 cosh(4 mu12)
     c2e = math.cos(2.0 * m.e12)
     s2e = math.sin(2.0 * m.e12)
@@ -227,21 +364,22 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
 _PopulationColumns = namedtuple("_PopulationColumns", "product gap signal p p1 p2 degenerate")
 
 
-def _population_columns(nu1, nu2, e12, mu12, theta, p=None, xp=np):
+def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     """_PopulationColumns of many cycles over broadcastable arrays, or of one
     point of Python floats with xp = _POINT, and their checks for
     _raise_first_failure: the input checks (theta finite, then the bound),
     then the closure p and p2 in [0, 1] up to 1e-12 (clipped within it).
+    products, if given, is _products(nu1, nu2, mu12, xp).
 
     theta is gap1 tau1 - gap2 tau2, read as 0 where it is not finite.  With p
     None the closure condition p2 = p fixes p, except on degenerate cycles
     (1 - product < 1e-12: every p is a fixed point), which give the no-op
     p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
-    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate under np.errstate.
+    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate under numpy.errstate.
     """
     finite = xp.isfinite(theta)
     phase = xp.where(finite, theta, 0.0)  # so that no sine sees a non-finite theta
-    up, down, bound = _products(nu1, nu2, mu12, xp)
+    up, down, log_bound = products or _products(nu1, nu2, mu12, xp)
     s_half, c_half = xp.sin(0.5 * phase), xp.cos(0.5 * phase)
     product = xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
     one_minus = 1.0 - product
@@ -249,7 +387,8 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p=None, xp=np):
     gap = xp.maximum(one_minus, _DEGENERACY_TOL)
     signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(phase)
     checks = [(finite, lambda at: ValueError(
-        f"phase omega1*tau1 - omega2*tau2 = {at(theta)!r} is not finite")), bound]
+        f"phase omega1*tau1 - omega2*tau2 = {at(theta)!r} is not finite")),
+        _bound_check(log_bound)]
     if p is None:
         # a degenerate cycle is then a no-op, exchanging no signal, so
         # that p and p2 below come out 1/2 exactly
@@ -290,7 +429,8 @@ def contraction_factor(m: MomentSet, theta: float) -> float:
     clamped to <= 1.  Raises the kernel's input checks: ValueError on a
     non-finite theta, then KernelInconsistencyError where nu1 nu2 exp(4 |mu12|) > 1.
     """
-    columns, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    columns, checks = _population_columns(
+        m.nu1, m.nu2, m.e12, m.mu12, theta, None, _POINT, m._point_products)
     _raise_first_failure(checks[:2])
     return columns.product
 
@@ -303,6 +443,6 @@ def p_after_second(p: float, m: MomentSet, theta: float) -> float:
     a result outside [0, 1] beyond 1e-12 signals inconsistent moment data.
     """
     columns, checks = _population_columns(
-        m.nu1, m.nu2, m.e12, m.mu12, theta, _check_probability(p), _POINT)
+        m.nu1, m.nu2, m.e12, m.mu12, theta, _check_probability(p), _POINT, m._point_products)
     _raise_first_failure(checks)
     return columns.p2

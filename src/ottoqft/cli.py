@@ -11,33 +11,37 @@ Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import importlib
 import os
 import sys
 from typing import Iterable, Sequence
 
 from .config import ConfigError, parse_config
 
-# NumPy's OpenBLAS starts a spinning thread per CPU at import, and nothing here
-# gains from them (sweeps call no BLAS routine; verify's matrices are small): run
-# it on one unless the caller chose. This must precede the import that loads NumPy.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-# The import below leaves ~20,000 long-lived objects that every collection would
-# walk again: dozens of young passes while NumPy loads, and full ones at
-# interpreter shutdown. Load them with the collector off, then freeze them out
-# of collection; the command runs with the collector back on, unless the caller
-# had switched it off.
-_gc_was_enabled = gc.isenabled()
-gc.disable()
-try:
-    from .sweeps import run_point, sweep_chunks  # verify loads its own modules when it runs
-    gc.freeze()
-finally:
-    if _gc_was_enabled:
-        gc.enable()
-
 __all__ = ["main"]
+
+
+@contextlib.contextmanager
+def _frozen():
+    """Imports in the block run with the cyclic garbage collector off, and the
+    objects they leave are frozen out of collection: they live as long as the
+    process, yet every collection would walk them again (dozens of young passes
+    while they load, and full ones at interpreter shutdown).  The command runs
+    with the collector back on, unless the caller had switched it off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+with _frozen():
+    from .sweeps import on_arrays, run_point, sweep_chunks  # verify loads its own modules when it runs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,16 +51,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _import(name: str):
+    """importlib.import_module(name, "ottoqft") for a command that runs on NumPy
+    arrays, loading NumPy as the command line does: _frozen, since NumPy leaves
+    ~20,000 objects, and with OpenBLAS on one thread unless the caller chose,
+    since it starts a spinning thread per CPU at import and nothing here gains
+    from them (sweeps call no BLAS routine; verify's matrices are small)."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    with _frozen():
+        return importlib.import_module(name, __package__)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _read(args.config)
     spec = parse_config(text, args.sets)
-    _write(spec.output_path, sweep_chunks(spec))  # sweep_chunks rejects non-sweep modes
+    chunks = sweep_chunks(spec)  # rejects non-sweep modes
+    if on_arrays(spec):  # a point and a one-chunk sweep run on Python floats
+        _import("numpy")
+    _write(spec.output_path, chunks)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verification import run_verify
-
+    run_verify = _import(".verification").run_verify
     spec = parse_config("mode = verify", args.sets)
     options = {key: getattr(spec, key) for key in ("seed", "cases", "dim")
                if getattr(spec, key) is not None}

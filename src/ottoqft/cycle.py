@@ -12,10 +12,8 @@ import math
 from collections import namedtuple
 from typing import Optional
 
-import numpy as np
-
 from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _POINT
-from .algebra import MomentSet, _population_columns, _raise_first_failure
+from .algebra import MomentSet, _arrays, _population_columns, _raise_first_failure
 from .record import Record
 
 __all__ = [
@@ -116,7 +114,8 @@ def cyclic_initial_population(m: MomentSet, theta: float) -> float:
     Raises DegenerateCycleError when nu1*nu2*alpha is within 1e-12 of 1,
     i.e. when the kicks act trivially and every p is a fixed point.
     """
-    c, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    c, checks = _population_columns(
+        m.nu1, m.nu2, m.e12, m.mu12, theta, None, _POINT, m._point_products)
     _raise_first_failure(checks)
     if c.degenerate:
         raise DegenerateCycleError(f"nu1*nu2*alpha = {c.product!r} is within {_DEGENERACY_TOL} of 1")
@@ -133,7 +132,8 @@ def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
     # only the input checks raise (phase, bound): a closure p off [0, 1] has its work
-    c, checks = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, xp=_POINT)
+    c, checks = _population_columns(
+        m.nu1, m.nu2, m.e12, m.mu12, theta, None, _POINT, m._point_products)
     _raise_first_failure(checks[:2])
     return _closed_form_work(c, m.nu1, delta_omega)
 
@@ -163,7 +163,7 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     omits w_ext (per-stroke entries remain valid).
     """
     c = _ledger(theta(config), config.first.gap, config.second.gap,
-                m.nu1, m.nu2, m.e12, m.mu12, config.initial_p, _POINT)
+                m.nu1, m.nu2, m.e12, m.mu12, config.initial_p, _POINT, products=m._point_products)
     values = {name: getattr(c, name) for name in WorkReport._fields}
     for name in ("w_ext", "efficiency"):  # NaN marks an absent entry
         if math.isnan(values[name]):
@@ -188,42 +188,55 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None
     theta on.  The first failing point in C order raises the first check it
     fails, with the message the scalar API gives for it.
     """
-    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
-        omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)))
-    omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12 = args
+    import numpy as np
+
+    args = [np.asarray(v, dtype=float) for v in (omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)]
+    if initial_p is not None:
+        initial_p = np.asarray(initial_p, dtype=float)
+    # each value is formed on the shape of its own inputs (so a grid's nu1 and nu2, given
+    # on its axes, take one log each), and the columns are broadcast at the end
     with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        th = omega1 * tau1 - omega2 * tau2
-        kicks_ok = (omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1)
-        if initial_p is not None:
-            initial_p = np.asarray(initial_p, dtype=float)
-            kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
-        checks = [
-            (np.isfinite(e12) & np.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
-             & (0.0 < nu2) & (nu2 <= 1.0),
-             lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12))),
-            (kicks_ok, lambda at: CycleConfig(
-                InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
-                None if initial_p is None else at(initial_p))),
-        ]
-        return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, np, checks)
+        return LedgerColumns._make(np.broadcast_arrays(*_cycle(*args, initial_p, _arrays())))
+
+
+def _cycle(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p, xp) -> LedgerColumns:
+    """cycle_arrays over the arrays, or over one point of Python floats with
+    xp = _POINT: its LedgerColumns are then floats and bools."""
+    th = omega1 * tau1 - omega2 * tau2
+    kicks_ok = (omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1)
+    if initial_p is not None:
+        kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
+    checks = [
+        (xp.isfinite(e12) & xp.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
+         & (0.0 < nu2) & (nu2 <= 1.0),
+         lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12))),
+        (kicks_ok, lambda at: CycleConfig(
+            InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
+            None if initial_p is None else at(initial_p))),
+    ]
+    return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, xp, checks)
 
 
 def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12) -> LedgerColumns:
     """The ledger of cycles given their phase difference theta, over broadcastable
     arrays, with the population checks of cycle_arrays (a finite theta first)."""
+    import numpy as np
+
     with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None)
+        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None, _arrays())
 
 
-def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp=np, checks=()) -> LedgerColumns:
+def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp, checks=(),
+            products=None) -> LedgerColumns:
     """Populations, then the strokes, once the caller's checks and the
     population checks pass.  The no-op row of a degenerate closed cycle has
     p = p1 = p2 = 1/2 and zero work and heat in every stroke.  w_ext of a
     cycle the closure condition closes is the paper's closed form, which
     keeps a signal below the float spacing at 1/2; efficiency is the
-    population work (p1 - p) delta_omega over q2."""
+    population work (p1 - p) delta_omega over q2.  products is passed on to
+    _population_columns."""
     closure = p is None
-    c, population_checks = _population_columns(nu1, nu2, e12, mu12, theta, p, xp)
+    c, population_checks = _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products)
     _raise_first_failure([*checks, *population_checks])
     p, p1, p2 = c.p, c.p1, c.p2
     noop = c.degenerate & closure

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from ottoqft.algebra import (
     KernelInconsistencyError,
     MomentSet,
+    _arrays,
     _population_columns,
     contraction_factor,
     p_after_second,
@@ -175,7 +176,7 @@ def test_scalar_api_is_the_array_element(omega1, omega2, kick_times, m, initial_
         column = getattr(cols, name).item()
         assert value == column or (value is None and math.isnan(column)), name
     th = theta(config)
-    population, _ = _population_columns(*map(np.asarray, (*moments, th)))
+    population, _ = _population_columns(*map(np.asarray, (*moments, th)), None, _arrays())
     assert contraction_factor(m, th) == population.product.item()
     if initial_p is not None:
         assert p_after_second(initial_p, m, th) == cols.p2.item()

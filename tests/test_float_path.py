@@ -1,0 +1,286 @@
+"""The float path against the array path: the kernel's exp and log, Python
+float against NumPy element, bit for bit, and each within 1 ulp of mpmath;
+sweeps, points and their errors byte for byte on both paths; the CSV bytes
+under NumPy's AVX-512 dispatch and without it; and NaN inputs rejected by
+name."""
+
+import hashlib
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ottoqft
+from ottoqft import sweeps
+from ottoqft.algebra import _POINT, _arrays
+from ottoqft.config import parse_config
+from ottoqft.minkowski import dawson, minkowski_moment_arrays
+from ottoqft.sweeps import figure4a_curve, run_point, run_sweep
+
+ARRAYS = _arrays()
+EXP_MAX = 709.782712893384  # the largest double whose exp is finite
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal bits: nan matches nan, and 0.0 does not match -0.0."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+def _array_element(function, x: float) -> float:
+    return float(function(np.array([x]))[0])
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+SPECIALS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, EXP_MAX, math.nextafter(EXP_MAX, 1e309),
+            -745.1332191019411, -745.1332191019412, -746.0, -1e300]
+
+
+@settings(max_examples=500, deadline=None)
+@given(ANY_FLOAT)
+def test_exp_float_is_the_array_element(x):
+    assert _same(_POINT.exp(x), _array_element(ARRAYS.exp, x))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ANY_FLOAT)
+def test_log_float_is_the_array_element(x):
+    assert _same(_POINT.log(x), _array_element(ARRAYS.log, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(2.0 ** 60)  # beyond the lattice cap 2^50, where a 32-bit lattice index overflows
+def test_dawson_float_is_the_array_element(x):
+    assert _same(dawson(x), float(dawson(np.array([x]))[0]))
+
+
+@pytest.mark.parametrize("x", SPECIALS)
+def test_special_values_map_alike(x):
+    # neither path raises, nor warns: round(nan) would raise, and a cast of nan to int
+    # gives a garbage table index
+    assert _same(_POINT.exp(x), _array_element(ARRAYS.exp, x))
+    assert _same(_POINT.log(x), _array_element(ARRAYS.log, x))
+
+
+def test_special_values():
+    exp, log = _POINT.exp, _POINT.log
+    assert (exp(math.inf), exp(-math.inf), exp(0.0), exp(-0.0)) == (math.inf, 0.0, 1.0, 1.0)
+    assert exp(math.nextafter(EXP_MAX, math.inf)) == math.inf > exp(EXP_MAX)
+    assert math.isnan(exp(math.nan))
+    assert (log(0.0), log(-0.0), log(math.inf), log(1.0)) == (-math.inf, -math.inf, math.inf, 0.0)
+    assert all(math.isnan(log(x)) for x in (-1.0, -5e-324, -math.inf, math.nan))
+
+
+def _ulps(got: float, exact) -> float:
+    """|got - exact| in units of the last place of exact rounded to a double
+    (of the smallest subnormal where it rounds to 0)."""
+    nearest = float(exact)
+    unit = math.ulp(nearest) if nearest else 5e-324
+    return float(abs(mp.mpf(got) - exact) / unit)
+
+
+def _worst(function, reference, xs) -> float:
+    with mp.workprec(120):
+        return max(_ulps(function(x), reference(mp.mpf(x))) for x in xs)
+
+
+def _draws(low: float, high: float, count: int, seed: int) -> list[float]:
+    return np.random.default_rng(seed).uniform(low, high, count).tolist()
+
+
+@pytest.mark.parametrize("xs", [
+    _draws(-745.0, 709.0, 2000, 1),  # normal results
+    _draws(-1.0, 1.0, 1000, 2),
+    _draws(709.0, EXP_MAX, 500, 3) + [EXP_MAX],  # the overflow edge
+    _draws(-745.1332191019411, -708.0, 1000, 4),  # subnormal results, the underflow edge
+    [5e-324, -5e-324, 1e-300, -1e-300, 2.2250738585072014e-308, 1e-17, -1e-17],  # subnormal and tiny
+], ids=["normal", "unit", "overflow-edge", "underflow-edge", "tiny"])
+def test_exp_within_one_ulp_of_mpmath(xs):
+    assert _worst(_POINT.exp, mp.exp, xs) < 1.0
+
+
+@pytest.mark.parametrize("xs", [
+    np.exp(_draws(-700.0, 700.0, 2000, 5)).tolist(),  # normal inputs
+    _draws(0.5, 2.0, 2000, 6),
+    (1.0 + np.array(_draws(-1e-6, 1e-6, 500, 7))).tolist(),  # near 1
+    np.ldexp(_draws(0.5, 1.0, 500, 8), np.arange(-1074, -1022).repeat(10)[:500]).tolist(),  # subnormal
+    [5e-324, 1e-320, 2.2250738585072014e-308, 1.7976931348623157e308, math.nextafter(1.0, 0.0),
+     math.nextafter(1.0, 2.0)],
+], ids=["normal", "octave", "near-1", "subnormal", "edges"])
+def test_log_within_one_ulp_of_mpmath(xs):
+    assert _worst(_POINT.log, mp.log, xs) < 1.0
+
+
+# the benchmark's workloads, each cut to at most one chunk
+FIG4A = ("mode = curve-tau2\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\nlambda1 = 100.0\n"
+         "lambda2 = 1.0\ntau2_start = 0.05\ntau2_stop = {stop}\ntau2_count = {count}\n"
+         "output = x.csv\n")
+GRID = ("mode = grid-couplings\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\ntau2 = 1.5\n"
+        "lambda1_start = 0.5\nlambda1_stop = 100.0\nlambda1_count = {count1}\n"
+        "lambda2_start = 0.0\nlambda2_stop = 3.0\nlambda2_count = {count2}\noutput = x.csv\n")
+ONE_CHUNK = {
+    "fig4a": FIG4A.format(stop=8.0, count=200),
+    "curve-dense": FIG4A.format(stop=12.0, count=sweeps._CHUNK),
+    "grid-stress": GRID.format(count1=sweeps._CHUNK // 61, count2=61),
+}
+
+
+def _outcome(call):
+    """(result, None) of call(), or (None, (type, message)) of the error it raises."""
+    try:
+        return call(), None
+    except (ValueError, ArithmeticError) as error:
+        return None, (type(error), str(error))
+
+
+def _on_both_paths(call):
+    """The _outcome of call() on the float path, then with every sweep on arrays."""
+    with pytest.MonkeyPatch.context() as patch:
+        floats = _outcome(call)
+        patch.setattr(sweeps, "on_arrays", lambda spec: True)
+        return floats, _outcome(call)
+
+
+@pytest.mark.parametrize("name", ONE_CHUNK)
+def test_one_chunk_workloads_give_the_same_bytes_on_both_paths(name):
+    spec = parse_config(ONE_CHUNK[name])
+    assert not sweeps.on_arrays(spec)
+    floats, arrays = _on_both_paths(lambda: run_sweep(spec))
+    assert floats == arrays and floats[0].count("\n") > 100
+
+
+@pytest.mark.parametrize("sets", [
+    ["lambda1=100", "lambda2=1"],
+    ["lambda1=122", "lambda2=1"],  # nu1 underflows: a validation error
+    ["lambda1=111", "lambda2=116", "tau2=0.015625"],
+    ["lambda1=0", "lambda2=0"],  # degenerate
+    ["tau2=1e308", "tau1=-1e308"],  # an overflowing separation
+])
+def test_point_is_the_array_element(sets):
+    spec = parse_config("mode = single-point", ["omega1=1", "omega2=3", "tau1=0", "tau2=1.5",
+                                                "lambda1=1", "lambda2=1", *sets])
+    args = (spec.omega1, spec.omega2, spec.tau1, spec.tau2, spec.lambda1, spec.lambda2)
+    (point, error), (cells, array_error) = _outcome(lambda: sweeps._point(*args)), _outcome(
+        lambda: [column.item() for column in sweeps._cycles(*args)])
+    assert error == array_error
+    if error is None:
+        assert all(map(_same, point, cells))
+        assert run_point(spec).count("\n") >= 15
+
+
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega1=POSITIVE, omega2=POSITIVE, tau1=st.floats(-10.0, 10.0),
+       lambda1=st.floats(0.0, 130.0), lambda2=st.floats(0.0, 130.0),
+       span=st.floats(1e-3, 50.0), count=st.integers(2, 40), grid=st.booleans())
+@example(omega1=1.0, omega2=3.0, tau1=0.0, lambda1=122.0, lambda2=1.0, span=8.0, count=5,
+         grid=True)
+def test_drawn_configs_give_the_same_bytes_or_error_on_both_paths(omega1, omega2, tau1, lambda1,
+                                                                  lambda2, span, count, grid):
+    common = f"omega1 = {omega1!r}\nomega2 = {omega2!r}\ntau1 = {tau1!r}\noutput = x.csv\n"
+    if grid:
+        text = (f"mode = grid-couplings\ntau2 = {tau1 + span!r}\nlambda1_start = 0.0\n"
+                f"lambda1_stop = {lambda1 + 1.0!r}\nlambda1_count = {count}\n"
+                f"lambda2_start = 0.0\nlambda2_stop = {lambda2 + 1.0!r}\nlambda2_count = 3\n")
+    else:
+        text = (f"mode = curve-tau2\nlambda1 = {lambda1!r}\nlambda2 = {lambda2!r}\n"
+                f"tau2_start = {tau1 + span / count!r}\ntau2_stop = {tau1 + span!r}\n"
+                f"tau2_count = {count}\n")
+    spec = parse_config(common + text)
+    floats, arrays = _on_both_paths(lambda: run_sweep(spec))
+    assert floats == arrays
+
+
+def test_figure4a_curve_is_the_same_on_both_paths(monkeypatch):
+    grid = np.linspace(0.05, 8.0, 200).tolist()
+    floats = figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, grid)
+    monkeypatch.setattr(sweeps, "_CHUNK", 100)  # the grid is longer than a chunk: arrays
+    assert figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, grid) == floats
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: minkowski_moment_arrays(np.array([1.0, math.nan]), 1.0, 0.5),
+     "lambda1 must be >= 0, got nan"),
+    (lambda: minkowski_moment_arrays(1.0, np.array([2.0, -1.0]), 0.5),
+     "lambda2 must be >= 0, got -1.0"),
+    (lambda: minkowski_moment_arrays(1.0, 1.0, np.array([0.5, math.nan])),
+     "dtau must be >= 0, got nan"),
+    (lambda: figure4a_curve(1.0, 3.0, 0.0, math.nan, 1.0, [1.0, 2.0]),
+     "lambda1 must be >= 0, got nan"),
+    (lambda: figure4a_curve(1.0, 3.0, 0.0, 1.0, math.nan,  # on arrays
+                            np.linspace(1.0, 2.0, sweeps._CHUNK + 1)),
+     "lambda2 must be >= 0, got nan"),
+    (lambda: figure4a_curve(1.0, 3.0, math.nan, 1.0, 1.0, [1.0, 2.0]),
+     "every tau2 must exceed tau1 = nan"),
+    (lambda: sweeps._point(1.0, 3.0, 0.0, math.nan, 1.0, 1.0), "dtau must be >= 0, got nan"),
+])
+def test_nan_inputs_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+# the sha256 of the benchmark's three workload CSVs, on any NumPy SIMD dispatch
+WORKLOAD_SHA256 = {
+    "fig4a": (FIG4A.format(stop=8.0, count=200),
+              "d5a4525195287f64f36bfd089036b06f8f14044589f4eb0912b1a8b6306f4df0"),
+    "grid-stress": (GRID.format(count1=1001, count2=61),
+                    "8bb173b560afed84999c68688d3ec52eb62b916329d0af504a16eaf0775d5649"),
+    "curve-dense": (FIG4A.format(stop=12.0, count=20000),
+                    "b8937a244c483b094777a506efadfa98b5a4b000aec51aa159ebcd7ac0170276"),
+}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_SHA256)
+def test_workload_csv_digests(name):
+    text, digest = WORKLOAD_SHA256[name]
+    assert hashlib.sha256(run_sweep(parse_config(text)).encode()).hexdigest() == digest
+
+
+# NumPy's own per-process switch for its AVX-512 targets; it changes no machine setting
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# prints the sha256 of a two-chunk curve (the array path), a small grid and a point,
+# and the dispatch targets NumPy runs on
+DIGESTS = (
+    "import hashlib, json\n"
+    "from numpy._core._multiarray_umath import __cpu_features__ as features\n"
+    "from ottoqft.config import parse_config\n"
+    "from ottoqft.sweeps import run_point, run_sweep\n"
+    "texts = [run_sweep(parse_config({curve!r})), run_sweep(parse_config({grid!r})),\n"
+    "         run_point(parse_config('mode = single-point', {point!r}))]\n"
+    "print(json.dumps([[hashlib.sha256(t.encode()).hexdigest() for t in texts],\n"
+    "                  [name for name in {targets!r} if features.get(name)]]))\n"
+)
+
+
+def test_bytes_do_not_depend_on_numpy_dispatch():
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    targets = NO_AVX512.split()
+    if not any(__cpu_features__.get(name) for name in targets):
+        pytest.skip(f"this CPU runs none of NumPy's targets {NO_AVX512}: both runs would "
+                    "use the same dispatch")
+    script = DIGESTS.format(
+        curve=FIG4A.format(stop=12.0, count=sweeps._CHUNK + 1), grid=GRID.format(count1=7, count2=5),
+        point=["omega1=1", "omega2=3", "tau1=0", "tau2=1.5", "lambda1=100", "lambda2=1"],
+        targets=targets)
+    src = str(pathlib.Path(ottoqft.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [subprocess.run([sys.executable, "-c", script], env={**env, **extra}, capture_output=True,
+                           text=True, timeout=120, check=True).stdout
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})]
+    (with_avx512, targets_on), (without, targets_off) = map(json.loads, runs)
+    assert targets_on and not targets_off  # the switch took effect
+    assert with_avx512 == without

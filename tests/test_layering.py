@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import ottoqft
+from ottoqft import sweeps
 
 SOURCES = sorted(pathlib.Path(ottoqft.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -46,7 +47,7 @@ LAYERS = {
     "oracle": {"algebra", "record"},
     "config": {"record"},
     "verification": {"algebra", "config", "cycle", "minkowski", "oracle", "record"},
-    "sweeps": {"config", "cycle", "minkowski"},
+    "sweeps": {"algebra", "config", "cycle", "minkowski"},  # the kernel's float namespace
     "cli": {"config", "oracle", "sweeps", "verification"},  # the last two inside verify
 }
 
@@ -107,41 +108,56 @@ def test_importing_the_package_or_config_loads_no_numpy():
     assert _python(script) == [["ottoqft"], ["ottoqft", "ottoqft.config", "ottoqft.record"]]
 
 
-# runs the command line as python -m does, with its stdout set aside, then prints
-# the exit status and which of the modules named in LOADED are loaded
+# runs the command line as python -m does, with its stdout set aside
 RUN_CLI = (
-    "import contextlib, io, json, runpy, sys\n"
+    "import contextlib, io, runpy, sys\n"
     "sys.argv = ['ottoqft', *{argv!r}]\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    try:\n"
     "        runpy.run_module('ottoqft.cli', run_name='__main__', alter_sys=True)\n"
     "    except SystemExit as done:\n"
     "        status = done.code\n"
-    "print(json.dumps([status, [name for name in {loaded!r} if name in sys.modules]]))\n"
 )
-LOADED = ("ottoqft.oracle", "ottoqft.verification", "dataclasses")
+# then prints the exit status and which of the modules named in LOADED are loaded
+LOADED = ("ottoqft.oracle", "ottoqft.verification", "dataclasses", "numpy")
+REPORT_LOADED = "print(json.dumps([status, [name for name in {loaded!r} if name in sys.modules]]))\n"
 
 TINY_CURVE = ("mode = curve-tau2\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\nlambda1 = 100.0\n"
-              "lambda2 = 1.0\ntau2_start = 0.5\ntau2_stop = 8.0\ntau2_count = 5\noutput = {out}\n")
+              "lambda2 = 1.0\ntau2_start = 0.5\ntau2_stop = 8.0\ntau2_count = {count}\n"
+              "output = {out}\n")
 POINT = ["point", "--set", "omega1=1", "--set", "omega2=3", "--set", "tau1=0",
          "--set", "tau2=1.5", "--set", "lambda1=100", "--set", "lambda2=1"]
 
 
-@pytest.mark.parametrize("command, loaded", [
-    # a sweep or a point never loads the oracles, their checks or dataclasses
-    ("sweep", []),
-    ("point", []),
-    ("verify", ["ottoqft.oracle", "ottoqft.verification"]),  # loaded when it runs
+def _argv(command, tmp_path):
+    """The command line of a named run: a one-chunk or a two-chunk curve sweep, a
+    point, a point that fails (nu1 underflows), or a light verify."""
+    if command.startswith("sweep"):
+        count = {"sweep": 5, "sweep-2-chunks": sweeps._CHUNK + 1}[command]
+        config = tmp_path / "curve.cfg"
+        config.write_text(TINY_CURVE.format(count=count, out=tmp_path / "curve.csv"),
+                          encoding="utf-8")
+        return ["sweep", "--config", str(config)]
+    return {"point": POINT, "point-error": [*POINT, "--set", "lambda1=122"],
+            "verify": ["verify", "--set", "cases=1"]}[command]
+
+
+@pytest.mark.parametrize("command, status, loaded", [
+    # a one-chunk sweep or a point loads neither NumPy nor the oracles, their
+    # checks or dataclasses: it runs on Python floats
+    ("sweep", 0, []),
+    ("point", 0, []),
+    ("point-error", 1, []),
+    ("sweep-2-chunks", 0, ["numpy"]),
+    ("verify", 0, ["ottoqft.oracle", "ottoqft.verification", "numpy"]),  # loaded when it runs
 ])
-def test_each_command_loads_only_what_it_runs(tmp_path, command, loaded):
-    config = tmp_path / "curve.cfg"
-    config.write_text(TINY_CURVE.format(out=tmp_path / "curve.csv"), encoding="utf-8")
-    argv = {"sweep": ["sweep", "--config", str(config)], "point": POINT, "verify": ["verify"]}
-    assert _python(RUN_CLI.format(argv=argv[command], loaded=LOADED)) == [0, loaded]
+def test_each_command_loads_only_what_it_runs(tmp_path, command, status, loaded):
+    script = "import json\n" + RUN_CLI.format(argv=_argv(command, tmp_path))
+    assert _python(script + REPORT_LOADED.format(loaded=LOADED)) == [status, loaded]
 
 
 # records OPENBLAS_NUM_THREADS and whether the cyclic collector is on as numpy is
-# first imported, and both again at the end with whether any objects are frozen
+# first imported, if it is, and both again at the end with whether any objects are frozen
 WATCH_NUMPY = (
     "import gc, importlib.abc, json, os, sys\n"
     "state = lambda: [os.environ.get('OPENBLAS_NUM_THREADS'), gc.isenabled()]\n"
@@ -154,25 +170,39 @@ WATCH_NUMPY = (
     "{statement}\n"
     "print(json.dumps(seen + [state() + [gc.get_freeze_count() > 0]]))\n"
 )
+# a library sweep of two chunks
+LIBRARY_SWEEP = ("import ottoqft.config, ottoqft.sweeps\n"
+                 "ottoqft.sweeps.run_sweep(ottoqft.config.parse_config({config!r}))")
 
 
-# [OPENBLAS_NUM_THREADS, collector on] as numpy loads; at the end, also [frozen]
+# [OPENBLAS_NUM_THREADS, collector on] as numpy loads (None: it does not); at the
+# end, also [frozen]
 @pytest.mark.parametrize("statement, caller, at_numpy, at_end", [
-    # the CLI loads NumPy on one BLAS thread with the collector off, then freezes
-    # what its imports made and switches the collector back on
-    ("import ottoqft.cli", None, ["1", False], ["1", True, True]),
-    ("import runpy; runpy.run_module('ottoqft.cli')", None,  # as python -m runs it
-     ["1", False], ["1", True, True]),
-    ("import ottoqft.cli", "3", ["3", False], ["3", True, True]),  # the caller's setting wins
-    ("import gc; gc.disable(); import ottoqft.cli", None,  # so does a disabled collector
+    # a CLI run on arrays loads NumPy on one BLAS thread with the collector off,
+    # then freezes what its imports made and switches the collector back on
+    ("verify", None, ["1", False], ["1", True, True]),
+    ("sweep-2-chunks", None, ["1", False], ["1", True, True]),
+    ("verify", "3", ["3", False], ["3", True, True]),  # the caller's setting wins
+    ("import gc; gc.disable()\nverify", None,  # so does a disabled collector
      ["1", False], ["1", False, True]),
-    # a library import changes nothing
-    ("import ottoqft.sweeps", None, [None, True], [None, True, False]),
+    # importing the CLI, or a run on floats, loads no NumPy and leaves the threads
+    # alone; the imports are frozen all the same
+    ("import ottoqft.cli", None, None, [None, True, True]),
+    ("sweep", None, None, [None, True, True]),
+    ("import gc; gc.disable()\nsweep", None, None, [None, False, True]),
+    # a library call on arrays changes nothing
+    ("library", None, [None, True], [None, True, False]),
 ])
-def test_blas_threads_and_collector_are_set_before_numpy_loads(statement, caller, at_numpy,
-                                                               at_end):
+def test_blas_threads_and_collector_are_set_before_numpy_loads(tmp_path, statement, caller,
+                                                               at_numpy, at_end):
+    *head, command = statement.split("\n")
+    if command in ("verify", "sweep", "sweep-2-chunks"):
+        command = RUN_CLI.format(argv=_argv(command, tmp_path))
+    elif command == "library":
+        command = LIBRARY_SWEEP.format(config=TINY_CURVE.format(count=sweeps._CHUNK + 1, out="x.csv"))
     env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
-    assert _python(WATCH_NUMPY.format(statement=statement), **env) == [at_numpy, at_end]
+    seen = _python(WATCH_NUMPY.format(statement="\n".join([*head, command])), **env)
+    assert seen == ([at_numpy] if at_numpy else []) + [at_end]
 
 
 def test_public_names_keep_their_order():
