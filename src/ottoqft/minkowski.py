@@ -129,7 +129,7 @@ def _moments(lambda1, lambda2, dtau, xp):
     x = xs.where(x >= 2.0 ** 1023, _RYBICKI_CAP, x)
     pref = lambda1 * lambda2
     e12 = pref / (2.0 * math.pi ** 1.5) * x * xs.exp(-x * x)
-    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * dawson(x))
+    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * _dawson(x, xs))  # x is finite
     return nu1, nu2, e12, mu12
 
 

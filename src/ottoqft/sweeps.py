@@ -1,23 +1,26 @@
 """Grid evaluation and CSV emission for the sweep front end.
 
-A sweep of more than _CHUNK grid points runs on the array path
-(minkowski_moment_arrays + cycle_arrays), _CHUNK points at a time; a smaller
-one, and run_point, run the same kernel on one point of Python floats at a
-time and never import NumPy.  The two paths give the same bits.  Rows are
-emitted in grid order with 17 significant digits, so the text re-parses to
-the exact binary values.
+Sweeps, figure4a_curve and run_point evaluate the kernel through one
+function, _evaluate (the moments, then the cycle), and choose its namespace
+in one, _chunk: a sweep of more than _CHUNK grid points runs on NumPy arrays,
+one call per chunk of _CHUNK points; a smaller one, and run_point, on Python
+floats, one call per point, and never import NumPy.  The two paths give the
+same bits.  A grid holds its axes as array("d"), 8 bytes a value, on both.
+Rows are emitted in grid order with 17 significant digits, so the text
+re-parses to the exact binary values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import Iterator, Sequence
 
-from .algebra import _POINT
+from .algebra import _POINT, _arrays
 from .config import SweepSpec
-from .cycle import LedgerColumns, _cycle, cycle_arrays
-from .minkowski import _moments, minkowski_moment_arrays
+from .cycle import LedgerColumns, _cycle
+from .minkowski import _moments
 
 __all__ = ["run_sweep", "sweep_chunks", "run_point", "figure4a_curve", "on_arrays",
            "CURVE_COLUMNS", "GRID_COLUMNS"]
@@ -27,9 +30,8 @@ CURVE_COLUMNS = (
     "p_cyclic", "p1", "w_ext_sigma", "pwc",
 )
 GRID_COLUMNS = ("lambda1_over_sigma", "lambda2_over_sigma", "w_ext_sigma", "pwc")
-# the LedgerColumns of which a curve row prints one cell each (nu1 and nu2 are
-# the same in every row)
-_CURVE_CELLS = ("theta", "e12", "mu12", "p", "p1", "w_ext", "pwc")
+# the LedgerColumns a curve row prints; nu1 and nu2 are the same in every row
+_CURVE_CELLS = ("nu1", "nu2", "theta", "e12", "mu12", "p", "p1", "w_ext", "pwc")
 
 # grid points evaluated and rendered per chunk; a sweep of at most this many
 # runs on Python floats
@@ -54,82 +56,79 @@ def _render_rows(row: str, columns: Sequence[list], flags: list) -> str:
     return (row * len(words)) % tuple(itertools.chain.from_iterable(zip(*columns, words)))
 
 
-def _cycles(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> LedgerColumns:
-    # the array path: one NumPy array per column
+def _evaluate(xp, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> LedgerColumns:
+    # the one kernel call: the moments, then the cycle, on one point of Python floats
+    # (xp = _POINT) or on arrays (xp = _arrays(), under numpy.errstate)
+    moments = _moments(lambda1, lambda2, tau2 - tau1, xp)
+    return _cycle(omega1, omega2, tau1, tau2, *moments, initial_p, xp)
+
+
+def _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> list:
+    """The LedgerColumns fields named in fields, a list each, of one chunk of a sweep
+    of size points.  Each of tau2, lambda1 and lambda2 is a number or an array("d")
+    axis, and the chunk is the grid of its axes in row-major order.  The one switch
+    between the paths: a sweep of more than _CHUNK points (on_arrays) runs on NumPy
+    arrays, one kernel call a chunk; a smaller one on Python floats, one a point."""
+    indices = [LedgerColumns._fields.index(name) for name in fields]
+    varied = (tau2, lambda1, lambda2)
+    if size <= _CHUNK:
+        points = [_evaluate(_POINT, omega1, omega2, tau1, *point, initial_p) for point in
+                  itertools.product(*(v if isinstance(v, array) else (v,) for v in varied))]
+        return [[point[i] for point in points] for i in indices]
     import numpy as np
 
-    tau2 = np.asarray(tau2, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing separation is infinite
-        moments = minkowski_moment_arrays(lambda1, lambda2, tau2 - tau1)
-    return cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p)
+    axes = [v for v in varied if isinstance(v, array)]
+    mesh = iter(np.ix_(*axes))  # each axis on a dimension of its own, in grid order
+    with np.errstate(all="ignore"):  # failing points raise, after every check is made
+        c = _evaluate(_arrays(), omega1, omega2, tau1,
+                      *(next(mesh) if isinstance(v, array) else v for v in varied), initial_p)
+    shape = tuple(map(len, axes))  # a column of one value (a curve's nu1, nu2) is repeated
+    return [[c[i]] * math.prod(shape) if np.ndim(c[i]) == 0
+            else np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]
 
 
-def _point(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> LedgerColumns:
-    # the float path: one cycle of Python floats, with the array path's checks and bits
-    moments = _moments(lambda1, lambda2, tau2 - tau1, _POINT)
-    return _cycle(omega1, omega2, tau1, tau2, *moments, initial_p, _POINT)
-
-
-def _points(omega1, omega2, tau1, tau2, lambda1, lambda2) -> LedgerColumns:
-    # the float path over lists, one entry per point, and numbers shared by every point:
-    # one list per column
-    args = (a if isinstance(a, list) else itertools.repeat(a)
-            for a in (omega1, omega2, tau1, tau2, lambda1, lambda2))
-    return LedgerColumns._make(map(list, zip(*itertools.starmap(_point, zip(*args)))))
+def _size(spec: SweepSpec) -> int:
+    # the grid points of a sweep
+    if spec.mode == "curve-tau2":
+        return spec.tau2_axis.count
+    return spec.lambda1_axis.count * spec.lambda2_axis.count
 
 
 def on_arrays(spec: SweepSpec) -> bool:
     """Whether the sweep spec runs on NumPy arrays: it has more than _CHUNK grid points."""
-    if spec.mode == "curve-tau2":
-        return spec.tau2_axis.count > _CHUNK
-    return spec.lambda1_axis.count * spec.lambda2_axis.count > _CHUNK
+    return _size(spec) > _CHUNK
 
 
 def _chunks(s: SweepSpec) -> Iterator[str]:
     """The CSV header, then the rows of _CHUNK grid points at a time in declared order."""
-    curve = s.mode == "curve-tau2"
-    arrays = on_arrays(s)
-    yield ",".join(CURVE_COLUMNS if curve else GRID_COLUMNS) + "\n"
-    if curve:
+    size = _size(s)
+    yield ",".join(CURVE_COLUMNS if s.mode == "curve-tau2" else GRID_COLUMNS) + "\n"
+    if s.mode == "curve-tau2":
         points = s.tau2_axis.points()
         for _ in range(0, s.tau2_axis.count, _CHUNK):
-            tau2 = list(itertools.islice(points, _CHUNK))
-            if arrays:
-                c = _cycles(s.omega1, s.omega2, s.tau1, tau2, s.lambda1, s.lambda2)
-                c = c._replace(**{name: getattr(c, name).tolist() for name in _CURVE_CELLS})
-            else:
-                c = _points(s.omega1, s.omega2, s.tau1, tau2, s.lambda1, s.lambda2)
+            tau2 = array("d", itertools.islice(points, _CHUNK))
+            nu1, nu2, *cells, pwc = _chunk(size, _CURVE_CELLS, s.omega1, s.omega2, s.tau1, tau2,
+                                           s.lambda1, s.lambda2)
             # nu1 and nu2 follow the couplings alone: the same two cells in every row
-            row = "%.17g,%.17g," + "%.17g,%.17g" % (c.nu1[0], c.nu2[0]) + ",%.17g" * 5 + ",%s\n"
-            yield _render_rows(row, (tau2, c.theta, c.e12, c.mu12, c.p, c.p1, c.w_ext), c.pwc)
+            row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
+            yield _render_rows(row, (tau2, *cells), pwc)
         return
-    if not arrays:  # one chunk: the whole grid
-        axis1, axis2 = (list(axis.points()) for axis in (s.lambda1_axis, s.lambda2_axis))
-        c = _points(s.omega1, s.omega2, s.tau1, s.tau2,
-                    [a for a in axis1 for _ in axis2], axis2 * len(axis1))
-        yield _grid_rows(axis1, _texts(axis2), c.w_ext, c.pwc)
-        return
-    import numpy as np
-
-    # a grid holds both float axes whole.  A chunk is a block of whole lambda1 rows, or
-    # _CHUNK lambda2 values of one row where a row is longer: the kernel forms each
-    # coupling's nu, and its log, once per block row or column.  A lambda2 axis no longer
-    # than a chunk is formatted once, as every chunk uses it all
-    axis1, axis2 = (np.fromiter(axis.points(), float) for axis in (s.lambda1_axis, s.lambda2_axis))
-    rows, width = max(1, _CHUNK // axis2.size), min(axis2.size, _CHUNK)
-    text2 = _texts(axis2.tolist()) if width == axis2.size else None
-    for i in range(0, axis1.size, rows):
-        for j in range(0, axis2.size, width):
+    # a grid holds both axes whole, 8 bytes a value.  A chunk is a block of whole lambda1
+    # rows, or _CHUNK lambda2 values of one row where a row is longer: on arrays the kernel
+    # forms each coupling's nu, and its log, once per block row or column.  A lambda2 axis
+    # no longer than a chunk is formatted once, as every chunk uses it all
+    axis1, axis2 = (array("d", axis.points()) for axis in (s.lambda1_axis, s.lambda2_axis))
+    rows, width = max(1, _CHUNK // len(axis2)), min(len(axis2), _CHUNK)
+    text2 = _texts(axis2) if width == len(axis2) else None
+    for i in range(0, len(axis1), rows):
+        for j in range(0, len(axis2), width):
             lambda1, lambda2 = axis1[i:i + rows], axis2[j:j + width]
-            c = _cycles(s.omega1, s.omega2, s.tau1, s.tau2, lambda1[:, None], lambda2)
-            yield _grid_rows(lambda1.tolist(), text2 or _texts(lambda2.tolist()),
-                             c.w_ext.ravel().tolist(), c.pwc.ravel().tolist())
-
-
-def _grid_rows(lambda1: list, text2: list, w_ext: list, pwc: list) -> str:
-    # the rows of the block lambda1 x lambda2, row-major, given lambda2's cells
-    column1 = [text for text in _texts(lambda1) for _ in text2]
-    return _render_rows("%s%s%.17g,%s\n", (column1, text2 * len(lambda1), w_ext), pwc)
+            w_ext, pwc = _chunk(size, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
+                                lambda1, lambda2)
+            # the rows of the block lambda1 x lambda2, row-major
+            cells2 = text2 or _texts(lambda2)
+            column1 = [text for text in _texts(lambda1) for _ in cells2]
+            yield _render_rows("%s%s%.17g,%s\n", (column1, cells2 * len(lambda1), w_ext), pwc)
 
 
 def sweep_chunks(spec: SweepSpec) -> Iterator[str]:
@@ -169,10 +168,7 @@ def figure4a_curve(
         raise ValueError("tau2_grid must be a strictly increasing 1-D sequence of finite values")
     if grid and not grid[0] > tau1:
         raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
-    if len(grid) > _CHUNK:
-        w_ext = _cycles(omega1, omega2, tau1, grid, lambda1, lambda2).w_ext.tolist()
-    else:
-        w_ext = _points(omega1, omega2, tau1, grid, lambda1, lambda2).w_ext
+    w_ext, = _chunk(len(grid), ("w_ext",), omega1, omega2, tau1, array("d", grid), lambda1, lambda2)
     return list(zip(grid, w_ext))
 
 
@@ -180,7 +176,7 @@ def run_point(spec: SweepSpec) -> str:
     """Single-cycle report as ``key = value`` lines, from the sweep's own kernel."""
     if spec.mode != "single-point":
         raise ValueError(f"run_point requires mode 'single-point', got {spec.mode!r}")
-    c = _point(spec.omega1, spec.omega2, spec.tau1, spec.tau2, spec.lambda1, spec.lambda2,
-               spec.initial_p)
-    return "".join(f"{key} = {_render(value)}\n" for key, value in zip(c._fields, c)
+    c = _chunk(1, LedgerColumns._fields, spec.omega1, spec.omega2, spec.tau1, spec.tau2,
+               spec.lambda1, spec.lambda2, spec.initial_p)
+    return "".join(f"{key} = {_render(value)}\n" for key, (value,) in zip(LedgerColumns._fields, c)
                    if not (isinstance(value, float) and math.isnan(value)))  # NaN: absent

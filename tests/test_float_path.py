@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from array import array
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +23,7 @@ import ottoqft
 from ottoqft import sweeps
 from ottoqft.algebra import _POINT, _arrays
 from ottoqft.config import parse_config
+from ottoqft.cycle import LedgerColumns
 from ottoqft.minkowski import dawson, minkowski_moment_arrays
 from ottoqft.sweeps import figure4a_curve, run_point, run_sweep
 
@@ -143,10 +145,11 @@ def _outcome(call):
 
 
 def _on_both_paths(call):
-    """The _outcome of call() on the float path, then with every sweep on arrays."""
+    """The _outcome of call() on the float path, then with every sweep on arrays: each
+    counts as longer than a chunk."""
     with pytest.MonkeyPatch.context() as patch:
         floats = _outcome(call)
-        patch.setattr(sweeps, "on_arrays", lambda spec: True)
+        patch.setattr(sweeps, "_size", lambda spec: sweeps._CHUNK + 1)
         return floats, _outcome(call)
 
 
@@ -168,12 +171,14 @@ def test_one_chunk_workloads_give_the_same_bytes_on_both_paths(name):
 def test_point_is_the_array_element(sets):
     spec = parse_config("mode = single-point", ["omega1=1", "omega2=3", "tau1=0", "tau2=1.5",
                                                 "lambda1=1", "lambda2=1", *sets])
-    args = (spec.omega1, spec.omega2, spec.tau1, spec.tau2, spec.lambda1, spec.lambda2)
-    (point, error), (cells, array_error) = _outcome(lambda: sweeps._point(*args)), _outcome(
-        lambda: [column.item() for column in sweeps._cycles(*args)])
+    # a one-point tau2 axis, as a sweep of one point and as a chunk of a longer sweep
+    args = (LedgerColumns._fields, spec.omega1, spec.omega2, spec.tau1, array("d", [spec.tau2]),
+            spec.lambda1, spec.lambda2)
+    (point, error), (cells, array_error) = (_outcome(lambda: sweeps._chunk(size, *args))
+                                            for size in (1, sweeps._CHUNK + 1))
     assert error == array_error
     if error is None:
-        assert all(map(_same, point, cells))
+        assert all(_same(a, b) for (a,), (b,) in zip(point, cells))
         assert run_point(spec).count("\n") >= 15
 
 
@@ -223,7 +228,8 @@ def test_figure4a_curve_is_the_same_on_both_paths(monkeypatch):
      "lambda2 must be >= 0, got nan"),
     (lambda: figure4a_curve(1.0, 3.0, math.nan, 1.0, 1.0, [1.0, 2.0]),
      "every tau2 must exceed tau1 = nan"),
-    (lambda: sweeps._point(1.0, 3.0, 0.0, math.nan, 1.0, 1.0), "dtau must be >= 0, got nan"),
+    (lambda: sweeps._evaluate(_POINT, 1.0, 3.0, 0.0, math.nan, 1.0, 1.0),
+     "dtau must be >= 0, got nan"),
 ])
 def test_nan_inputs_are_rejected_by_name(call, message):
     with pytest.raises(ValueError) as raised:
@@ -250,7 +256,7 @@ def test_workload_csv_digests(name):
 
 # NumPy's own per-process switch for its AVX-512 targets; it changes no machine setting
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-# prints the sha256 of a two-chunk curve (the array path), a small grid and a point,
+# prints the sha256 of a two-chunk curve and a grid of two chunks (the array path) and a point,
 # and the dispatch targets NumPy runs on
 DIGESTS = (
     "import hashlib, json\n"
@@ -272,7 +278,8 @@ def test_bytes_do_not_depend_on_numpy_dispatch():
         pytest.skip(f"this CPU runs none of NumPy's targets {NO_AVX512}: both runs would "
                     "use the same dispatch")
     script = DIGESTS.format(
-        curve=FIG4A.format(stop=12.0, count=sweeps._CHUNK + 1), grid=GRID.format(count1=7, count2=5),
+        curve=FIG4A.format(stop=12.0, count=sweeps._CHUNK + 1),
+        grid=GRID.format(count1=sweeps._CHUNK // 5 + 1, count2=5),
         point=["omega1=1", "omega2=3", "tau1=0", "tau2=1.5", "lambda1=100", "lambda2=1"],
         targets=targets)
     src = str(pathlib.Path(ottoqft.__file__).parents[1])

@@ -125,18 +125,23 @@ REPORT_LOADED = "print(json.dumps([status, [name for name in {loaded!r} if name 
 TINY_CURVE = ("mode = curve-tau2\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\nlambda1 = 100.0\n"
               "lambda2 = 1.0\ntau2_start = 0.5\ntau2_stop = 8.0\ntau2_count = {count}\n"
               "output = {out}\n")
+TINY_GRID = ("mode = grid-couplings\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\ntau2 = 1.5\n"
+             "lambda1_start = 0.5\nlambda1_stop = 100.0\nlambda1_count = {count}\n"
+             "lambda2_start = 0.0\nlambda2_stop = 3.0\nlambda2_count = 5\noutput = {out}\n")
 POINT = ["point", "--set", "omega1=1", "--set", "omega2=3", "--set", "tau1=0",
          "--set", "tau2=1.5", "--set", "lambda1=100", "--set", "lambda2=1"]
 
 
 def _argv(command, tmp_path):
-    """The command line of a named run: a one-chunk or a two-chunk curve sweep, a
-    point, a point that fails (nu1 underflows), or a light verify."""
-    if command.startswith("sweep"):
-        count = {"sweep": 5, "sweep-2-chunks": sweeps._CHUNK + 1}[command]
-        config = tmp_path / "curve.cfg"
-        config.write_text(TINY_CURVE.format(count=count, out=tmp_path / "curve.csv"),
-                          encoding="utf-8")
+    """The command line of a named run: a one-chunk or a two-chunk curve or grid
+    sweep, a point, a point that fails (nu1 underflows), or a light verify."""
+    if command.startswith(("sweep", "grid")):
+        template, count = {
+            "sweep": (TINY_CURVE, 5), "sweep-2-chunks": (TINY_CURVE, sweeps._CHUNK + 1),
+            "grid": (TINY_GRID, 7), "grid-2-chunks": (TINY_GRID, sweeps._CHUNK // 5 + 1),
+        }[command]
+        config = tmp_path / "run.cfg"
+        config.write_text(template.format(count=count, out=tmp_path / "out.csv"), encoding="utf-8")
         return ["sweep", "--config", str(config)]
     return {"point": POINT, "point-error": [*POINT, "--set", "lambda1=122"],
             "verify": ["verify", "--set", "cases=1"]}[command]
@@ -146,9 +151,11 @@ def _argv(command, tmp_path):
     # a one-chunk sweep or a point loads neither NumPy nor the oracles, their
     # checks or dataclasses: it runs on Python floats
     ("sweep", 0, []),
+    ("grid", 0, []),  # 7 x 5 points
     ("point", 0, []),
     ("point-error", 1, []),
     ("sweep-2-chunks", 0, ["numpy"]),
+    ("grid-2-chunks", 0, ["numpy"]),  # 410 x 5 points
     ("verify", 0, ["ottoqft.oracle", "ottoqft.verification", "numpy"]),  # loaded when it runs
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, command, status, loaded):

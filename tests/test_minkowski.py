@@ -99,6 +99,9 @@ class TestFigureCurve:
         curve = figure4a_curve(1.0, 3.0, 0.0, 100.0, 0.0, [0.5, 1.0, 2.0])
         assert [w for _, w in curve] == [0.0, 0.0, 0.0]
 
+    def test_empty_grid_gives_an_empty_curve(self):
+        assert figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, []) == []
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             figure4a_curve(1.0, 3.0, 0.0, 1.0, 1.0, [1.0, 1.0])

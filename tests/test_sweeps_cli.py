@@ -300,8 +300,8 @@ class TestStreamedSweep:
                 raise KernelInconsistencyError("second chunk")
             return original(*args)
 
-        original = sweeps.cycle_arrays
-        monkeypatch.setattr(sweeps, "cycle_arrays", second_chunk_fails)
+        original = sweeps._evaluate  # one call a chunk on arrays
+        monkeypatch.setattr(sweeps, "_evaluate", second_chunk_fails)
         overrides = [f"tau2_count={2 * sweeps._CHUNK}"]
         assert self._sweep(tmp_path, FIG4A_CFG, *overrides) == 1
         assert capsys.readouterr().err == "error: second chunk\n"
