@@ -32,9 +32,10 @@ __all__ = [
     "p_after_second",
 ]
 
-# log of the realizability bound nu1 * nu2 * exp(4 |mu12|) <= 1, with 1e-9
-# slack for kernels carrying discretization error
-_LOG_BOUND_MAX = math.log1p(1e-9)
+# the realizability bound nu1 * nu2 * exp(4 |mu12|) <= 1, with 1e-9 slack for
+# kernels carrying discretization error
+_BOUND_MAX = 1.0 + 1e-9
+_PRODUCT_ARG_MAX = 1500.0  # realizable data has 4 |mu12| <= -log(2^-1074 2^-1074) ~ 1489
 _SIMPLEX_TOL = 1e-12
 _CLOSURE_TOL = 1e-12
 # below this distance of nu1*nu2*alpha from 1 the cycle transfers nothing
@@ -81,7 +82,7 @@ class MomentSet(Record):
     @functools.cached_property
     def _point_products(self):
         # _products of this moment set, formed once: the scalar functions that
-        # read one moment set share its two logs and two exps
+        # read one moment set share its two exps
         return _products(self.nu1, self.nu2, self.mu12, _POINT)
 
 
@@ -174,13 +175,13 @@ def _raise_first_failure(checks) -> None:
     raise next(error(at) for passed, error in checks if not at(passed))
 
 
-# exp and log from IEEE-754 +, -, *, /, rint, frexp and ldexp alone, each of
-# which Python floats and NumPy arrays round alike: one code gives the same
-# bits in both namespaces, on any CPU NumPy dispatches to.  exp is Tang's
-# table-driven method (ACM TOMS 15(2), 1989): x = (32 M + j) ln2/32 + r with
+# exp from IEEE-754 +, -, *, /, rint and ldexp alone, each of which Python
+# floats and NumPy arrays round alike: one code gives the same bits in both
+# namespaces, on any CPU NumPy dispatches to.  It is Tang's table-driven
+# method (ACM TOMS 15(2), 1989): x = (32 M + j) ln2/32 + r with
 # |r| <= ln2/64, exp(x) = 2^M 2^(j/32) exp(r).  2^(j/32) is a double-double
 # (hi + lo, from 200-bit arithmetic); ln2/32 is split into a 32-bit head,
-# whose multiples by |N| < 2^16 are exact, and a tail; exp(r) - 1 is its
+# whose multiples by |N| < 2^21 are exact, and a tail; exp(r) - 1 is its
 # Taylor polynomial of degree 6 (truncation below 4e-18).
 _EXP_TABLE = (
     (1.0, 0.0),
@@ -225,10 +226,9 @@ _EXP_MAX = 709.782712893384
 _EXP_MIN = -746.0
 
 
-def _exp(x, xp):
-    """exp(x) within 0.54 ulp (0.75 ulp where the result is subnormal), over
-    the float or array x in namespace xp; exp(nan) is nan."""
-    t = xp.clip(x, _EXP_MIN, _EXP_MAX)  # nan: _EXP_MIN
+def _exp_scaled(t, xp):
+    """(y, j) with exp(t) = y 2^j, y in [0.98, 1.98] within 0.54 ulp and j an
+    integer, over the float or array t in namespace xp with |t| <= 1500."""
     n = xp.rint(t * _INV_LN2_32)
     r_hi = t - n * _LN2_32_HI  # exact
     r_lo = n * _MINUS_LN2_32_LO
@@ -238,44 +238,20 @@ def _exp(x, xp):
     n = xp.int(n)
     j = n & 31
     hi, lo = xp.exp_hi[j], xp.exp_lo[j]
-    y = xp.ldexp(hi + (lo + (hi + lo) * p), n >> 5)
+    return hi + (lo + (hi + lo) * p), n >> 5
+
+
+def _exp(x, xp):
+    """exp(x) within 0.54 ulp (0.75 ulp where the result is subnormal), over
+    the float or array x in namespace xp; exp(nan) is nan."""
+    y = xp.ldexp(*_exp_scaled(xp.clip(x, _EXP_MIN, _EXP_MAX), xp))  # nan: _EXP_MIN
     return xp.where(x <= _EXP_MAX, y, xp.maximum(x, math.inf))  # inf, or nan at nan
 
 
-# log is fdlibm's e_log.c: x = 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2),
-# s = f / (2 + f), log(1 + f) = f - (f^2/2 - s (f^2/2 + R(s^2))), R a minimax
-# polynomial, and ln 2 split into a 32-bit head and a tail
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-_LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
-       2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
-       1.479819860511658591e-01)
-
-
-def _log(x, xp):
-    """log(x) within 0.8 ulp over the float or array x in namespace xp:
-    -inf at 0, inf at inf, nan below 0 and at nan."""
-    normal = (x > 0.0) & (x < math.inf)
-    x_normal = xp.where(normal, x, 1.0)
-    m, k = xp.frexp(x_normal)  # m in [1/2, 1)
-    low = m < 0.7071067811865476
-    f = m + m * low - 1.0  # exact
-    k = k - low
-    s = f / (2.0 + f)
-    z = s * s
-    w = z * z
-    r = (z * (_LG[0] + w * (_LG[2] + w * (_LG[4] + w * _LG[6])))
-         + w * (_LG[1] + w * (_LG[3] + w * _LG[5])))
-    half_f2 = 0.5 * f * f
-    y = k * _LN2_HI - ((half_f2 - (s * (half_f2 + r) + k * _LN2_LO)) - f)
-    # y + 0 where x is normal, and log(1) + inf where it is inf
-    return xp.where(x > 0.0, y + (x - x_normal), xp.where(x == 0.0, -math.inf, math.nan))
-
-
 # The functions the kernel calls, on one point of Python floats: a NumPy
-# call costs more than the arithmetic of a point.  exp and log are the ones
-# above, so that a point is its array element bit for bit; sin and cos are
-# the platform's libm, as NumPy's are.  The phase they get is finite, and
+# call costs more than the arithmetic of a point.  exp is the one above, so
+# that a point is its array element bit for bit; sin and cos are the
+# platform's libm, as NumPy's are.  The phase they get is finite, and
 # sin(2 e12) raises where 2 e12 overflows, as the math module does.
 _POINT = types.SimpleNamespace(
     sin=math.sin, cos=math.cos, abs=abs, logical_not=operator.not_, isfinite=math.isfinite,
@@ -292,7 +268,6 @@ _POINT = types.SimpleNamespace(
     exp_hi=tuple(hi for hi, _ in _EXP_TABLE), exp_lo=tuple(lo for _, lo in _EXP_TABLE),
 )
 _POINT.exp = lambda x: _exp(x, _POINT)
-_POINT.log = lambda x: _log(x, _POINT)
 
 
 @functools.cache
@@ -309,31 +284,37 @@ def _arrays() -> types.SimpleNamespace:
         copysign=np.copysign, exp_hi=np.array(_POINT.exp_hi), exp_lo=np.array(_POINT.exp_lo),
     )
     xp.exp = lambda x: _exp(x, xp)
-    xp.log = lambda x: _log(x, xp)
     return xp
 
 
 def _products(nu1, nu2, mu12, xp):
-    """nu1 nu2 exp(4 mu12) and nu1 nu2 exp(-4 mu12), formed in log space, and
-    log(nu1 nu2 exp(4 |mu12|)), which _bound_check holds to the realizability
-    bound.
+    """nu1 nu2 exp(4 mu12), nu1 nu2 exp(-4 mu12), and the larger of the two,
+    nu1 nu2 exp(4 |mu12|), which _bound_check holds to the realizability bound.
 
-    The bound is the AM-GM form 4 |mu12| <= 2 (W11 + W22) of the Gram bound
-    |W12|^2 <= W11 W22.  Under it neither product exceeds 1 + 1e-9; the
-    exponents are capped there, so an unrealizable point cannot overflow.
+    No log, and no rounded exponent: frexp gives the exact mantissas and
+    exponents of nu1 and nu2, _exp_scaled those of exp(+-4 mu12), and ldexp
+    applies the exponent last.  The bound, the AM-GM form 4 |mu12| <=
+    2 (W11 + W22) of the Gram bound |W12|^2 <= W11 W22, keeps each product
+    <= 1 + 1e-9, of exponent <= 2.  Clipping 4 mu12 to +-1500 (nan to -1500)
+    and the exponent to 4 keeps an unrealizable point finite, at >= 3.9,
+    which the bound rejects.
     """
-    log_nn = xp.log(nu1) + xp.log(nu2)
-    arg = 4.0 * mu12
-    return (xp.exp(xp.minimum(log_nn + arg, _LOG_BOUND_MAX)),
-            xp.exp(xp.minimum(log_nn - arg, _LOG_BOUND_MAX)), log_nn + xp.abs(arg))
+    m1, k1 = xp.frexp(nu1)
+    m2, k2 = xp.frexp(nu2)
+    arg = xp.clip(4.0 * mu12, -_PRODUCT_ARG_MAX, _PRODUCT_ARG_MAX)
+    (y_up, j_up), (y_down, j_down) = _exp_scaled(arg, xp), _exp_scaled(-arg, xp)
+    m, k = m1 * m2, k1 + k2
+    up = xp.ldexp(m * y_up, xp.minimum(k + j_up, 4))
+    down = xp.ldexp(m * y_down, xp.minimum(k + j_down, 4))
+    return up, down, xp.maximum(up, down)
 
 
-def _bound_check(log_bound):
-    """The realizability check nu1 nu2 exp(4 |mu12|) <= 1 (with 1e-9 slack) for
-    _raise_first_failure."""
-    return (log_bound <= _LOG_BOUND_MAX, lambda at: KernelInconsistencyError(
-        f"nu1*nu2*exp(4|mu12|) = exp({at(log_bound)!r}) exceeds 1 beyond tolerance 1e-09; "
-        + _UNREALIZABLE))
+def _bound_check(bound, nu1, nu2, mu12):
+    """The realizability check bound = nu1 nu2 exp(4 |mu12|) <= 1 (with 1e-9 slack)
+    for _raise_first_failure; the message gives the failing point's log(bound)."""
+    return (bound <= _BOUND_MAX, lambda at: KernelInconsistencyError(
+        f"nu1*nu2*exp(4|mu12|) = exp({math.log(at(nu1)) + math.log(at(nu2)) + 4.0 * abs(at(mu12))!r})"
+        " exceeds 1 beyond tolerance 1e-09; " + _UNREALIZABLE))
 
 
 def weyl_moments(m: MomentSet) -> WeylMoments:
@@ -342,8 +323,8 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
     Raises KernelInconsistencyError on moment data that breaks the
     realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    up, down, log_bound = m._point_products
-    _raise_first_failure([_bound_check(log_bound)])
+    up, down, bound = m._point_products
+    _raise_first_failure([_bound_check(bound, m.nu1, m.nu2, m.mu12)])
     nn_ch = 0.5 * (up + down)  # nu1 nu2 cosh(4 mu12)
     c2e = math.cos(2.0 * m.e12)
     s2e = math.sin(2.0 * m.e12)
@@ -379,7 +360,7 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     """
     finite = xp.isfinite(theta)
     phase = xp.where(finite, theta, 0.0)  # so that no sine sees a non-finite theta
-    up, down, log_bound = products or _products(nu1, nu2, mu12, xp)
+    up, down, bound = products or _products(nu1, nu2, mu12, xp)
     s_half, c_half = xp.sin(0.5 * phase), xp.cos(0.5 * phase)
     product = xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
     one_minus = 1.0 - product
@@ -388,7 +369,7 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(phase)
     checks = [(finite, lambda at: ValueError(
         f"phase omega1*tau1 - omega2*tau2 = {at(theta)!r} is not finite")),
-        _bound_check(log_bound)]
+        _bound_check(bound, nu1, nu2, mu12)]
     if p is None:
         # a degenerate cycle is then a no-op, exchanging no signal, so
         # that p and p2 below come out 1/2 exactly

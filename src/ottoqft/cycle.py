@@ -207,9 +207,7 @@ def _cycle(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p, xp) -> Le
     if initial_p is not None:
         kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
     checks = [
-        (xp.isfinite(e12) & xp.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
-         & (0.0 < nu2) & (nu2 <= 1.0),
-         lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12))),
+        _moment_check(nu1, nu2, e12, mu12, xp),
         (kicks_ok, lambda at: CycleConfig(
             InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
             None if initial_p is None else at(initial_p))),
@@ -217,13 +215,24 @@ def _cycle(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p, xp) -> Le
     return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, xp, checks)
 
 
+def _moment_check(nu1, nu2, e12, mu12, xp):
+    """The MomentSet checks over moment arrays, for _raise_first_failure: the
+    failing point raises the MomentSet's own ValueError."""
+    return (xp.isfinite(e12) & xp.isfinite(mu12) & (0.0 < nu1) & (nu1 <= 1.0)
+            & (0.0 < nu2) & (nu2 <= 1.0),
+            lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12)))
+
+
 def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12) -> LedgerColumns:
     """The ledger of cycles given their phase difference theta, over broadcastable
-    arrays, with the population checks of cycle_arrays (a finite theta first)."""
+    arrays, with the MomentSet checks and the population checks of cycle_arrays
+    (a finite theta first)."""
     import numpy as np
 
+    xp = _arrays()
     with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None, _arrays())
+        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None, xp,
+                       [_moment_check(nu1, nu2, e12, mu12, xp)])
 
 
 def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp, checks=(),

@@ -99,24 +99,29 @@ def on_arrays(spec: SweepSpec) -> bool:
     return _size(spec) > _CHUNK
 
 
+def _curve(size, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
+    """(tau2, columns) of each chunk of a curve of size points in order: tau2 the
+    array("d") of the next _CHUNK of the tau2_points, columns its _chunk fields."""
+    points = iter(tau2_points)
+    while tau2 := array("d", itertools.islice(points, _CHUNK)):
+        yield tau2, _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2)
+
+
 def _chunks(s: SweepSpec) -> Iterator[str]:
     """The CSV header, then the rows of _CHUNK grid points at a time in declared order."""
     size = _size(s)
     yield ",".join(CURVE_COLUMNS if s.mode == "curve-tau2" else GRID_COLUMNS) + "\n"
     if s.mode == "curve-tau2":
-        points = s.tau2_axis.points()
-        for _ in range(0, s.tau2_axis.count, _CHUNK):
-            tau2 = array("d", itertools.islice(points, _CHUNK))
-            nu1, nu2, *cells, pwc = _chunk(size, _CURVE_CELLS, s.omega1, s.omega2, s.tau1, tau2,
-                                           s.lambda1, s.lambda2)
+        for tau2, (nu1, nu2, *cells, pwc) in _curve(size, s.tau2_axis.points(), _CURVE_CELLS,
+                                                    s.omega1, s.omega2, s.tau1, s.lambda1, s.lambda2):
             # nu1 and nu2 follow the couplings alone: the same two cells in every row
             row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
             yield _render_rows(row, (tau2, *cells), pwc)
         return
     # a grid holds both axes whole, 8 bytes a value.  A chunk is a block of whole lambda1
     # rows, or _CHUNK lambda2 values of one row where a row is longer: on arrays the kernel
-    # forms each coupling's nu, and its log, once per block row or column.  A lambda2 axis
-    # no longer than a chunk is formatted once, as every chunk uses it all
+    # forms each coupling's nu, and its mantissa and exponent, once per block row or column.
+    # A lambda2 axis no longer than a chunk is formatted once, as every chunk uses it all
     axis1, axis2 = (array("d", axis.points()) for axis in (s.lambda1_axis, s.lambda2_axis))
     rows, width = max(1, _CHUNK // len(axis2)), min(len(axis2), _CHUNK)
     text2 = _texts(axis2) if width == len(axis2) else None
@@ -157,7 +162,7 @@ def figure4a_curve(
     Evaluates the closed Minkowski-vacuum cycle at each tau2 of a strictly
     increasing grid with tau2 > tau1 throughout; degenerate points yield 0.
     A grid of at most _CHUNK points runs on Python floats, a longer one on
-    NumPy arrays, with the same bits.
+    NumPy arrays, a chunk at a time, with the same bits.
     """
     try:  # the rows of a 2-D grid are not numbers
         grid = [float(t) for t in tau2_grid] if getattr(tau2_grid, "ndim", 1) == 1 else None
@@ -168,8 +173,10 @@ def figure4a_curve(
         raise ValueError("tau2_grid must be a strictly increasing 1-D sequence of finite values")
     if grid and not grid[0] > tau1:
         raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
-    w_ext, = _chunk(len(grid), ("w_ext",), omega1, omega2, tau1, array("d", grid), lambda1, lambda2)
-    return list(zip(grid, w_ext))
+    curve = []
+    for _, (w_ext,) in _curve(len(grid), grid, ("w_ext",), omega1, omega2, tau1, lambda1, lambda2):
+        curve.extend(zip(grid[len(curve):len(curve) + len(w_ext)], w_ext))
+    return curve
 
 
 def run_point(spec: SweepSpec) -> str:

@@ -198,7 +198,7 @@ def test_degenerate_points_give_the_noop_row():
 
 def test_strong_coupling_parity():
     # 4 mu12 ~ 1013 puts exp(4 mu12) past double range; the kernel forms
-    # nu1 nu2 exp(+-4 mu12) in log space and gives a finite row
+    # nu1 nu2 exp(+-4 mu12) from mantissas and binary exponents and gives a finite row
     lambdas = np.array([1.0, 100.0])
 
     def array_call():
@@ -215,15 +215,21 @@ def test_strong_coupling_parity():
                for name in cols._fields if name != "efficiency")
 
 
-@pytest.mark.xfail(strict=True, reason="the exponent log nu1 + log nu2 + 4 mu12 is a float sum of "
-                   "two terms of about 1300 that nearly cancel, and exp carries its rounding; the "
-                   "logs are exact (log nu1 == -2 W11), so forming it from W11, W22 gives the same")
 def test_strong_coupling_contraction_factor_matches_reference():
-    # log nu1 + log nu2 = -1305.9 and 4 mu12 = 1304.3 nearly cancel: the
-    # kernel gives 0.14800900283973498, mpmath 0.14800900283971813
-    m = minkowski_moments(MinkowskiParams(111.0, 116.0, 0.015625))
-    th = -2.03125
-    assert _close(contraction_factor(m, th), float(reference_contraction(m, th)), TOL)
+    # log(nu1 nu2) and 4 mu12 are about -1306 and 1304 at lambda = (111, 116): a
+    # product formed as exp of their sum carried its rounding, up to 1.1e-13 relative
+    # (0.14800900283973498 there against 0.14800900283971813)
+    rng = np.random.default_rng(23)
+    draws = [(111.0, 116.0, 0.015625, -2.03125), *zip(
+        *rng.uniform((40.0, 40.0, 0.0, -8.0), (118.0, 118.0, 2.0, 8.0), (3000, 4)).T)]
+    checked = 0
+    for lambda1, lambda2, dtau, th in draws:
+        m = minkowski_moments(MinkowskiParams(lambda1, lambda2, dtau))
+        want = float(reference_contraction(m, th))
+        if want >= 2.2250738585072014e-308:  # a normal result
+            assert abs(contraction_factor(m, th) - want) <= TOL * want, (lambda1, lambda2, dtau, th)
+            checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("omega1, lambda1, lambda2, tau2, error", [
@@ -242,6 +248,21 @@ def test_error_parity(omega1, lambda1, lambda2, tau2, error):
         cycle_arrays(omegas1, 3.0, 0.0, taus2, *minkowski_moment_arrays(lambdas1, lambdas2, taus2))
     assert type(array.value) is type(scalar.value)
     assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("nu1, e12, mu12", [
+    (-0.5, 0.1, 0.1), (0.0, 0.1, 0.1), (math.nan, 0.1, 0.1), (1.5, 0.1, 0.1),
+    (0.5, math.inf, 0.1), (0.5, 0.1, math.nan),
+])
+def test_ledger_arrays_checks_moments_as_cycle_arrays_does(nu1, e12, mu12):
+    # the bad moments in the second element, behind a good point
+    nus1, e12s, mu12s = np.array([0.5, nu1]), np.array([0.1, e12]), np.array([0.1, mu12])
+    with pytest.raises(ValueError) as ledger:
+        ledger_arrays(-1.5, 1.0, 3.0, nus1, 0.5, e12s, mu12s)
+    with pytest.raises(ValueError) as cycle:
+        cycle_arrays(1.0, 3.0, 0.0, 0.5, nus1, 0.5, e12s, mu12s)
+    assert type(ledger.value) is type(cycle.value) is ValueError
+    assert str(ledger.value) == str(cycle.value)
 
 
 @pytest.mark.parametrize("th", [math.nan, math.inf, -math.inf])

@@ -1,8 +1,8 @@
-"""The float path against the array path: the kernel's exp and log, Python
-float against NumPy element, bit for bit, and each within 1 ulp of mpmath;
-sweeps, points and their errors byte for byte on both paths; the CSV bytes
-under NumPy's AVX-512 dispatch and without it; and NaN inputs rejected by
-name."""
+"""The float path against the array path: the kernel's exp and its products
+nu1 nu2 exp(+-4 mu12), Python float against NumPy element, bit for bit, exp
+within 1 ulp of mpmath; sweeps, points and their errors byte for byte on
+both paths; the CSV bytes under NumPy's AVX-512 dispatch and without it; and
+NaN inputs rejected by name."""
 
 import hashlib
 import json
@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 
 import ottoqft
 from ottoqft import sweeps
-from ottoqft.algebra import _POINT, _arrays
+from ottoqft.algebra import (
+    KernelInconsistencyError,
+    _POINT,
+    _arrays,
+    _bound_check,
+    _exp_scaled,
+    _products,
+    _raise_first_failure,
+)
 from ottoqft.config import parse_config
 from ottoqft.cycle import LedgerColumns
 from ottoqft.minkowski import dawson, minkowski_moment_arrays
@@ -52,12 +60,6 @@ def test_exp_float_is_the_array_element(x):
     assert _same(_POINT.exp(x), _array_element(ARRAYS.exp, x))
 
 
-@settings(max_examples=500, deadline=None)
-@given(ANY_FLOAT)
-def test_log_float_is_the_array_element(x):
-    assert _same(_POINT.log(x), _array_element(ARRAYS.log, x))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(2.0 ** 60)  # beyond the lattice cap 2^50, where a 32-bit lattice index overflows
@@ -70,16 +72,13 @@ def test_special_values_map_alike(x):
     # neither path raises, nor warns: round(nan) would raise, and a cast of nan to int
     # gives a garbage table index
     assert _same(_POINT.exp(x), _array_element(ARRAYS.exp, x))
-    assert _same(_POINT.log(x), _array_element(ARRAYS.log, x))
 
 
 def test_special_values():
-    exp, log = _POINT.exp, _POINT.log
+    exp = _POINT.exp
     assert (exp(math.inf), exp(-math.inf), exp(0.0), exp(-0.0)) == (math.inf, 0.0, 1.0, 1.0)
     assert exp(math.nextafter(EXP_MAX, math.inf)) == math.inf > exp(EXP_MAX)
     assert math.isnan(exp(math.nan))
-    assert (log(0.0), log(-0.0), log(math.inf), log(1.0)) == (-math.inf, -math.inf, math.inf, 0.0)
-    assert all(math.isnan(log(x)) for x in (-1.0, -5e-324, -math.inf, math.nan))
 
 
 def _ulps(got: float, exact) -> float:
@@ -110,16 +109,67 @@ def test_exp_within_one_ulp_of_mpmath(xs):
     assert _worst(_POINT.exp, mp.exp, xs) < 1.0
 
 
-@pytest.mark.parametrize("xs", [
-    np.exp(_draws(-700.0, 700.0, 2000, 5)).tolist(),  # normal inputs
-    _draws(0.5, 2.0, 2000, 6),
-    (1.0 + np.array(_draws(-1e-6, 1e-6, 500, 7))).tolist(),  # near 1
-    np.ldexp(_draws(0.5, 1.0, 500, 8), np.arange(-1074, -1022).repeat(10)[:500]).tolist(),  # subnormal
-    [5e-324, 1e-320, 2.2250738585072014e-308, 1.7976931348623157e308, math.nextafter(1.0, 0.0),
-     math.nextafter(1.0, 2.0)],
-], ids=["normal", "octave", "near-1", "subnormal", "edges"])
-def test_log_within_one_ulp_of_mpmath(xs):
-    assert _worst(_POINT.log, mp.log, xs) < 1.0
+@pytest.mark.parametrize("ts", [
+    _draws(-1500.0, 1500.0, 2000, 5),
+    _draws(-1.0, 1.0, 500, 6),
+    [-1500.0, 1500.0, -1489.0, 1489.0, 0.0, -0.0, 5e-324, 1e-17, -1e-17],
+], ids=["range", "unit", "edges"])
+def test_exp_scaled_within_its_error_bound_and_the_same_on_both_paths(ts):
+    # exp(t) = y 2^j over the whole range of 4 mu12 the products take, beyond exp's own
+    ys, js = _exp_scaled(np.array(ts), ARRAYS)
+    assert [_exp_scaled(t, _POINT) for t in ts] == list(zip(ys.tolist(), js.tolist()))
+    with mp.workprec(200):
+        assert max(_ulps(y, mp.ldexp(mp.exp(mp.mpf(t)), -j))
+                   for t, y, j in zip(ts, ys.tolist(), js.tolist())) < 0.54
+
+
+# the Gram envelope: W11, W22 >= 0 up to a subnormal nu = exp(-2 W), and
+# 4 |mu12| <= 2 (W11 + W22), up to 1489
+GRAM = st.tuples(st.floats(0.0, 372.5), st.floats(0.0, 372.5), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(GRAM)
+@example((372.2, 372.2, 1.0))  # subnormal nu1, nu2 and 4 mu12 = 1488.8
+@example((372.2, 0.0, -1.0))
+@example((5.0, 7.0, 0.0))
+def test_products_float_is_the_array_element(gram):
+    w11, w22, frac = gram
+    nu1, nu2, mu12 = _POINT.exp(-2.0 * w11), _POINT.exp(-2.0 * w22), frac * (w11 + w22) / 2.0
+    point = _products(nu1, nu2, mu12, _POINT)
+    arrays = _products(np.array([nu1]), np.array([nu2]), np.array([mu12]), ARRAYS)
+    assert all(_same(a, float(b[0])) for a, b in zip(point, arrays))
+    if min(nu1, nu2) >= 2.2250738585072014e-308:  # a subnormal nu is rounded already
+        assert point[2] <= 1.0 + 1e-9
+
+
+def _bound_outcome(nu1, nu2, mu12, xp):
+    """The _outcome of the realizability check of one point, after a good one
+    on arrays."""
+    if xp is ARRAYS:
+        nu1, nu2, mu12 = (np.array([good, v]) for good, v in zip((0.5, 0.5, 0.0), (nu1, nu2, mu12)))
+    with np.errstate(all="ignore"):  # as the kernel's array callers run it
+        return _outcome(lambda: _raise_first_failure([_bound_check(
+            _products(nu1, nu2, mu12, xp)[2], nu1, nu2, mu12)]))
+
+
+@pytest.mark.parametrize("nu1, nu2, mu12, exponent", [
+    (0.5, 0.5, 1.0, "2.613705638880109"),
+    (1.0, 1.0, -1e-6, "4e-06"),
+    (1.0, 1.0, 400.0, "1600.0"),
+    (5e-324, 5e-324, 400.0, "111.11985615723756"),
+    (1.0, 1.0, 1e300, "4e+300"),
+    (1.0, 1.0, 1e308, "inf"),  # 4 mu12 overflows
+    (0.5, 0.5, math.nan, "nan"),
+    (0.5, 0.5, math.inf, "inf"),
+    (0.5, 0.5, -math.inf, "inf"),
+])
+def test_unrealizable_products_raise_the_bound_check_on_both_paths(nu1, nu2, mu12, exponent):
+    # never an OverflowError from ldexp: the exponents are capped
+    floats, arrays = (_bound_outcome(nu1, nu2, mu12, xp) for xp in (_POINT, ARRAYS))
+    assert floats == arrays == (None, (KernelInconsistencyError, (
+        f"nu1*nu2*exp(4|mu12|) = exp({exponent}) exceeds 1 beyond tolerance 1e-09; "
+        "the moment data is not realizable by a quasi-free state")))
 
 
 # the benchmark's workloads, each cut to at most one chunk
@@ -214,6 +264,13 @@ def test_figure4a_curve_is_the_same_on_both_paths(monkeypatch):
     assert figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, grid) == floats
 
 
+def test_figure4a_curve_a_chunk_at_a_time_is_one_array_call():
+    # three chunks, the last of one point, against the whole grid in one array call
+    grid = np.linspace(0.05, 8.0, 2 * sweeps._CHUNK + 1).tolist()
+    whole, = sweeps._chunk(len(grid), ("w_ext",), 1.0, 3.0, 0.0, array("d", grid), 100.0, 1.0)
+    assert figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, grid) == list(zip(grid, whole))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: minkowski_moment_arrays(np.array([1.0, math.nan]), 1.0, 0.5),
      "lambda1 must be >= 0, got nan"),
@@ -242,7 +299,7 @@ WORKLOAD_SHA256 = {
     "fig4a": (FIG4A.format(stop=8.0, count=200),
               "d5a4525195287f64f36bfd089036b06f8f14044589f4eb0912b1a8b6306f4df0"),
     "grid-stress": (GRID.format(count1=1001, count2=61),
-                    "8bb173b560afed84999c68688d3ec52eb62b916329d0af504a16eaf0775d5649"),
+                    "e94f11c2b39eb0c62585391b7b4c9cd1fd94d544c4325e833e5764c363b73ac8"),
     "curve-dense": (FIG4A.format(stop=12.0, count=20000),
                     "b8937a244c483b094777a506efadfa98b5a4b000aec51aa159ebcd7ac0170276"),
 }

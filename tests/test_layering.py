@@ -212,6 +212,14 @@ def test_blas_threads_and_collector_are_set_before_numpy_loads(tmp_path, stateme
     assert seen == ([at_numpy] if at_numpy else []) + [at_end]
 
 
+def test_kernel_namespaces_expose_the_same_names():
+    # the kernel is one code over either namespace: a name on one path only would
+    # fail the first time the other path runs it
+    from ottoqft.algebra import _POINT, _arrays
+
+    assert sorted(vars(_POINT)) == sorted(vars(_arrays()))
+
+
 def test_public_names_keep_their_order():
     assert ottoqft.__all__ == PUBLIC
 

@@ -360,6 +360,22 @@ class TestStreamedSweep:
         assert first.count("\n") == sweeps._CHUNK
         assert peak < 4e6
 
+    def test_figure4a_curve_holds_one_chunk_of_kernel_arrays(self):
+        # 10^5 points: the result keeps about 11 MB, and the whole grid in one array
+        # call peaked 23 MB above it
+        from ottoqft.algebra import _arrays
+
+        _arrays()  # NumPy loaded first
+        grid = [0.05 + 8e-5 * i for i in range(100_000)]
+        tracemalloc.start()
+        try:
+            curve = sweeps.figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, grid)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == len(grid)
+        assert peak - kept < 3e6
+
     @pytest.mark.parametrize("counts", [("lambda1_count=1000000", "lambda2_count=2"),
                                         ("lambda1_count=2", "lambda2_count=1000000")])
     def test_grid_axis_text_is_not_held_whole(self, counts):
