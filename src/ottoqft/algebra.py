@@ -180,43 +180,25 @@ def _raise_first_failure(checks) -> None:
 # namespaces, on any CPU NumPy dispatches to.  It is Tang's table-driven
 # method (ACM TOMS 15(2), 1989): x = (32 M + j) ln2/32 + r with
 # |r| <= ln2/64, exp(x) = 2^M 2^(j/32) exp(r).  2^(j/32) is a double-double
-# (hi + lo, from 200-bit arithmetic); ln2/32 is split into a 32-bit head,
-# whose multiples by |N| < 2^21 are exact, and a tail; exp(r) - 1 is its
-# Taylor polynomial of degree 6 (truncation below 4e-18).
-_EXP_TABLE = (
-    (1.0, 0.0),
-    (1.0218971486541166, 5.109225028973444e-17),
-    (1.0442737824274138, 8.551889705537965e-17),
-    (1.0671404006768237, -7.899853966841582e-17),
-    (1.0905077326652577, -3.046782079812471e-17),
-    (1.1143867425958924, 1.0410278456845571e-16),
-    (1.1387886347566916, 8.912812676025408e-17),
-    (1.1637248587775775, 3.8292048369240935e-17),
-    (1.189207115002721, 3.982015231465646e-17),
-    (1.215247359980469, -7.712630692681488e-17),
-    (1.241857812073484, 4.658027591836937e-17),
-    (1.2690509571917332, 2.667932131342186e-18),
-    (1.2968395546510096, 2.5382502794888315e-17),
-    (1.3252366431597413, -2.8587312100388614e-17),
-    (1.3542555469368927, 7.70094837980299e-17),
-    (1.383909881963832, -6.770511658794786e-17),
-    (1.4142135623730951, -9.667293313452913e-17),
-    (1.4451808069770467, -3.0237581349939873e-17),
-    (1.4768261459394993, -3.483994556892796e-17),
-    (1.5091644275934228, -1.016455327754295e-16),
-    (1.5422108254079407, 7.949834809697621e-17),
-    (1.5759808451078865, -1.0136916471278304e-17),
-    (1.6104903319492543, 2.4707192569797888e-17),
-    (1.645755478153965, -1.0125679913674773e-16),
-    (1.681792830507429, 8.199010020581497e-17),
-    (1.718619298122478, -1.851380418263111e-17),
-    (1.7562521603732995, 2.960140695448873e-17),
-    (1.7947090750031072, 1.8227458427912087e-17),
-    (1.8340080864093424, 3.283107224245627e-17),
-    (1.8741676341103, -6.122763413004143e-17),
-    (1.9152065613971474, -1.0619946056195963e-16),
-    (1.9571441241754002, 8.960767791036668e-17),
-)
+# (hi + lo, from the 128-bit fixed-point root below); ln2/32 is split into a
+# 32-bit head, whose multiples by |N| < 2^21 are exact, and a tail; exp(r) - 1
+# is its Taylor polynomial of degree 6 (truncation below 4e-18).
+def _exp_table() -> tuple:
+    """(hi, lo) of 2^(j/32) for j = 0, ..., 31: hi the double nearest it and lo
+    the double nearest 2^(j/32) - hi, from 2^(1/32) to 128 bits (five integer
+    square roots of 2) and its powers, each within 2^-120."""
+    one, root = 1 << 128, 2 << 128
+    for _ in range(5):
+        root = math.isqrt(root << 128)
+    table, power = [], one
+    for _ in range(32):
+        hi = power / one  # int / int rounds correctly
+        table.append((hi, (power - int(hi * one)) / one))  # hi * 2^128 is exact
+        power = power * root >> 128
+    return tuple(table)
+
+
+_EXP_TABLE = _exp_table()
 _INV_LN2_32 = 46.16624130844683  # 32/ln2
 _LN2_32_HI = 0.02166084938653512  # 0x1.62e42fee00000p-6
 _MINUS_LN2_32_LO = -5.9631716539705866e-12
@@ -254,13 +236,13 @@ def _exp(x, xp):
 # platform's libm, as NumPy's are.  The phase they get is finite, and
 # sin(2 e12) raises where 2 e12 overflows, as the math module does.
 _POINT = types.SimpleNamespace(
-    sin=math.sin, cos=math.cos, abs=abs, logical_not=operator.not_, isfinite=math.isfinite,
+    sin=math.sin, cos=math.cos, isfinite=math.isfinite,
     # min and max as NumPy's minimum and maximum take them (a nan a gives nan), at a
     # fraction of the builtins' cost
     minimum=lambda a, b: b if b < a else a, maximum=lambda a, b: b if b > a else a,
     # x clamped into [low, high], nan read as low, as NumPy's fmin(fmax(x, low), high)
     clip=lambda x, low, high: high if x > high else x if x >= low else low,
-    where=lambda cond, a, b: a if cond else b, nan=math.nan,
+    where=lambda cond, a, b: a if cond else b,
     # the nearest integer, ties to even, and an integer as the type ldexp and
     # indexing take (on floats, round gives an int already)
     rint=round, int=int, frexp=math.frexp, ldexp=math.ldexp,
@@ -273,18 +255,33 @@ _POINT.exp = lambda x: _exp(x, _POINT)
 @functools.cache
 def _arrays() -> types.SimpleNamespace:
     """The functions the kernel calls on NumPy arrays, NumPy imported on first
-    use: a point and a sweep on the float path never load it."""
+    use: a point and a sweep on the float path never load it.  Both namespaces
+    leave abs to the builtin, which is numpy.absolute on arrays."""
     import numpy as np
 
     xp = types.SimpleNamespace(
-        sin=np.sin, cos=np.cos, abs=np.abs, minimum=np.minimum, maximum=np.maximum,
-        clip=lambda x, low, high: np.fmin(np.fmax(x, low), high), logical_not=np.logical_not,
-        isfinite=np.isfinite, where=np.where, nan=math.nan,
+        sin=np.sin, cos=np.cos, minimum=np.minimum, maximum=np.maximum,
+        clip=lambda x, low, high: np.fmin(np.fmax(x, low), high),
+        isfinite=np.isfinite, where=np.where,
         rint=np.rint, int=lambda n: n.astype(np.int32), frexp=np.frexp, ldexp=np.ldexp,
         copysign=np.copysign, exp_hi=np.array(_POINT.exp_hi), exp_lo=np.array(_POINT.exp_lo),
     )
     xp.exp = lambda x: _exp(x, xp)
     return xp
+
+
+def _on_arrays(kernel, *args):
+    """kernel(*args, _arrays()): the one way onto NumPy of the array entry
+    points.  Each argument becomes a float array, a 0-d one a Python float (on
+    which a kernel may form its terms on the float path) and None stays None;
+    the kernel runs under the package's one numpy.errstate, as its failing
+    points raise after every check is made."""
+    import numpy as np
+
+    arrays = (None if v is None else np.asarray(v, dtype=float) for v in args)
+    values = [v if v is None or v.ndim else float(v) for v in arrays]
+    with np.errstate(all="ignore"):
+        return kernel(*values, _arrays())
 
 
 def _products(nu1, nu2, mu12, xp):
@@ -356,7 +353,7 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     None the closure condition p2 = p fixes p, except on degenerate cycles
     (1 - product < 1e-12: every p is a fixed point), which give the no-op
     p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
-    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate under numpy.errstate.
+    Invalid arrays (a NaN, nu <= 0) give NaN: evaluate them through _on_arrays.
     """
     finite = xp.isfinite(theta)
     phase = xp.where(finite, theta, 0.0)  # so that no sine sees a non-finite theta
@@ -373,7 +370,7 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     if p is None:
         # a degenerate cycle is then a no-op, exchanging no signal, so
         # that p and p2 below come out 1/2 exactly
-        signal = signal * xp.logical_not(degenerate)
+        signal = xp.where(degenerate, 0.0, signal)
         p = 0.5 + signal / gap
         checks.append(_range_check("closure population", p, _CLOSURE_TOL))
         p = xp.minimum(xp.maximum(p, 0.0), 1.0)

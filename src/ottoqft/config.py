@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Optional
 
-from .record import Record, factory
+from .record import Record
 
 __all__ = ["Axis", "SweepSpec", "ConfigError", "parse_config", "MODES", "DEFAULT_TOLERANCES"]
 
@@ -123,7 +123,7 @@ class SweepSpec(Record):
     seed: Optional[int] = None
     cases: Optional[int] = None
     dim: Optional[int] = None
-    tolerance_overrides: dict[str, float] = factory(dict)
+    tolerance_overrides: Optional[dict[str, float]] = None
 
 
 def _read(text: str, overrides: Iterable[str]) -> dict[str, tuple[str, str]]:

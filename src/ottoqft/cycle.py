@@ -13,7 +13,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _POINT
-from .algebra import MomentSet, _arrays, _population_columns, _raise_first_failure
+from .algebra import MomentSet, _on_arrays, _population_columns, _raise_first_failure
 from .record import Record
 
 __all__ = [
@@ -188,15 +188,22 @@ def cycle_arrays(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p=None
     theta on.  The first failing point in C order raises the first check it
     fails, with the message the scalar API gives for it.
     """
+    return _broadcast(_cycle, omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p)
+
+
+def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12) -> LedgerColumns:
+    """The ledger of cycles given their phase difference theta, over broadcastable
+    arrays, with the MomentSet checks and the population checks of cycle_arrays
+    (a finite theta first)."""
+    return _broadcast(_ledger, theta, omega1, omega2, nu1, nu2, e12, mu12, None)
+
+
+def _broadcast(kernel, *args) -> LedgerColumns:
+    # each value is formed on the shape of its own inputs (so a grid's nu1 and nu2, given
+    # on its axes, take one frexp each), and the columns are broadcast at the end
     import numpy as np
 
-    args = [np.asarray(v, dtype=float) for v in (omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12)]
-    if initial_p is not None:
-        initial_p = np.asarray(initial_p, dtype=float)
-    # each value is formed on the shape of its own inputs (so a grid's nu1 and nu2, given
-    # on its axes, take one log each), and the columns are broadcast at the end
-    with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        return LedgerColumns._make(np.broadcast_arrays(*_cycle(*args, initial_p, _arrays())))
+    return LedgerColumns._make(np.broadcast_arrays(*_on_arrays(kernel, *args)))
 
 
 def _cycle(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p, xp) -> LedgerColumns:
@@ -206,13 +213,10 @@ def _cycle(omega1, omega2, tau1, tau2, nu1, nu2, e12, mu12, initial_p, xp) -> Le
     kicks_ok = (omega1 > 0.0) & (omega2 > 0.0) & (tau2 > tau1)
     if initial_p is not None:
         kicks_ok = kicks_ok & (0.0 <= initial_p) & (initial_p <= 1.0)
-    checks = [
-        _moment_check(nu1, nu2, e12, mu12, xp),
+    return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, xp, [
         (kicks_ok, lambda at: CycleConfig(
             InteractionEvent(at(tau1), at(omega1)), InteractionEvent(at(tau2), at(omega2)),
-            None if initial_p is None else at(initial_p))),
-    ]
-    return _ledger(th, omega1, omega2, nu1, nu2, e12, mu12, initial_p, xp, checks)
+            None if initial_p is None else at(initial_p)))])
 
 
 def _moment_check(nu1, nu2, e12, mu12, xp):
@@ -223,43 +227,31 @@ def _moment_check(nu1, nu2, e12, mu12, xp):
             lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12)))
 
 
-def ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12) -> LedgerColumns:
-    """The ledger of cycles given their phase difference theta, over broadcastable
-    arrays, with the MomentSet checks and the population checks of cycle_arrays
-    (a finite theta first)."""
-    import numpy as np
-
-    xp = _arrays()
-    with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        return _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, None, xp,
-                       [_moment_check(nu1, nu2, e12, mu12, xp)])
-
-
 def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp, checks=(),
             products=None) -> LedgerColumns:
-    """Populations, then the strokes, once the caller's checks and the
-    population checks pass.  The no-op row of a degenerate closed cycle has
-    p = p1 = p2 = 1/2 and zero work and heat in every stroke.  w_ext of a
-    cycle the closure condition closes is the paper's closed form, which
-    keeps a signal below the float spacing at 1/2; efficiency is the
+    """Populations, then the strokes, once the MomentSet checks, the caller's
+    checks and the population checks pass.  The no-op row of a degenerate
+    closed cycle has p = p1 = p2 = 1/2 and zero work and heat in every stroke.
+    w_ext of a cycle the closure condition closes is the paper's closed form,
+    which keeps a signal below the float spacing at 1/2; efficiency is the
     population work (p1 - p) delta_omega over q2.  products is passed on to
     _population_columns."""
     closure = p is None
     c, population_checks = _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products)
-    _raise_first_failure([*checks, *population_checks])
+    _raise_first_failure([_moment_check(nu1, nu2, e12, mu12, xp), *checks, *population_checks])
     p, p1, p2 = c.p, c.p1, c.p2
     noop = c.degenerate & closure
     delta_omega = omega1 - omega2
     work = (p1 - p) * delta_omega
-    closed = closure | (xp.abs(p2 - p) <= _CLOSURE_TOL)
+    closed = closure | (abs(p2 - p) <= _CLOSURE_TOL)
     q2 = omega1 * (p1 - p)
     q4 = omega2 * (p2 - p1)
     if closure:
         w_ext = _closed_form_work(c, nu1, delta_omega)
     else:
-        w_ext = xp.where(closed, work + 0.0, xp.nan)  # + 0.0 prints -0 as 0
-    ratio = work / xp.where(closed & (q2 != 0.0), q2, xp.nan)
-    efficiency = xp.where(xp.abs(ratio) < math.inf, ratio, xp.nan)  # overflow: absent
+        w_ext = xp.where(closed, work + 0.0, math.nan)  # + 0.0 prints -0 as 0
+    ratio = work / xp.where(closed & (q2 != 0.0), q2, math.nan)
+    efficiency = xp.where(abs(ratio) < math.inf, ratio, math.nan)  # overflow: absent
     return LedgerColumns(
         theta, nu1, nu2, e12, mu12, p, p1, p2,
         xp.where(noop, 0.0, p * delta_omega + 0.0), xp.where(noop, 0.0, -p1 * delta_omega + 0.0),

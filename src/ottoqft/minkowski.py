@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import _POINT, MomentSet, _arrays, _raise_first_failure
+from .algebra import _POINT, MomentSet, _on_arrays, _raise_first_failure
 from .record import Record
 
 __all__ = ["MinkowskiParams", "dawson", "minkowski_moments", "minkowski_moment_arrays"]
@@ -44,16 +44,16 @@ def dawson(x):
     <= 2.7e-16 against mpmath on |x| <= 50.
     """
     if isinstance(x, (int, float)):
-        if not math.isfinite(x):
-            raise ValueError(f"dawson requires finite input, got {x!r}")
-        return _dawson(float(x), _POINT)
-    import numpy as np
-
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"dawson requires finite input, got {x!r}")
-    result = _dawson(arr, _arrays())
+        return _finite_dawson(float(x), _POINT)
+    result = _on_arrays(_finite_dawson, x)
     return result if result.ndim else float(result)
+
+
+def _finite_dawson(x, xp):
+    """_dawson, once the first non-finite x in C order has raised ValueError."""
+    _raise_first_failure([(xp.isfinite(x), lambda at: ValueError(
+        f"dawson requires finite input, got {at(x)!r}"))])
+    return _dawson(x, xp)
 
 
 def _dawson(x, xp):
@@ -62,7 +62,7 @@ def _dawson(x, xp):
     exp(-r^2) exp(-((2i - 1) h)^2) e^(+-(2i - 1)) with e = exp(2 r h): two
     exps and a recurrence (Numerical Recipes in C, 2nd ed., section 6.10),
     whose terms are summed smallest first."""
-    ax = xp.abs(x)
+    ax = abs(x)
     capped = xp.minimum(ax, _RYBICKI_CAP)
     n0 = 2.0 * xp.rint(0.5 * capped / _RYBICKI_H)
     r = capped - n0 * _RYBICKI_H  # exact
@@ -107,10 +107,8 @@ def minkowski_moment_arrays(lambda1, lambda2, dtau):
     """
     import numpy as np
 
-    args = [np.asarray(v, dtype=float) for v in (lambda1, lambda2, dtau)]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge couplings: checked by the consumer
-        moments = _moments(*(v if v.ndim else float(v) for v in args), _arrays())
-    return tuple(map(np.asarray, moments))
+    # huge couplings underflow nu and overflow e12, mu12: the consumer checks them
+    return tuple(map(np.asarray, _on_arrays(_moments, lambda1, lambda2, dtau)))
 
 
 def _moments(lambda1, lambda2, dtau, xp):

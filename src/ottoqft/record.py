@@ -1,8 +1,8 @@
 """Frozen value records: the base of the package's public record types.
 
 A subclass lists its fields as class annotations, in order, and gives a
-default as a class attribute (``factory(make)`` for one made anew per record).
-The field names, in order, are the class's ``_fields`` and ``__match_args__``.
+default as a class attribute.  The field names, in order, are the class's
+``_fields`` and ``__match_args__``.
 Records compare and hash by their field values within one class, print as
 ``Type(field=value, ...)`` and refuse assignment and deletion; an optional
 ``__post_init__`` checks the values.  The base imports nothing and generates
@@ -11,14 +11,7 @@ no code when a subclass is defined: its methods are shared by every type.
 
 from __future__ import annotations
 
-__all__ = ["Record", "factory"]
-
-
-class factory:
-    """A default made by calling make() for each record that omits the field."""
-
-    def __init__(self, make) -> None:
-        self.make = make
+__all__ = ["Record"]
 
 
 class Record:
@@ -58,10 +51,7 @@ class Record:
             if name in values:
                 raise TypeError(f"{cls.__qualname__}.__init__() got multiple values for "
                                 f"argument {name!r}")
-        values.update(kwargs)
-        for name, default in cls._defaults.items():
-            if name not in values:
-                values[name] = default.make() if isinstance(default, factory) else default
+        values = {**cls._defaults, **values, **kwargs}
         if len(values) < len(fields):
             missing = ", ".join(repr(name) for name in fields if name not in values)
             raise TypeError(f"{cls.__qualname__}.__init__() missing required arguments: {missing}")

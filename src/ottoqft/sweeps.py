@@ -17,7 +17,7 @@ import math
 from array import array
 from typing import Iterator, Sequence
 
-from .algebra import _POINT, _arrays
+from .algebra import _POINT, _on_arrays
 from .config import SweepSpec
 from .cycle import LedgerColumns, _cycle
 from .minkowski import _moments
@@ -56,9 +56,9 @@ def _render_rows(row: str, columns: Sequence[list], flags: list) -> str:
     return (row * len(words)) % tuple(itertools.chain.from_iterable(zip(*columns, words)))
 
 
-def _evaluate(xp, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> LedgerColumns:
+def _evaluate(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p, xp) -> LedgerColumns:
     # the one kernel call: the moments, then the cycle, on one point of Python floats
-    # (xp = _POINT) or on arrays (xp = _arrays(), under numpy.errstate)
+    # (xp = _POINT) or on arrays (through _on_arrays)
     moments = _moments(lambda1, lambda2, tau2 - tau1, xp)
     return _cycle(omega1, omega2, tau1, tau2, *moments, initial_p, xp)
 
@@ -72,16 +72,15 @@ def _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p
     indices = [LedgerColumns._fields.index(name) for name in fields]
     varied = (tau2, lambda1, lambda2)
     if size <= _CHUNK:
-        points = [_evaluate(_POINT, omega1, omega2, tau1, *point, initial_p) for point in
+        points = [_evaluate(omega1, omega2, tau1, *point, initial_p, _POINT) for point in
                   itertools.product(*(v if isinstance(v, array) else (v,) for v in varied))]
         return [[point[i] for point in points] for i in indices]
     import numpy as np
 
     axes = [v for v in varied if isinstance(v, array)]
     mesh = iter(np.ix_(*axes))  # each axis on a dimension of its own, in grid order
-    with np.errstate(all="ignore"):  # failing points raise, after every check is made
-        c = _evaluate(_arrays(), omega1, omega2, tau1,
-                      *(next(mesh) if isinstance(v, array) else v for v in varied), initial_p)
+    c = _on_arrays(_evaluate, omega1, omega2, tau1,
+                   *(next(mesh) if isinstance(v, array) else v for v in varied), initial_p)
     shape = tuple(map(len, axes))  # a column of one value (a curve's nu1, nu2) is repeated
     return [[c[i]] * math.prod(shape) if np.ndim(c[i]) == 0
             else np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]

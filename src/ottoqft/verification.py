@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import _arrays, _products, moment_set_from_kernel, weyl_moments
+from .algebra import _on_arrays, _products, moment_set_from_kernel, weyl_moments
 from .config import DEFAULT_TOLERANCES
 from .cycle import cycle_arrays, ledger_arrays
 from .minkowski import dawson, minkowski_moment_arrays
@@ -157,7 +157,7 @@ def _check_appendix_identities(rng, count: int = 1000):
     nu_minus = np.exp(-2.0 * (w11 - 2.0 * mu12 + w22))
     nu_plus = np.exp(-2.0 * (w11 + 2.0 * mu12 + w22))
     # the kernel's own nu1 nu2 exp(+-4 mu12), which every cycle uses, are nu-+
-    up, down, _ = _products(nu1, nu2, mu12, _arrays())
+    up, down, _ = _on_arrays(_products, nu1, nu2, mu12)
     dev = float(np.max(np.maximum.reduce([
         np.abs(nu_minus + nu_plus - 2.0 * nu1 * nu2 * np.cosh(4.0 * mu12)),
         np.abs(nu_minus - nu_plus - 2.0 * nu1 * nu2 * np.sinh(4.0 * mu12)),

@@ -29,6 +29,7 @@ from ottoqft.algebra import (
 from ottoqft.config import parse_config
 from ottoqft.cycle import (
     CycleConfig,
+    LedgerColumns,
     DegenerateCycleError,
     InteractionEvent,
     cycle_arrays,
@@ -38,6 +39,7 @@ from ottoqft.cycle import (
     stroke_ledger,
     theta,
 )
+from ottoqft import minkowski
 from ottoqft.minkowski import MinkowskiParams, minkowski_moment_arrays, minkowski_moments
 from ottoqft.sweeps import run_sweep
 
@@ -119,6 +121,18 @@ def test_moment_arrays_match_scalar(points):
     for i, point in enumerate(points):
         m = minkowski_moments(MinkowskiParams(*point))
         assert (m.nu1, m.nu2, m.e12, m.mu12) == tuple(float(a[i]) for a in arrays), (i, point)
+
+
+@pytest.mark.parametrize("dtau", [0.5, np.float64(0.5), np.array(0.5)])
+def test_moment_arrays_form_a_scalar_dtau_on_floats(monkeypatch, dtau):
+    # a 0-d input reaches the kernel as a Python float: one Dawson on the float
+    # path, and each moment has the shape of its own inputs
+    seen = []
+    monkeypatch.setattr(minkowski, "_dawson", lambda x, xp: seen.append(type(x)) or 0.0)
+    moments = minkowski_moment_arrays(np.array([1.0, 2.0]), 3.0, dtau)
+    assert seen == [float]
+    assert [type(m) for m in moments] == [np.ndarray] * 4
+    assert [m.shape for m in moments] == [(2,), (), (2,), (2,)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,6 +277,20 @@ def test_ledger_arrays_checks_moments_as_cycle_arrays_does(nu1, e12, mu12):
         cycle_arrays(1.0, 3.0, 0.0, 0.5, nus1, 0.5, e12s, mu12s)
     assert type(ledger.value) is type(cycle.value) is ValueError
     assert str(ledger.value) == str(cycle.value)
+
+
+@pytest.mark.parametrize("phase, moments", [
+    (np.array([-1.0, -2.0]), (0.5, 0.5, 0.1, 0.1)),  # scalar moments
+    (-1.5, (np.array([[0.5], [0.25]]), 0.5, np.array([0.1, 0.2, 0.3]), 0.1)),
+    (-1.5, (0.5, 0.5, 0.1, 0.1)),  # one point
+])
+def test_ledger_arrays_columns_broadcast_as_cycle_arrays_do(phase, moments):
+    ledger = ledger_arrays(phase, 1.0, 3.0, *moments)
+    # the same cycles through cycle_arrays: theta = omega1 tau1 - omega2 tau2 at tau1 = 0
+    cycle = cycle_arrays(1.0, 3.0, 0.0, np.divide(phase, -3.0), *moments)
+    shape = np.broadcast_shapes(np.shape(phase), *map(np.shape, moments))
+    for name, a, b in zip(LedgerColumns._fields, ledger, cycle):
+        assert type(a) is type(b) is np.ndarray and a.shape == b.shape == shape, name
 
 
 @pytest.mark.parametrize("th", [math.nan, math.inf, -math.inf])

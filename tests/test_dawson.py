@@ -56,8 +56,21 @@ def test_odd_function(x):
     assert dawson(-x) == -dawson(x)
 
 
-def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        dawson(math.inf)
-    with pytest.raises(ValueError):
-        dawson(math.nan)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_float(bad):
+    with pytest.raises(ValueError) as raised:
+        dawson(bad)
+    assert str(raised.value) == f"dawson requires finite input, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda bad: np.array(bad),
+    lambda bad: np.array([bad, 1.0, math.nan]),  # the first of two failures
+    lambda bad: [0.5, 1.0, bad],  # a list, failing last
+    lambda bad: np.array([[1.0, bad], [-math.inf, 4.0]]),  # first in C order, not in F order
+], ids=["0-d", "first", "last", "c-order"])
+def test_rejects_non_finite_array_naming_the_first_value(bad, make):
+    with pytest.raises(ValueError) as raised:
+        dawson(make(bad))
+    assert str(raised.value) == f"dawson requires finite input, got {bad!r}"

@@ -285,7 +285,7 @@ def test_figure4a_curve_a_chunk_at_a_time_is_one_array_call():
      "lambda2 must be >= 0, got nan"),
     (lambda: figure4a_curve(1.0, 3.0, math.nan, 1.0, 1.0, [1.0, 2.0]),
      "every tau2 must exceed tau1 = nan"),
-    (lambda: sweeps._evaluate(_POINT, 1.0, 3.0, 0.0, math.nan, 1.0, 1.0),
+    (lambda: sweeps._evaluate(1.0, 3.0, 0.0, math.nan, 1.0, 1.0, None, _POINT),
      "dtau must be >= 0, got nan"),
 ])
 def test_nan_inputs_are_rejected_by_name(call, message):

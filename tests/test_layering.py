@@ -220,6 +220,20 @@ def test_kernel_namespaces_expose_the_same_names():
     assert sorted(vars(_POINT)) == sorted(vars(_arrays()))
 
 
+def _names_errstate(node: ast.AST) -> bool:
+    return getattr(node, "attr", getattr(node, "id", None)) == "errstate"
+
+
+def test_errstate_is_opened_in_one_function():
+    # every array entry point reaches NumPy through algebra._on_arrays, which alone
+    # sets NumPy's floating-point error state: the package names errstate once, there
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sum(map(_names_errstate, (n for tree in trees.values() for n in ast.walk(tree)))) == 1
+    assert [(module, function.name) for module, tree in trees.items()
+            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            and any(map(_names_errstate, ast.walk(function)))] == [("algebra", "_on_arrays")]
+
+
 def test_public_names_keep_their_order():
     assert ottoqft.__all__ == PUBLIC
 

@@ -123,17 +123,11 @@ def test_fields_cannot_be_assigned_or_deleted(cls, names, values, text):
     (lambda: SweepSpec("verify"),
      {**dict.fromkeys(("omega1", "omega2", "tau1", "tau2", "lambda1", "lambda2", "tau2_axis",
                        "lambda1_axis", "lambda2_axis", "initial_p", "output_path", "seed",
-                       "cases", "dim")), "tolerance_overrides": {}}),
+                       "cases", "dim", "tolerance_overrides"))}),
 ])
 def test_defaults(make, defaults):
     record = make()
     assert {name: getattr(record, name) for name in defaults} == defaults
-
-
-def test_each_sweep_spec_gets_its_own_tolerance_dict():
-    first, second = SweepSpec("verify"), SweepSpec(mode="verify")
-    assert first.tolerance_overrides == {} and first == second
-    assert first.tolerance_overrides is not second.tolerance_overrides
 
 
 @pytest.mark.parametrize("call, argument", [
