@@ -84,12 +84,9 @@ class MinkowskiParams(Record):
     dtau: float
 
     def __post_init__(self) -> None:
-        if not (self.lambda1 >= 0.0 and self.lambda2 >= 0.0):
-            raise ValueError(
-                f"couplings must be >= 0, got ({self.lambda1!r}, {self.lambda2!r})"
-            )
-        if not self.dtau >= 0.0:
-            raise ValueError(f"dtau must be >= 0, got {self.dtau!r}")
+        for name, value in zip(self._fields, self._values()):
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def minkowski_moment_arrays(lambda1, lambda2, dtau):
@@ -102,8 +99,8 @@ def minkowski_moment_arrays(lambda1, lambda2, dtau):
     Returns (nu1, nu2, e12, mu12), each with the shape of its own inputs:
     nu_j follows lambda_j alone, and a scalar dtau costs one Dawson
     evaluation per call, on Python floats.  A coupling or dtau that is not
-    >= 0 (NaN included) raises ValueError naming it, for the first failing
-    point in C order; the MomentSet checks are the consumer's.
+    >= 0 (NaN included) raises the MinkowskiParams ValueError of the first
+    failing point in C order; the MomentSet checks are the consumer's.
     """
     import numpy as np
 
@@ -115,9 +112,8 @@ def _moments(lambda1, lambda2, dtau, xp):
     """minkowski_moment_arrays over the arrays, or over one point of Python
     floats with xp = _POINT.  A term of one input that is a Python float is
     formed on the float path, which gives the array path's bits."""
-    _raise_first_failure([(value >= 0.0, lambda at, name=name, value=value: ValueError(
-        f"{name} must be >= 0, got {at(value)!r}"))
-        for name, value in (("lambda1", lambda1), ("lambda2", lambda2), ("dtau", dtau))])
+    _raise_first_failure([((lambda1 >= 0.0) & (lambda2 >= 0.0) & (dtau >= 0.0),
+                           lambda at: MinkowskiParams(at(lambda1), at(lambda2), at(dtau)))])
     nu1, nu2 = (_on(value, xp).exp(-(value * value) / (2.0 * math.pi ** 2))
                 for value in (lambda1, lambda2))
     xs = _on(dtau, xp)

@@ -1,12 +1,14 @@
 """Frozen value records: the base of the package's public record types.
 
 A subclass lists its fields as class annotations, in order, and gives a
-default as a class attribute.  The field names, in order, are the class's
-``_fields`` and ``__match_args__``.
-Records compare and hash by their field values within one class, print as
-``Type(field=value, ...)`` and refuse assignment and deletion; an optional
-``__post_init__`` checks the values.  The base imports nothing and generates
-no code when a subclass is defined: its methods are shared by every type.
+default as a class attribute, after every field without one.  The field
+names, in order, are the class's ``_fields`` and ``__match_args__``.
+Defining a subclass generates its ``__init__`` once, as ``namedtuple`` does
+its ``__new__``: the fields are its parameters, so Python binds a call's
+arguments and ``inspect.signature`` shows them.  It stores the fields and
+calls ``__post_init__``, which checks the values.  Records compare and hash
+by their field values within one class, print as ``Type(field=value, ...)``
+and refuse assignment and deletion.  The base imports nothing.
 """
 
 from __future__ import annotations
@@ -18,44 +20,22 @@ class Record:
     """Base of a frozen value record (see the module docstring)."""
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if cls.__annotations__:  # a subclass that declares no field keeps its parent's
-            cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
-            cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-
-    def __init__(self, *args, **kwargs) -> None:
-        # a call giving every field by position skips the binding, which keeps a
-        # scalar MomentSet(...) near the cost of a generated per-type __init__
-        if not kwargs and len(args) == len(self._fields):
-            self.__dict__.update(zip(self._fields, args))
-        else:
-            self.__dict__.update(self._bind(args, kwargs))
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> dict:
-        """field -> value for a call with keywords or defaults, rejecting what a
-        signature of the fields would reject."""
-        fields = cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__qualname__}.__init__() takes {len(fields) + 1} positional "
-                            f"arguments but {len(args) + 1} were given")
-        values = dict(zip(fields, args))
-        for name in kwargs:
-            if name not in fields:
-                raise TypeError(f"{cls.__qualname__}.__init__() got an unexpected keyword "
-                                f"argument {name!r}")
-            if name in values:
-                raise TypeError(f"{cls.__qualname__}.__init__() got multiple values for "
-                                f"argument {name!r}")
-        values = {**cls._defaults, **values, **kwargs}
-        if len(values) < len(fields):
-            missing = ", ".join(repr(name) for name in fields if name not in values)
-            raise TypeError(f"{cls.__qualname__}.__init__() missing required arguments: {missing}")
-        return values
+            cls._fields = cls.__match_args__ = fields = tuple(cls.__annotations__)
+            required = [name for name in fields if name not in vars(cls)]
+            if required != list(fields[:len(required)]):  # __defaults__ bind to the last fields
+                name = next(name for name, field in zip(required, fields) if name != field)
+                raise TypeError(f"{cls.__qualname__}: field {name!r} has no default "
+                                f"but follows a field that has one")
+            stores = ", ".join(f"{name}={name}" for name in fields)
+            init = eval(f"lambda self, {', '.join(fields)}: "
+                        f"self.__dict__.update({stores}) or self.__post_init__()", {})
+            init.__defaults__ = tuple(vars(cls)[name] for name in fields[len(required):]) or None
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def __post_init__(self) -> None:
         pass

@@ -234,6 +234,36 @@ def test_errstate_is_opened_in_one_function():
             and any(map(_names_errstate, ast.walk(function)))] == [("algebra", "_on_arrays")]
 
 
+def _record_classes(trees) -> dict[str, ast.ClassDef]:
+    """name -> class of every class in trees derived from Record, directly or not."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found, count = {}, -1
+    while count < len(found):
+        count = len(found)
+        found.update((node.name, node) for node in classes
+                     if {getattr(base, "id", None) for base in node.bases} & {"Record", *found})
+    return found
+
+
+def _defines_init(statement: ast.stmt) -> bool:
+    targets = getattr(statement, "targets", [statement])  # an assignment, or a def
+    return any(getattr(target, "name", getattr(target, "id", None)) == "__init__"
+               for target in targets)
+
+
+def test_records_bind_through_their_generated_init():
+    # Record.__init_subclass__ generates each record's __init__ with eval, so that
+    # Python binds a record's arguments: no record defines an __init__ of its own,
+    # and no other module evaluates code
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    records = _record_classes(trees.values())
+    assert {"Axis", "MomentSet", "CycleConfig", "MinkowskiParams", "CheckResult"} <= set(records)
+    assert [name for name, node in records.items() if any(map(_defines_init, node.body))] == []
+    assert {module for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("eval", "exec")
+            } == {"record"}
+
+
 def test_public_names_keep_their_order():
     assert ottoqft.__all__ == PUBLIC
 

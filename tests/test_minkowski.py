@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottoqft.algebra import contraction_factor
+from ottoqft import sweeps
+from ottoqft.algebra import _POINT, contraction_factor
 from ottoqft.cli import main
-from ottoqft.minkowski import MinkowskiParams, dawson, minkowski_moments
+from ottoqft.minkowski import MinkowskiParams, dawson, minkowski_moment_arrays, minkowski_moments
 from ottoqft.oracle import quadrature_minkowski_moments
 from ottoqft.sweeps import figure4a_curve
 
@@ -26,6 +27,27 @@ class TestParams:
             MinkowskiParams(lambda1=-1.0, lambda2=1.0, dtau=0.0)
         with pytest.raises(ValueError):
             MinkowskiParams(lambda1=1.0, lambda2=1.0, dtau=-0.5)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("index, name", enumerate(["lambda1", "lambda2", "dtau"]))
+    def test_every_entry_point_raises_the_params_text(self, index, name, bad):
+        # the record, the kernel on floats and on arrays (the bad value at the
+        # second point) and one point of a sweep (tau1 = 0, so dtau = tau2)
+        good = [100.0, 1.0, 1.5]
+        point = [*good[:index], bad, *good[index + 1:]]
+        lambda1, lambda2, dtau = point
+        calls = [
+            lambda: MinkowskiParams(*point),
+            lambda: minkowski_moment_arrays(*point),
+            lambda: minkowski_moment_arrays(*map(np.array, zip(good, point))),
+            lambda: sweeps._evaluate(1.0, 3.0, 0.0, dtau, lambda1, lambda2, None, _POINT),
+        ]
+        texts = []
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            texts.append(str(raised.value))
+        assert texts == [f"{name} must be >= 0, got {bad!r}"] * len(calls)
 
 
 class TestClosedForms:

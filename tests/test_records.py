@@ -1,7 +1,11 @@
 """The contract of the package's public record types: construction by position
-and by keyword with defaults, the repr text, equality and hash by value within
-one class, immutability, and the checks each type makes on construction."""
+and by keyword with defaults, the signature Python binds them with, the repr
+text, equality and hash by value within one class, immutability, copies and
+pickles, and the checks each type makes on construction."""
 
+import copy
+import inspect
+import pickle
 import re
 
 import pytest
@@ -11,6 +15,7 @@ from ottoqft.config import Axis, SweepSpec
 from ottoqft.cycle import CycleConfig, InteractionEvent, WorkReport
 from ottoqft.minkowski import MinkowskiParams
 from ottoqft.oracle import FockParams
+from ottoqft.record import Record
 from ottoqft.verification import CheckResult
 
 FIRST = InteractionEvent(0.0, 1.0)
@@ -59,6 +64,13 @@ RECORDS = [
      "detail='15 points')"),
 ]
 IDS = [record[0].__name__ for record in RECORDS]
+# the defaulted fields of each type and their defaults; the other types have none
+DEFAULTS = {
+    InteractionEvent: {"coupling": 0.0},
+    CycleConfig: {"initial_p": None},
+    FockParams: {"nbar": 0.0, "dim": 60},
+    SweepSpec: dict.fromkeys(SweepSpec._fields[1:]),
+}
 
 
 @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
@@ -115,10 +127,10 @@ def test_fields_cannot_be_assigned_or_deleted(cls, names, values, text):
 
 
 @pytest.mark.parametrize("make, defaults", [
-    (lambda: InteractionEvent(1.5, 3.0), {"coupling": 0.0}),
-    (lambda: CycleConfig(FIRST, SECOND), {"initial_p": None}),
-    (lambda: CycleConfig(second=SECOND, first=FIRST), {"initial_p": None}),
-    (lambda: FockParams(0.25, 0.5j), {"nbar": 0.0, "dim": 60}),
+    (lambda: InteractionEvent(1.5, 3.0), DEFAULTS[InteractionEvent]),
+    (lambda: CycleConfig(FIRST, SECOND), DEFAULTS[CycleConfig]),
+    (lambda: CycleConfig(second=SECOND, first=FIRST), DEFAULTS[CycleConfig]),
+    (lambda: FockParams(0.25, 0.5j), DEFAULTS[FockParams]),
     (lambda: FockParams(alpha2=0.5j, alpha1=0.25, dim=8), {"nbar": 0.0, "dim": 8}),
     (lambda: SweepSpec("verify"),
      {**dict.fromkeys(("omega1", "omega2", "tau1", "tau2", "lambda1", "lambda2", "tau2_axis",
@@ -130,21 +142,75 @@ def test_defaults(make, defaults):
     assert {name: getattr(record, name) for name in defaults} == defaults
 
 
-@pytest.mark.parametrize("call, argument", [
-    (lambda: MomentSet(0.5, 0.5, 0.0), "mu12"),
-    (lambda: MomentSet(0.5, 0.5, 0.0, mu=0.0), "mu"),
-    (lambda: MomentSet(0.5, 0.5, 0.0, 0.0, nu1=0.5), "nu1"),
-    (lambda: InteractionEvent(gap=1.0), "tau"),
-    (lambda: SweepSpec(), "mode"),
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+def test_signature_lists_the_fields_with_their_defaults(cls, names, values, text):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(parameter.name for parameter in parameters) == cls._fields == names
+    assert all(parameter.kind is parameter.POSITIONAL_OR_KEYWORD for parameter in parameters)
+    assert {parameter.name: parameter.default for parameter in parameters
+            if parameter.default is not parameter.empty} == DEFAULTS.get(cls, {})
+
+
+@pytest.mark.parametrize("defaults, field", [
+    ({"a": 0.0}, "b"),
+    ({"b": 0.0}, "c"),
+    ({"a": 0.0, "c": 0.0}, "b"),
 ])
-def test_a_call_that_does_not_fit_the_fields_is_a_type_error(call, argument):
-    with pytest.raises(TypeError, match=f"'{argument}'"):
+def test_a_field_without_a_default_after_one_with_a_default_is_a_type_error(defaults, field):
+    # a generated __init__'s defaults bind to its last parameters: any other
+    # order would give a default to the wrong field
+    namespace = {"__annotations__": dict.fromkeys("abc", float), **defaults}
+    with pytest.raises(TypeError, match=f"^Late: field '{field}' has no default "
+                                        "but follows a field that has one$"):
+        type("Late", (Record,), namespace)
+
+
+@pytest.mark.parametrize("call, argument, init", [
+    (lambda: MomentSet(0.5, 0.5, 0.0), "mu12", "MomentSet.__init__()"),
+    (lambda: MomentSet(0.5, 0.5, 0.0, mu=0.0), "mu", "MomentSet.__init__()"),
+    (lambda: MomentSet(0.5, 0.5, 0.0, 0.0, nu1=0.5), "nu1", "MomentSet.__init__()"),
+    (lambda: InteractionEvent(gap=1.0), "tau", "InteractionEvent.__init__()"),
+    (lambda: SweepSpec(), "mode", "SweepSpec.__init__()"),
+    (lambda: CycleConfig(FIRST, initial_p=0.5), "second", "CycleConfig.__init__()"),
+    (lambda: FockParams(0.25, 0.5j, nbr=0.5), "nbr", "FockParams.__init__()"),
+])
+def test_a_call_that_does_not_fit_the_fields_is_a_type_error(call, argument, init):
+    with pytest.raises(TypeError, match=f"^{re.escape(init)} .*'{argument}'"):
         call()
 
 
-def test_too_many_positional_arguments_is_a_type_error():
-    with pytest.raises(TypeError, match="positional arguments but 6 were given"):
-        MomentSet(0.5, 0.5, 0.0, 0.0, 0.0)
+@pytest.mark.parametrize("call, message", [
+    (lambda: MomentSet(0.5, 0.5, 0.0, 0.0, 0.0),
+     "MomentSet.__init__() takes 5 positional arguments but 6 were given"),
+    (lambda: InteractionEvent(0.0, 1.0, 0.0, 0.0),
+     "InteractionEvent.__init__() takes from 3 to 4 positional arguments but 5 were given"),
+])
+def test_too_many_positional_arguments_is_a_type_error(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _copies(record):
+    """record after copy.copy, copy.deepcopy and a pickle round trip at each protocol."""
+    return [copy.copy(record), copy.deepcopy(record),
+            *(pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+def test_copies_and_pickles_equal_the_original(cls, names, values, text):
+    record = cls(*values)
+    for twin in _copies(record):
+        assert type(twin) is cls and twin == record and repr(twin) == text
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{names[0]}'$"):
+            setattr(twin, names[0], 0)
+
+
+def test_copies_of_a_moment_set_keep_its_cached_products():
+    moments = MomentSet(0.5, 0.25, -0.125, 0.0625)
+    products = moments._point_products  # cached in the instance on first use
+    for twin in _copies(moments):
+        assert twin == moments and twin._point_products == products
 
 
 @pytest.mark.parametrize("make, message", [
@@ -163,11 +229,11 @@ def test_too_many_positional_arguments_is_a_type_error():
      "second kick must be later than the first (tau2 = 0.0 <= tau1 = 0.0)"),
     (lambda: CycleConfig(FIRST, SECOND, 1.5), "initial_p must lie in [0, 1], got 1.5"),
     (lambda: CycleConfig(FIRST, SECOND, float("nan")), "initial_p must lie in [0, 1], got nan"),
-    (lambda: MinkowskiParams(-1.0, 1.0, 0.5), "couplings must be >= 0, got (-1.0, 1.0)"),
-    (lambda: MinkowskiParams(1.0, -2.0, 0.5), "couplings must be >= 0, got (1.0, -2.0)"),
+    (lambda: MinkowskiParams(-1.0, 1.0, 0.5), "lambda1 must be >= 0, got -1.0"),
+    (lambda: MinkowskiParams(1.0, -2.0, 0.5), "lambda2 must be >= 0, got -2.0"),
     (lambda: MinkowskiParams(1.0, 1.0, -0.5), "dtau must be >= 0, got -0.5"),
-    (lambda: MinkowskiParams(float("nan"), 1.0, 0.5), "couplings must be >= 0, got (nan, 1.0)"),
-    (lambda: MinkowskiParams(1.0, float("nan"), 0.5), "couplings must be >= 0, got (1.0, nan)"),
+    (lambda: MinkowskiParams(float("nan"), 1.0, 0.5), "lambda1 must be >= 0, got nan"),
+    (lambda: MinkowskiParams(1.0, float("nan"), 0.5), "lambda2 must be >= 0, got nan"),
     (lambda: MinkowskiParams(1.0, 1.0, float("nan")), "dtau must be >= 0, got nan"),
     (lambda: FockParams(float("inf"), 0.5), "alpha1 must be finite, got inf"),
     (lambda: FockParams(0.5, complex(0.0, float("nan"))), "alpha2 must be finite, got nanj"),
