@@ -16,7 +16,7 @@ import gc
 import importlib
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import ConfigError, parse_config
 
@@ -41,7 +41,7 @@ def _frozen():
 
 
 with _frozen():
-    from .sweeps import on_arrays, run_point, sweep_chunks  # verify loads its own modules when it runs
+    from .sweeps import _chunks, _layout, run_point  # verify loads its own modules when it runs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,13 +62,81 @@ def _import(name: str):
         return importlib.import_module(name, __package__)
 
 
+def _parts(chunks: int) -> int:
+    """The processes that render a sweep of this many chunks: one a usable CPU, at most
+    one a chunk.  One where os.fork is missing, or where this process holds more than
+    one OS thread or cannot tell: a forked child of a threaded process can deadlock, and
+    NumPy starts threads under a caller's OPENBLAS_NUM_THREADS > 1."""
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc: the threads are unknown
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, chunks) if threads == 1 and hasattr(os, "fork") else 1
+
+
+def _document(spec, parts: int) -> Iterator[str]:
+    """The CSV text of spec in grid order.  Parts 1 to parts - 1 of its chunks are
+    rendered by children forked here, each into a spill file next to the output, while
+    this process renders part 0; then each child's text follows in blocks of 64 KB.  A
+    child's exception is raised at its place in grid order, and on any early stop every
+    child left is killed and reaped."""
+    children = []  # (pid, read end of its error pipe, its spill), in part order
+    try:
+        if parts > 1:
+            import pickle, tempfile  # loaded with NumPy
+        for part in range(1, parts):
+            spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
+                                           dir=os.path.dirname(spec.output_path) or os.curdir)
+            read, write = os.pipe()
+            # a child writes its part into spill, or its exception pickled into the pipe, and
+            # leaves through os._exit: no frame, buffer or atexit hook of the parent runs in it
+            if (pid := os.fork()) == 0:
+                status = 1
+                try:
+                    with spill:
+                        spill.writelines(_chunks(spec, part, parts))
+                    status = 0
+                except BaseException as exc:
+                    with open(write, "wb") as errors:
+                        pickle.dump(exc, errors)
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb"), spill))
+        yield from _chunks(spec, 0, parts)
+        while children:
+            pid, errors, spill = children[0]
+            with errors, spill:
+                failure = errors.read()  # to its end, as the child exits
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if failure:
+                    raise pickle.loads(failure)
+                if status:
+                    raise ChildProcessError(f"a sweep process ended with status {status}")
+                spill.seek(0)
+                yield from iter(lambda: spill.read(1 << 16), "")
+    finally:
+        if children:
+            import signal
+        for pid, errors, spill in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            errors.close()
+            spill.close()
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _read(args.config)
     spec = parse_config(text, args.sets)
-    chunks = sweep_chunks(spec)  # rejects non-sweep modes
-    if on_arrays(spec):  # a point and a one-chunk sweep run on Python floats
+    *_, chunks = _layout(spec)  # rejects non-sweep modes
+    parts = 1
+    if chunks > 1:  # on arrays: a point and a one-chunk sweep run on Python floats, in one process
         _import("numpy")
-    _write(spec.output_path, chunks)
+        parts = _parts(chunks)
+    with contextlib.closing(_document(spec, parts)) as document:
+        _write(spec.output_path, document)
     return 0
 
 

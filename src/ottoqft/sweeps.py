@@ -22,7 +22,7 @@ from .config import SweepSpec
 from .cycle import LedgerColumns, _cycle
 from .minkowski import _moments
 
-__all__ = ["run_sweep", "sweep_chunks", "run_point", "figure4a_curve", "on_arrays",
+__all__ = ["run_sweep", "sweep_chunks", "run_point", "figure4a_curve",
            "CURVE_COLUMNS", "GRID_COLUMNS"]
 
 CURVE_COLUMNS = (
@@ -93,11 +93,6 @@ def _size(spec: SweepSpec) -> int:
     return spec.lambda1_axis.count * spec.lambda2_axis.count
 
 
-def on_arrays(spec: SweepSpec) -> bool:
-    """Whether the sweep spec runs on NumPy arrays: it has more than _CHUNK grid points."""
-    return _size(spec) > _CHUNK
-
-
 def _curve(size, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
     """(tau2, columns) of each chunk of a curve of size points in order: tau2 the
     array("d") of the next _CHUNK of the tau2_points, columns its _chunk fields."""
@@ -106,40 +101,56 @@ def _curve(size, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
         yield tau2, _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2)
 
 
-def _chunks(s: SweepSpec) -> Iterator[str]:
-    """The CSV header, then the rows of _CHUNK grid points at a time in declared order."""
-    size = _size(s)
-    yield ",".join(CURVE_COLUMNS if s.mode == "curve-tau2" else GRID_COLUMNS) + "\n"
+def _layout(s: SweepSpec) -> tuple[int, int, int, int]:
+    """(rows, width, columns, count): a chunk is rows lambda1 rows by width lambda2 values,
+    or width tau2 values of a curve's one row; a row spans columns chunks, and the sweep
+    has count, more than one on arrays.  A mode that is not a sweep raises ValueError."""
+    if s.mode not in ("curve-tau2", "grid-couplings"):
+        raise ValueError(f"sweep requires mode curve-tau2 or grid-couplings, got {s.mode!r}")
+    n1, n2 = ((1, s.tau2_axis.count) if s.mode == "curve-tau2"
+              else (s.lambda1_axis.count, s.lambda2_axis.count))
+    rows, width = max(1, _CHUNK // n2), min(n2, _CHUNK)
+    columns = -(-n2 // width)
+    return rows, width, columns, -(-n1 // rows) * columns
+
+
+def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
+    """Chunks part * count // parts to (part + 1) * count // parts of the CSV document in
+    declared order, after the header in part 0, each on the path the whole sweep's size
+    selects: parts 0 to parts - 1 join to the one-part document byte for byte."""
+    size, (rows, width, columns, count) = _size(s), _layout(s)
+    first, stop = part * count // parts, (part + 1) * count // parts
+    if part == 0:
+        yield ",".join(CURVE_COLUMNS if s.mode == "curve-tau2" else GRID_COLUMNS) + "\n"
     if s.mode == "curve-tau2":
-        for tau2, (nu1, nu2, *cells, pwc) in _curve(size, s.tau2_axis.points(), _CURVE_CELLS,
-                                                    s.omega1, s.omega2, s.tau1, s.lambda1, s.lambda2):
+        # the axis generator skipped once to the part's first tau2: never held whole
+        points = itertools.islice(s.tau2_axis.points(), first * width, stop * width)
+        for tau2, (nu1, nu2, *cells, pwc) in _curve(size, points, _CURVE_CELLS, s.omega1,
+                                                    s.omega2, s.tau1, s.lambda1, s.lambda2):
             # nu1 and nu2 follow the couplings alone: the same two cells in every row
             row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
             yield _render_rows(row, (tau2, *cells), pwc)
         return
-    # a grid holds both axes whole, 8 bytes a value.  A chunk is a block of whole lambda1
-    # rows, or _CHUNK lambda2 values of one row where a row is longer: on arrays the kernel
-    # forms each coupling's nu, and its mantissa and exponent, once per block row or column.
-    # A lambda2 axis no longer than a chunk is formatted once, as every chunk uses it all
+    # a grid holds both axes whole, 8 bytes a value: on arrays the kernel forms each
+    # coupling's nu, and its mantissa and exponent, once per block row or column.  A
+    # lambda2 axis no longer than a chunk is formatted once, as every chunk uses it all
     axis1, axis2 = (array("d", axis.points()) for axis in (s.lambda1_axis, s.lambda2_axis))
-    rows, width = max(1, _CHUNK // len(axis2)), min(len(axis2), _CHUNK)
     text2 = _texts(axis2) if width == len(axis2) else None
-    for i in range(0, len(axis1), rows):
-        for j in range(0, len(axis2), width):
-            lambda1, lambda2 = axis1[i:i + rows], axis2[j:j + width]
-            w_ext, pwc = _chunk(size, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
-                                lambda1, lambda2)
-            # the rows of the block lambda1 x lambda2, row-major
-            cells2 = text2 or _texts(lambda2)
-            column1 = [text for text in _texts(lambda1) for _ in cells2]
-            yield _render_rows("%s%s%.17g,%s\n", (column1, cells2 * len(lambda1), w_ext), pwc)
+    for chunk in range(first, stop):
+        i, j = divmod(chunk, columns)
+        lambda1, lambda2 = axis1[i * rows:(i + 1) * rows], axis2[j * width:(j + 1) * width]
+        w_ext, pwc = _chunk(size, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
+                            lambda1, lambda2)
+        # the rows of the block lambda1 x lambda2, row-major
+        cells2 = text2 or _texts(lambda2)
+        column1 = [text for text in _texts(lambda1) for _ in cells2]
+        yield _render_rows("%s%s%.17g,%s\n", (column1, cells2 * len(lambda1), w_ext), pwc)
 
 
 def sweep_chunks(spec: SweepSpec) -> Iterator[str]:
     """The CSV document of run_sweep as text chunks.  A mode that is not a
     sweep raises ValueError here, before any chunk is asked for."""
-    if spec.mode not in ("curve-tau2", "grid-couplings"):
-        raise ValueError(f"sweep requires mode curve-tau2 or grid-couplings, got {spec.mode!r}")
+    _layout(spec)  # rejects a mode that is not a sweep
     return _chunks(spec)
 
 

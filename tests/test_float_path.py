@@ -206,7 +206,7 @@ def _on_both_paths(call):
 @pytest.mark.parametrize("name", ONE_CHUNK)
 def test_one_chunk_workloads_give_the_same_bytes_on_both_paths(name):
     spec = parse_config(ONE_CHUNK[name])
-    assert not sweeps.on_arrays(spec)
+    assert sweeps._layout(spec)[-1] == 1  # one chunk: on floats
     floats, arrays = _on_both_paths(lambda: run_sweep(spec))
     assert floats == arrays and floats[0].count("\n") > 100
 

@@ -163,6 +163,17 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, status, loaded)
     assert _python(script + REPORT_LOADED.format(loaded=LOADED)) == [status, loaded]
 
 
+@pytest.mark.parametrize("command", ["point", "sweep", "grid", "verify"])
+def test_one_process_commands_never_fork(tmp_path, command):
+    # a point, a one-chunk sweep and verify run in one process: with os.fork raising,
+    # each still exits 0
+    script = ("import json, os\n"
+              "def fork():\n"
+              "    raise AssertionError('forked')\n"
+              "os.fork = fork\n" + RUN_CLI.format(argv=_argv(command, tmp_path)))
+    assert _python(script + "print(json.dumps(status))\n") == 0
+
+
 # records OPENBLAS_NUM_THREADS and whether the cyclic collector is on as numpy is
 # first imported, if it is, and both again at the end with whether any objects are frozen
 WATCH_NUMPY = (

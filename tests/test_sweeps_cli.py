@@ -1,5 +1,8 @@
 """CSV sweeps, the point report, and command-line behaviour."""
 
+import hashlib
+import itertools
+import json
 import math
 import os
 import re
@@ -98,6 +101,23 @@ class TestRunSweep:
                 expected = [(a, b) for a in spec.lambda1_axis.points()
                             for b in spec.lambda2_axis.points()]
             assert [tuple(float(v) for v in row[:len(expected[0])]) for row in rows] == expected
+
+    @pytest.mark.parametrize("cfg, overrides, count", [
+        (FIG4A_CFG, [f"tau2_count={3 * sweeps._CHUNK + 5}"], 4),  # the last chunk partial
+        (GRID_CFG, ["lambda1_count=3", f"lambda2_count={sweeps._CHUNK + 5}"], 6),  # 2 a row
+        (GRID_CFG, [f"lambda1_count={6 * (sweeps._CHUNK // 13) + 1}", "lambda2_count=13"], 7),
+    ])
+    def test_parts_join_to_the_document(self, cfg, overrides, count):
+        # part k of n holds chunks kC // n to (k + 1)C // n of C, and part 0 the header:
+        # joined in order they are the document, and n - C parts hold no row where n > C
+        spec = parse_config(cfg.format(out="x.csv"), overrides)
+        doc = run_sweep(spec)
+        assert sweeps._layout(spec)[-1] == count
+        for n in range(1, 6):
+            parts = ["".join(sweeps._chunks(spec, k, n)) for k in range(n)]
+            assert "".join(parts) == doc
+            rows = [part.count("\n") - (k == 0) for k, part in enumerate(parts)]
+            assert rows.count(0) == max(0, n - count)
 
     def test_grid_zero_second_coupling_column_is_zero(self):
         spec = parse_config(GRID_CFG.format(out="x.csv"))
@@ -300,8 +320,9 @@ class TestStreamedSweep:
                 raise KernelInconsistencyError("second chunk")
             return original(*args)
 
-        original = sweeps._evaluate  # one call a chunk on arrays
+        original = sweeps._evaluate  # one call a chunk on arrays, all in this process
         monkeypatch.setattr(sweeps, "_evaluate", second_chunk_fails)
+        monkeypatch.setattr(cli, "_parts", lambda chunks: 1)
         overrides = [f"tau2_count={2 * sweeps._CHUNK}"]
         assert self._sweep(tmp_path, FIG4A_CFG, *overrides) == 1
         assert capsys.readouterr().err == "error: second chunk\n"
@@ -353,11 +374,14 @@ class TestStreamedSweep:
         try:
             chunks = sweep_chunks(spec)
             header, first = next(chunks), next(chunks)
+            later = next(sweeps._chunks(spec, 1, 2))  # skips the axis to chunk 244 of 489
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert header.startswith("tau2_over_sigma,")
-        assert first.count("\n") == sweeps._CHUNK
+        assert first.count("\n") == later.count("\n") == sweeps._CHUNK
+        tau2 = next(itertools.islice(spec.tau2_axis.points(), 244 * sweeps._CHUNK, None))
+        assert later.startswith("%.17g," % tau2)
         assert peak < 4e6
 
     def test_figure4a_curve_holds_one_chunk_of_kernel_arrays(self):
@@ -392,6 +416,159 @@ class TestStreamedSweep:
         assert header.startswith("lambda1_over_sigma,")
         assert first.count("\n") == sweeps._CHUNK
         assert peak < 20e6
+
+
+# where the command line can split a sweep: os.fork, a thread count and more than one CPU
+FORKS = (hasattr(os, "fork") and os.path.isdir("/proc/self/task")
+         and len(os.sched_getaffinity(0)) > 1)
+
+# runs patch, then main twice in one fresh process, on the parts it picks and then on
+# one, and prints for each run its status, stderr, forks, the OS threads as it chose its
+# parts, whether a child is left unreaped, the names in the output's directory and the
+# sha256 of the output file
+FORKED_AND_SERIAL = """\
+import contextlib, hashlib, io, json, os, sys
+from ottoqft import cli
+argv, folder, out, patch = json.loads(sys.argv[1])
+exec(patch)
+forks, fork = [], os.fork
+def counted():
+    forks.append(None)
+    return fork()
+os.fork = counted
+threads, parts = [], cli._parts  # OpenBLAS stops its threads as a process forks
+def choose(chunks):
+    threads.append(len(os.listdir("/proc/self/task")))
+    return parts(chunks)
+cli._parts = choose
+runs = []
+for serial in (False, True):
+    if serial:
+        cli._parts = lambda chunks: 1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except KeyboardInterrupt:
+            status = "interrupted"
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    digest = hashlib.sha256(open(out, "rb").read()).hexdigest() if os.path.isfile(out) else None
+    runs.append([status, err.getvalue(), len(forks), threads[:1], left,
+                 sorted(os.listdir(folder)), digest])
+    forks.clear()
+    threads.clear()
+print(json.dumps(runs))
+"""
+
+
+# sweeps._evaluate replaced: every chunk fails with an error naming its first lambda1, or
+# every chunk from lambda1 = 40 on, or the first process is interrupted at its first
+# chunk while its children sleep
+NAMED = ("from ottoqft import sweeps\n"
+         "def named(*args):\n"
+         "    if float(args[4].flat[0]) >= {}:\n"
+         "        raise ValueError(f'chunk at lambda1 = {{float(args[4].flat[0])!r}}')\n"
+         "    return evaluate(*args)\n"
+         "evaluate, sweeps._evaluate = sweeps._evaluate, named\n")
+PATCHES = {
+    "named": NAMED.format(0),
+    "named-from-40": NAMED.format(40),
+    "interrupted": ("import time\n"
+                    "from ottoqft import sweeps\n"
+                    "first = os.getpid()\n"
+                    "def interrupted(*args):\n"
+                    "    if os.getpid() == first:\n"
+                    "        raise KeyboardInterrupt\n"
+                    "    time.sleep(60)\n"
+                    "sweeps._evaluate = interrupted\n"),
+}
+
+
+@pytest.mark.skipif(not FORKS, reason="the command line renders a sweep in one process here")
+class TestForkedSweep:
+    """A sweep of more than one chunk is split over the usable CPUs, one contiguous range
+    of chunks a process; the file, the error line and the exit code are the serial run's,
+    and no child, spill or temporary file outlives the run."""
+
+    CURVE = (FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 3}"])  # 3 chunks
+    GRID = (GRID_CFG, ["lambda1_count=700", "lambda2_count=13"])  # 5 chunks of 157 rows
+
+    def _runs(self, tmp_path, cfg, overrides, out, threads=None, patch="", cpus=None):
+        # cpus: the usable CPUs os.sched_getaffinity reports in the fresh process
+        config = tmp_path / "run.cfg"
+        config.write_text(cfg.format(out=out))
+        argv = ["sweep", "--config", str(config)]
+        for item in overrides:
+            argv += ["--set", item]
+        src = os.path.dirname(os.path.dirname(ottoqft.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        if cpus:
+            patch += f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        done = subprocess.run([sys.executable, "-c", FORKED_AND_SERIAL,
+                               json.dumps([argv, str(tmp_path), str(out), patch])],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        forked, serial = json.loads(done.stdout)
+        parts = min(cpus or len(os.sched_getaffinity(0)), sweeps._layout(parse_config(
+            cfg.format(out=out), overrides))[-1]) if forked[3] == [1] else 1
+        return forked, serial, parts
+
+    @pytest.mark.parametrize("threads, cpus", [
+        (None, None),
+        ("2", None),  # OpenBLAS starts a second thread as NumPy loads: no fork then
+        (None, 5),  # a child a chunk past the first: 2 for the curve, 4 for the grid
+    ])
+    @pytest.mark.parametrize("case", ["curve", "grid"])
+    def test_file_is_the_serial_document(self, tmp_path, case, threads, cpus):
+        cfg, overrides = getattr(self, case.upper())
+        out = tmp_path / "out.csv"
+        forked, serial, parts = self._runs(tmp_path, cfg, overrides, out, threads, cpus=cpus)
+        assert (forked[0], forked[1], forked[2]) == (0, "", parts - 1)
+        assert forked[3] == [2] if threads else parts > 1
+        expected = hashlib.sha256(run_sweep(parse_config(cfg.format(out=out), overrides))
+                                  .encode("utf-8")).hexdigest()
+        for status, err, _, _, left, names, digest in forked, serial:
+            assert (status, err, left, names, digest) == (0, "", False, ["out.csv", "run.cfg"],
+                                                          expected)
+        assert serial[2] == 0
+
+    @pytest.mark.parametrize("change, cpus, status, error", [
+        # nu1 underflows past lambda1 ~ 122: the last rows, in a child's range only
+        ("lambda1_stop=125", None, 1, "error: nu1 must lie in (0, 1], got 0.0\n"),
+        # nu2 underflows in every row, from part 0 on
+        ("lambda2_stop=125", None, 1, "error: nu2 must lie in (0, 1], got 0.0\n"),
+        ("named", None, 1, "error: chunk at lambda1 = 0.5\n"),  # part 0's, not a child's
+        # chunks 2 to 4 of 5 fail, each in a child of its own: the first child's error
+        ("named-from-40", 5, 1, "error: chunk at lambda1 = 45.1967"),
+        ("interrupted", 5, "interrupted", ""),
+        ("directory", None, 3, "i/o error: [Errno 21] Is a directory: "),  # renamed onto it
+        ("missing", None, 3, "i/o error: [Errno 2] No such file or directory: "),
+    ])
+    def test_failure_is_the_serial_runs(self, tmp_path, change, cpus, status, error):
+        cfg, overrides = self.GRID
+        out = tmp_path / ("missing/out.csv" if change == "missing" else "out.csv")
+        kept, patch = None, PATCHES.get(change, "")
+        if change == "directory":
+            out.mkdir()
+        elif change != "missing":
+            overrides, kept = [*overrides, change] if "=" in change else overrides, b"kept\n"
+            out.write_bytes(kept)
+        forked, serial, parts = self._runs(tmp_path, cfg, overrides, out, patch=patch, cpus=cpus)
+        # the temporary file is created before any fork: a missing directory forks none
+        assert forked[2] == (0 if change == "missing" else parts - 1)
+        assert forked[:2] == serial[:2] and forked[4:] == serial[4:]
+        assert serial[0] == status and serial[1].startswith(error)
+        names = ["run.cfg"] if change == "missing" else ["out.csv", "run.cfg"]
+        assert serial[4:6] == [False, names]
+        assert serial[6] == (hashlib.sha256(kept).hexdigest() if kept else None)
+        if change == "directory":
+            assert not any(out.iterdir())
 
 
 class TestCli:
