@@ -78,52 +78,44 @@ def _parts(chunks: int) -> int:
 def _document(spec, parts: int) -> Iterator[str]:
     """The CSV text of spec in grid order.  Parts 1 to parts - 1 of its chunks are
     rendered by children forked here, each into a spill file next to the output, while
-    this process renders part 0; then each child's text follows in blocks of 64 KB.  A
-    child's exception is raised at its place in grid order, and on any early stop every
-    child left is killed and reaped."""
-    children = []  # (pid, read end of its error pipe, its spill), in part order
+    this process renders part 0; then each child's text follows in blocks of 64 KB.  The
+    part of a child that does not exit with status 0 is rendered here in its place, which
+    raises the serial run's exception, or gives its bytes; on any early stop every child
+    left is killed and reaped."""
+    children = []  # (pid, its spill), in part order
     try:
         if parts > 1:
-            import pickle, tempfile  # loaded with NumPy
+            import tempfile  # loaded with NumPy
         for part in range(1, parts):
             spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
                                            dir=os.path.dirname(spec.output_path) or os.curdir)
-            read, write = os.pipe()
-            # a child writes its part into spill, or its exception pickled into the pipe, and
-            # leaves through os._exit: no frame, buffer or atexit hook of the parent runs in it
+            # a child writes its part into spill and leaves through os._exit, with status 1
+            # on any failure: no frame, buffer or atexit hook of the parent runs in it
             if (pid := os.fork()) == 0:
-                status = 1
                 try:
                     with spill:
                         spill.writelines(_chunks(spec, part, parts))
-                    status = 0
-                except BaseException as exc:
-                    with open(write, "wb") as errors:
-                        pickle.dump(exc, errors)
+                    os._exit(0)
                 finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((pid, open(read, "rb"), spill))
+                    os._exit(1)
+            children.append((pid, spill))
         yield from _chunks(spec, 0, parts)
-        while children:
-            pid, errors, spill = children[0]
-            with errors, spill:
-                failure = errors.read()  # to its end, as the child exits
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for part in range(1, parts):
+            pid, spill = children[0]
+            with spill:
+                status = os.waitpid(pid, 0)[1]
                 del children[0]
-                if failure:
-                    raise pickle.loads(failure)
                 if status:
-                    raise ChildProcessError(f"a sweep process ended with status {status}")
-                spill.seek(0)
-                yield from iter(lambda: spill.read(1 << 16), "")
+                    yield from _chunks(spec, part, parts)
+                else:
+                    spill.seek(0)
+                    yield from iter(lambda: spill.read(1 << 16), "")
     finally:
         if children:
             import signal
-        for pid, errors, spill in children:
+        for pid, spill in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            errors.close()
             spill.close()
 
 

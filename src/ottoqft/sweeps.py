@@ -63,15 +63,15 @@ def _evaluate(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p, xp) -> Le
     return _cycle(omega1, omega2, tau1, tau2, *moments, initial_p, xp)
 
 
-def _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> list:
-    """The LedgerColumns fields named in fields, a list each, of one chunk of a sweep
-    of size points.  Each of tau2, lambda1 and lambda2 is a number or an array("d")
-    axis, and the chunk is the grid of its axes in row-major order.  The one switch
-    between the paths: a sweep of more than _CHUNK points (on_arrays) runs on NumPy
-    arrays, one kernel call a chunk; a smaller one on Python floats, one a point."""
+def _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> list:
+    """The LedgerColumns fields named in fields, a list each, of one chunk of a sweep.
+    Each of tau2, lambda1 and lambda2 is a number or an array("d") axis, and the chunk
+    is the grid of its axes in row-major order.  The one switch between the paths: a
+    sweep of more than _CHUNK points (on_arrays) runs on NumPy arrays, one kernel call a
+    chunk; a smaller one on Python floats, one a point."""
     indices = [LedgerColumns._fields.index(name) for name in fields]
     varied = (tau2, lambda1, lambda2)
-    if size <= _CHUNK:
+    if not on_arrays:
         points = [_evaluate(omega1, omega2, tau1, *point, initial_p, _POINT) for point in
                   itertools.product(*(v if isinstance(v, array) else (v,) for v in varied))]
         return [[point[i] for point in points] for i in indices]
@@ -86,19 +86,12 @@ def _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p
             else np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]
 
 
-def _size(spec: SweepSpec) -> int:
-    # the grid points of a sweep
-    if spec.mode == "curve-tau2":
-        return spec.tau2_axis.count
-    return spec.lambda1_axis.count * spec.lambda2_axis.count
-
-
-def _curve(size, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
-    """(tau2, columns) of each chunk of a curve of size points in order: tau2 the
-    array("d") of the next _CHUNK of the tau2_points, columns its _chunk fields."""
+def _curve(on_arrays, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
+    """(tau2, columns) of each chunk of a curve in order: tau2 the array("d") of the
+    next _CHUNK of the tau2_points, columns its _chunk fields on the path on_arrays names."""
     points = iter(tau2_points)
     while tau2 := array("d", itertools.islice(points, _CHUNK)):
-        yield tau2, _chunk(size, fields, omega1, omega2, tau1, tau2, lambda1, lambda2)
+        yield tau2, _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2)
 
 
 def _layout(s: SweepSpec) -> tuple[int, int, int, int]:
@@ -116,16 +109,16 @@ def _layout(s: SweepSpec) -> tuple[int, int, int, int]:
 
 def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
     """Chunks part * count // parts to (part + 1) * count // parts of the CSV document in
-    declared order, after the header in part 0, each on the path the whole sweep's size
-    selects: parts 0 to parts - 1 join to the one-part document byte for byte."""
-    size, (rows, width, columns, count) = _size(s), _layout(s)
+    declared order, after the header in part 0, each on the path the whole sweep's chunk
+    count selects: parts 0 to parts - 1 join to the one-part document byte for byte."""
+    rows, width, columns, count = _layout(s)
     first, stop = part * count // parts, (part + 1) * count // parts
     if part == 0:
         yield ",".join(CURVE_COLUMNS if s.mode == "curve-tau2" else GRID_COLUMNS) + "\n"
     if s.mode == "curve-tau2":
         # the axis generator skipped once to the part's first tau2: never held whole
         points = itertools.islice(s.tau2_axis.points(), first * width, stop * width)
-        for tau2, (nu1, nu2, *cells, pwc) in _curve(size, points, _CURVE_CELLS, s.omega1,
+        for tau2, (nu1, nu2, *cells, pwc) in _curve(count > 1, points, _CURVE_CELLS, s.omega1,
                                                     s.omega2, s.tau1, s.lambda1, s.lambda2):
             # nu1 and nu2 follow the couplings alone: the same two cells in every row
             row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
@@ -139,7 +132,7 @@ def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
     for chunk in range(first, stop):
         i, j = divmod(chunk, columns)
         lambda1, lambda2 = axis1[i * rows:(i + 1) * rows], axis2[j * width:(j + 1) * width]
-        w_ext, pwc = _chunk(size, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
+        w_ext, pwc = _chunk(count > 1, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
                             lambda1, lambda2)
         # the rows of the block lambda1 x lambda2, row-major
         cells2 = text2 or _texts(lambda2)
@@ -184,7 +177,8 @@ def figure4a_curve(
     if grid and not grid[0] > tau1:
         raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
     curve = []
-    for _, (w_ext,) in _curve(len(grid), grid, ("w_ext",), omega1, omega2, tau1, lambda1, lambda2):
+    for _, (w_ext,) in _curve(len(grid) > _CHUNK, grid, ("w_ext",), omega1, omega2, tau1,
+                              lambda1, lambda2):
         curve.extend(zip(grid[len(curve):len(curve) + len(w_ext)], w_ext))
     return curve
 
@@ -193,7 +187,7 @@ def run_point(spec: SweepSpec) -> str:
     """Single-cycle report as ``key = value`` lines, from the sweep's own kernel."""
     if spec.mode != "single-point":
         raise ValueError(f"run_point requires mode 'single-point', got {spec.mode!r}")
-    c = _chunk(1, LedgerColumns._fields, spec.omega1, spec.omega2, spec.tau1, spec.tau2,
+    c = _chunk(False, LedgerColumns._fields, spec.omega1, spec.omega2, spec.tau1, spec.tau2,
                spec.lambda1, spec.lambda2, spec.initial_p)
     return "".join(f"{key} = {_render(value)}\n" for key, (value,) in zip(LedgerColumns._fields, c)
                    if not (isinstance(value, float) and math.isnan(value)))  # NaN: absent

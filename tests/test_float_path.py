@@ -195,11 +195,11 @@ def _outcome(call):
 
 
 def _on_both_paths(call):
-    """The _outcome of call() on the float path, then with every sweep on arrays: each
-    counts as longer than a chunk."""
+    """The _outcome of call() on the float path, then with every chunk on arrays, as in
+    a sweep of more than one chunk."""
     with pytest.MonkeyPatch.context() as patch:
-        floats = _outcome(call)
-        patch.setattr(sweeps, "_size", lambda spec: sweeps._CHUNK + 1)
+        floats, chunk = _outcome(call), sweeps._chunk
+        patch.setattr(sweeps, "_chunk", lambda on_arrays, *args: chunk(True, *args))
         return floats, _outcome(call)
 
 
@@ -224,8 +224,8 @@ def test_point_is_the_array_element(sets):
     # a one-point tau2 axis, as a sweep of one point and as a chunk of a longer sweep
     args = (LedgerColumns._fields, spec.omega1, spec.omega2, spec.tau1, array("d", [spec.tau2]),
             spec.lambda1, spec.lambda2)
-    (point, error), (cells, array_error) = (_outcome(lambda: sweeps._chunk(size, *args))
-                                            for size in (1, sweeps._CHUNK + 1))
+    (point, error), (cells, array_error) = (_outcome(lambda: sweeps._chunk(on_arrays, *args))
+                                            for on_arrays in (False, True))
     assert error == array_error
     if error is None:
         assert all(_same(a, b) for (a,), (b,) in zip(point, cells))
@@ -267,7 +267,7 @@ def test_figure4a_curve_is_the_same_on_both_paths(monkeypatch):
 def test_figure4a_curve_a_chunk_at_a_time_is_one_array_call():
     # three chunks, the last of one point, against the whole grid in one array call
     grid = np.linspace(0.05, 8.0, 2 * sweeps._CHUNK + 1).tolist()
-    whole, = sweeps._chunk(len(grid), ("w_ext",), 1.0, 3.0, 0.0, array("d", grid), 100.0, 1.0)
+    whole, = sweeps._chunk(True, ("w_ext",), 1.0, 3.0, 0.0, array("d", grid), 100.0, 1.0)
     assert figure4a_curve(1.0, 3.0, 0.0, 100.0, 1.0, grid) == list(zip(grid, whole))
 
 

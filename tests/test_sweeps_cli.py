@@ -424,13 +424,20 @@ FORKS = (hasattr(os, "fork") and os.path.isdir("/proc/self/task")
 
 # runs patch, then main twice in one fresh process, on the parts it picks and then on
 # one, and prints for each run its status, stderr, forks, the OS threads as it chose its
-# parts, whether a child is left unreaped, the names in the output's directory and the
-# sha256 of the output file
+# parts, whether a child is left unreaped, the names in the output's directory, the
+# sha256 of the output file and the sweeps._evaluate calls made in this process
 FORKED_AND_SERIAL = """\
 import contextlib, hashlib, io, json, os, sys
-from ottoqft import cli
+from ottoqft import cli, sweeps
 argv, folder, out, patch = json.loads(sys.argv[1])
+first = os.getpid()
 exec(patch)
+calls, kernel = [], sweeps._evaluate
+def tallied(*args):
+    if os.getpid() == first:
+        calls.append(None)
+    return kernel(*args)
+sweeps._evaluate = tallied
 forks, fork = [], os.fork
 def counted():
     forks.append(None)
@@ -458,33 +465,38 @@ for serial in (False, True):
         left = False
     digest = hashlib.sha256(open(out, "rb").read()).hexdigest() if os.path.isfile(out) else None
     runs.append([status, err.getvalue(), len(forks), threads[:1], left,
-                 sorted(os.listdir(folder)), digest])
-    forks.clear()
-    threads.clear()
+                 sorted(os.listdir(folder)), digest, len(calls)])
+    for tally in forks, threads, calls:
+        tally.clear()
 print(json.dumps(runs))
 """
 
 
 # sweeps._evaluate replaced: every chunk fails with an error naming its first lambda1, or
 # every chunk from lambda1 = 40 on, or the first process is interrupted at its first
-# chunk while its children sleep
-NAMED = ("from ottoqft import sweeps\n"
-         "def named(*args):\n"
+# chunk while its children sleep, or each child kills itself or runs out of memory at its
+# first chunk
+NAMED = ("def named(*args):\n"
          "    if float(args[4].flat[0]) >= {}:\n"
          "        raise ValueError(f'chunk at lambda1 = {{float(args[4].flat[0])!r}}')\n"
          "    return evaluate(*args)\n"
          "evaluate, sweeps._evaluate = sweeps._evaluate, named\n")
+IN_CHILDREN = ("def in_children(*args):\n"
+               "    if os.getpid() != first:\n"
+               "        {}\n"
+               "    return evaluate(*args)\n"
+               "evaluate, sweeps._evaluate = sweeps._evaluate, in_children\n")
 PATCHES = {
     "named": NAMED.format(0),
     "named-from-40": NAMED.format(40),
     "interrupted": ("import time\n"
-                    "from ottoqft import sweeps\n"
-                    "first = os.getpid()\n"
                     "def interrupted(*args):\n"
                     "    if os.getpid() == first:\n"
                     "        raise KeyboardInterrupt\n"
                     "    time.sleep(60)\n"
                     "sweeps._evaluate = interrupted\n"),
+    "killed": IN_CHILDREN.format("import signal; os.kill(os.getpid(), signal.SIGKILL)"),
+    "out-of-memory": IN_CHILDREN.format("raise MemoryError"),
 }
 
 
@@ -519,24 +531,31 @@ class TestForkedSweep:
             cfg.format(out=out), overrides))[-1]) if forked[3] == [1] else 1
         return forked, serial, parts
 
-    @pytest.mark.parametrize("threads, cpus", [
-        (None, None),
-        ("2", None),  # OpenBLAS starts a second thread as NumPy loads: no fork then
-        (None, 5),  # a child a chunk past the first: 2 for the curve, 4 for the grid
+    @pytest.mark.parametrize("threads, cpus, change", [
+        (None, None, None),
+        ("2", None, None),  # OpenBLAS starts a second thread as NumPy loads: no fork then
+        (None, 5, None),  # a child a chunk past the first: 2 for the curve, 4 for the grid
+        # a child that does not finish: this process renders its part
+        (None, None, "killed"),
+        (None, 5, "out-of-memory"),  # a failure of the children's own
     ])
     @pytest.mark.parametrize("case", ["curve", "grid"])
-    def test_file_is_the_serial_document(self, tmp_path, case, threads, cpus):
+    def test_file_is_the_serial_document(self, tmp_path, case, threads, cpus, change):
         cfg, overrides = getattr(self, case.upper())
         out = tmp_path / "out.csv"
-        forked, serial, parts = self._runs(tmp_path, cfg, overrides, out, threads, cpus=cpus)
+        forked, serial, parts = self._runs(tmp_path, cfg, overrides, out, threads,
+                                           PATCHES.get(change, ""), cpus)
         assert (forked[0], forked[1], forked[2]) == (0, "", parts - 1)
         assert forked[3] == [2] if threads else parts > 1
-        expected = hashlib.sha256(run_sweep(parse_config(cfg.format(out=out), overrides))
-                                  .encode("utf-8")).hexdigest()
-        for status, err, _, _, left, names, digest in forked, serial:
+        spec = parse_config(cfg.format(out=out), overrides)
+        expected = hashlib.sha256(run_sweep(spec).encode("utf-8")).hexdigest()
+        for status, err, _, _, left, names, digest, _ in forked, serial:
             assert (status, err, left, names, digest) == (0, "", False, ["out.csv", "run.cfg"],
                                                           expected)
         assert serial[2] == 0
+        # one kernel call a chunk: here only part 0's, unless no child finished its part
+        count = sweeps._layout(spec)[-1]
+        assert (forked[7], serial[7]) == (count if change else count // parts, count)
 
     @pytest.mark.parametrize("change, cpus, status, error", [
         # nu1 underflows past lambda1 ~ 122: the last rows, in a child's range only
@@ -562,7 +581,7 @@ class TestForkedSweep:
         forked, serial, parts = self._runs(tmp_path, cfg, overrides, out, patch=patch, cpus=cpus)
         # the temporary file is created before any fork: a missing directory forks none
         assert forked[2] == (0 if change == "missing" else parts - 1)
-        assert forked[:2] == serial[:2] and forked[4:] == serial[4:]
+        assert forked[:2] == serial[:2] and forked[4:7] == serial[4:7]
         assert serial[0] == status and serial[1].startswith(error)
         names = ["run.cfg"] if change == "missing" else ["out.csv", "run.cfg"]
         assert serial[4:6] == [False, names]
