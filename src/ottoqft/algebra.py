@@ -272,14 +272,12 @@ def _arrays() -> types.SimpleNamespace:
 
 def _on_arrays(kernel, *args):
     """kernel(*args, _arrays()): the one way onto NumPy of the array entry
-    points.  Each argument becomes a float array, a 0-d one a Python float (on
-    which a kernel may form its terms on the float path) and None stays None;
-    the kernel runs under the package's one numpy.errstate, as its failing
-    points raise after every check is made."""
+    points.  Each argument becomes a float array, 0-d ones included, and None
+    stays None; the kernel runs under the package's one numpy.errstate, as
+    its failing points raise after every check is made."""
     import numpy as np
 
-    arrays = (None if v is None else np.asarray(v, dtype=float) for v in args)
-    values = [v if v is None or v.ndim else float(v) for v in arrays]
+    values = [None if v is None else np.asarray(v, dtype=float) for v in args]
     with np.errstate(all="ignore"):
         return kernel(*values, _arrays())
 

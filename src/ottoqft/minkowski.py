@@ -98,9 +98,9 @@ def minkowski_moment_arrays(lambda1, lambda2, dtau):
 
     Returns (nu1, nu2, e12, mu12), each with the shape of its own inputs:
     nu_j follows lambda_j alone, and a scalar dtau costs one Dawson
-    evaluation per call, on Python floats.  A coupling or dtau that is not
-    >= 0 (NaN included) raises the MinkowskiParams ValueError of the first
-    failing point in C order; the MomentSet checks are the consumer's.
+    evaluation per call.  A coupling or dtau that is not >= 0 (NaN
+    included) raises the MinkowskiParams ValueError of the first failing
+    point in C order; the MomentSet checks are the consumer's.
     """
     import numpy as np
 
@@ -110,26 +110,18 @@ def minkowski_moment_arrays(lambda1, lambda2, dtau):
 
 def _moments(lambda1, lambda2, dtau, xp):
     """minkowski_moment_arrays over the arrays, or over one point of Python
-    floats with xp = _POINT.  A term of one input that is a Python float is
-    formed on the float path, which gives the array path's bits."""
+    floats with xp = _POINT."""
     _raise_first_failure([((lambda1 >= 0.0) & (lambda2 >= 0.0) & (dtau >= 0.0),
                            lambda at: MinkowskiParams(at(lambda1), at(lambda2), at(dtau)))])
-    nu1, nu2 = (_on(value, xp).exp(-(value * value) / (2.0 * math.pi ** 2))
-                for value in (lambda1, lambda2))
-    xs = _on(dtau, xp)
+    nu1, nu2 = (xp.exp(-(value * value) / (2.0 * math.pi ** 2)) for value in (lambda1, lambda2))
     x = dtau / math.sqrt(2.0)
     # from 2^1023 on, 2 x overflows, as does an infinite dtau (an overflowing
     # tau2 - tau1): there e12 = mu12 = 0, the limit the cap gives exactly
-    x = xs.where(x >= 2.0 ** 1023, _RYBICKI_CAP, x)
+    x = xp.where(x >= 2.0 ** 1023, _RYBICKI_CAP, x)
     pref = lambda1 * lambda2
-    e12 = pref / (2.0 * math.pi ** 1.5) * x * xs.exp(-x * x)
-    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * _dawson(x, xs))  # x is finite
+    e12 = pref / (2.0 * math.pi ** 1.5) * x * xp.exp(-x * x)
+    mu12 = pref / (4.0 * math.pi ** 2) * (1.0 - 2.0 * x * _dawson(x, xp))  # x is finite
     return nu1, nu2, e12, mu12
-
-
-def _on(value, xp):
-    # the namespace of one input: the float path for a Python float
-    return _POINT if isinstance(value, float) else xp
 
 
 def minkowski_moments(params: MinkowskiParams) -> MomentSet:

@@ -81,9 +81,8 @@ def _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, init
     mesh = iter(np.ix_(*axes))  # each axis on a dimension of its own, in grid order
     c = _on_arrays(_evaluate, omega1, omega2, tau1,
                    *(next(mesh) if isinstance(v, array) else v for v in varied), initial_p)
-    shape = tuple(map(len, axes))  # a column of one value (a curve's nu1, nu2) is repeated
-    return [[c[i]] * math.prod(shape) if np.ndim(c[i]) == 0
-            else np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]
+    shape = tuple(map(len, axes))  # each column broadcast: a curve's nu1, nu2 are repeated
+    return [np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]
 
 
 def _curve(on_arrays, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
@@ -177,9 +176,9 @@ def figure4a_curve(
     if grid and not grid[0] > tau1:
         raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
     curve = []
-    for _, (w_ext,) in _curve(len(grid) > _CHUNK, grid, ("w_ext",), omega1, omega2, tau1,
-                              lambda1, lambda2):
-        curve.extend(zip(grid[len(curve):len(curve) + len(w_ext)], w_ext))
+    for tau2, (w_ext,) in _curve(len(grid) > _CHUNK, grid, ("w_ext",), omega1, omega2, tau1,
+                                 lambda1, lambda2):
+        curve.extend(zip(tau2, w_ext))
     return curve
 
 

@@ -112,25 +112,30 @@ def _assert_matches_reference(kicks, moments, array_call):
             assert _close(efficiency, ref["efficiency"], TOL), i
 
 
+@pytest.mark.parametrize("scalars", [(), (0, 1), (2,)],
+                         ids=["arrays", "scalar-couplings", "scalar-dtau"])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(COUPLING, COUPLING, SEPARATION), min_size=1, max_size=16))
-def test_moment_arrays_match_scalar(points):
-    # minkowski_moments is the array element, checked by MomentSet
-    lambda1, lambda2, dtau = (np.array(c) for c in zip(*points))
-    arrays = minkowski_moment_arrays(lambda1, lambda2, dtau)
+def test_moment_arrays_match_scalar(scalars, points):
+    # minkowski_moments is the array element, checked by MomentSet; the inputs
+    # named by scalars (a curve's couplings, a grid's dtau) are point 0's, as floats
+    points = [tuple(points[0][k] if k in scalars else v for k, v in enumerate(point))
+              for point in points]
+    inputs = [c[0] if k in scalars else np.array(c) for k, c in enumerate(zip(*points))]
+    arrays = np.broadcast_arrays(*minkowski_moment_arrays(*inputs), np.empty(len(points)))[:4]
     for i, point in enumerate(points):
         m = minkowski_moments(MinkowskiParams(*point))
         assert (m.nu1, m.nu2, m.e12, m.mu12) == tuple(float(a[i]) for a in arrays), (i, point)
 
 
 @pytest.mark.parametrize("dtau", [0.5, np.float64(0.5), np.array(0.5)])
-def test_moment_arrays_form_a_scalar_dtau_on_floats(monkeypatch, dtau):
-    # a 0-d input reaches the kernel as a Python float: one Dawson on the float
-    # path, and each moment has the shape of its own inputs
-    seen = []
-    monkeypatch.setattr(minkowski, "_dawson", lambda x, xp: seen.append(type(x)) or 0.0)
+def test_moment_arrays_form_a_scalar_dtau_once(monkeypatch, dtau):
+    # a scalar dtau costs one Dawson evaluation per call, and each moment has
+    # the shape of its own inputs
+    calls = []
+    monkeypatch.setattr(minkowski, "_dawson", lambda x, xp: calls.append(x) or 0.0)
     moments = minkowski_moment_arrays(np.array([1.0, 2.0]), 3.0, dtau)
-    assert seen == [float]
+    assert len(calls) == 1
     assert [type(m) for m in moments] == [np.ndarray] * 4
     assert [m.shape for m in moments] == [(2,), (), (2,), (2,)]
 
@@ -170,37 +175,45 @@ def test_ledger_columns_match_reference(strategy):
     check()
 
 
+def _holds(column, value) -> bool:
+    # value at every point of the column; None is NaN there
+    want = math.nan if value is None else value
+    return np.array_equal(column, np.full(np.shape(column), want), equal_nan=True)
+
+
+@pytest.mark.parametrize("kick_shape", [(), (2,)], ids=["scalar-kicks", "array-kicks"])
 @settings(max_examples=200, deadline=None)
 @given(GAP, GAP, KICK_TIMES, realizable_moment_set_strategy(),
        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)))
-def test_scalar_api_is_the_array_element(omega1, omega2, kick_times, m, initial_p):
-    # the scalar functions wrap the kernel: every value bit for bit
+def test_scalar_api_is_the_array_element(kick_shape, omega1, omega2, kick_times, m, initial_p):
+    # the scalar functions wrap the kernel: every value bit for bit, also where
+    # the moments are scalars broadcast against arrays of kicks
     tau1, tau2 = kick_times[0], kick_times[0] + kick_times[1]
     config = CycleConfig(InteractionEvent(tau1, omega1), InteractionEvent(tau2, omega2), initial_p)
+    kicks = [np.full(kick_shape, value) for value in (omega1, omega2, tau1, tau2)]
     moments = (m.nu1, m.nu2, m.e12, m.mu12)
     try:
         report = stroke_ledger(config, m)
     except ArithmeticError as expected:
         with pytest.raises(ArithmeticError) as raised:
-            cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p)
+            cycle_arrays(*kicks, *moments, initial_p)
         assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
         return
-    cols = cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p)
+    cols = cycle_arrays(*kicks, *moments, initial_p)
     for name, value in vars(report).items():
-        column = getattr(cols, name).item()
-        assert value == column or (value is None and math.isnan(column)), name
+        assert _holds(getattr(cols, name), value), name
     th = theta(config)
     population, _ = _population_columns(*map(np.asarray, (*moments, th)), None, _arrays())
     assert contraction_factor(m, th) == population.product.item()
     if initial_p is not None:
-        assert p_after_second(initial_p, m, th) == cols.p2.item()
+        assert _holds(cols.p2, p_after_second(initial_p, m, th))
     elif report.degenerate:
         with pytest.raises(DegenerateCycleError):
             cyclic_initial_population(m, th)
     else:
-        assert cyclic_initial_population(m, th) == cols.p.item() == report.p
+        assert cyclic_initial_population(m, th) == report.p and _holds(cols.p, report.p)
     if initial_p is None:
-        assert extracted_work(m, th, omega1 - omega2) == cols.w_ext.item()
+        assert _holds(cols.w_ext, extracted_work(m, th, omega1 - omega2))
 
 
 def test_degenerate_points_give_the_noop_row():

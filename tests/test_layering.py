@@ -245,6 +245,19 @@ def test_errstate_is_opened_in_one_function():
             and any(map(_names_errstate, ast.walk(function)))] == [("algebra", "_on_arrays")]
 
 
+def test_a_kernel_given_xp_uses_only_that_namespace():
+    # a function taking xp forms every term in it: one namespace per call, so
+    # no such function reaches the float path's _POINT on its own
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    kernels = {(module, function.name): function for module, tree in trees.items()
+               for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               and "xp" in (a.arg for a in function.args.args)}
+    assert {"_moments", "_dawson", "_exp", "_exp_scaled", "_products", "_population_columns",
+            "_cycle", "_ledger", "_evaluate"} <= {name for _, name in kernels}
+    assert [key for key, function in kernels.items() if any(
+        getattr(node, "id", None) == "_POINT" for node in ast.walk(function))] == []
+
+
 def _record_classes(trees) -> dict[str, ast.ClassDef]:
     """name -> class of every class in trees derived from Record, directly or not."""
     classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
