@@ -79,12 +79,6 @@ class MomentSet(Record):
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
 
-    @functools.cached_property
-    def _point_products(self):
-        # _products of this moment set, formed once: the scalar functions that
-        # read one moment set share its two exps
-        return _products(self.nu1, self.nu2, self.mu12, _POINT)
-
 
 @runtime_checkable
 class QuasiFreeKernel(Protocol):
@@ -318,7 +312,7 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
     Raises KernelInconsistencyError on moment data that breaks the
     realizability bound nu1 nu2 exp(4 |mu12|) <= 1.
     """
-    up, down, bound = m._point_products
+    up, down, bound = _products(m.nu1, m.nu2, m.mu12, _POINT)
     _raise_first_failure([_bound_check(bound, m.nu1, m.nu2, m.mu12)])
     nn_ch = 0.5 * (up + down)  # nu1 nu2 cosh(4 mu12)
     c2e = math.cos(2.0 * m.e12)
@@ -338,14 +332,15 @@ def weyl_moments(m: MomentSet) -> WeylMoments:
 # product is the contraction_factor, gap max(1 - product, 1e-12) and signal
 # 0.5 nu2 sin(2 e12) sin(theta), 0 on a closed degenerate cycle
 _PopulationColumns = namedtuple("_PopulationColumns", "product gap signal p p1 p2 degenerate")
+# how many input checks lead the checks of _population_columns
+_INPUT_CHECKS = 2
 
 
-def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
+def _population_columns(nu1, nu2, e12, mu12, theta, p, xp):
     """_PopulationColumns of many cycles over broadcastable arrays, or of one
     point of Python floats with xp = _POINT, and their checks for
-    _raise_first_failure: the input checks (theta finite, then the bound),
-    then the closure p and p2 in [0, 1] up to 1e-12 (clipped within it).
-    products, if given, is _products(nu1, nu2, mu12, xp).
+    _raise_first_failure: the _INPUT_CHECKS input checks (theta finite, then
+    the bound), then the closure p and p2 in [0, 1] up to 1e-12 (clipped within it).
 
     theta is gap1 tau1 - gap2 tau2, read as 0 where it is not finite.  With p
     None the closure condition p2 = p fixes p, except on degenerate cycles
@@ -355,7 +350,7 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     """
     finite = xp.isfinite(theta)
     phase = xp.where(finite, theta, 0.0)  # so that no sine sees a non-finite theta
-    up, down, bound = products or _products(nu1, nu2, mu12, xp)
+    up, down, bound = _products(nu1, nu2, mu12, xp)
     s_half, c_half = xp.sin(0.5 * phase), xp.cos(0.5 * phase)
     product = xp.minimum(up * s_half * s_half + down * c_half * c_half, 1.0)
     one_minus = 1.0 - product
@@ -378,6 +373,14 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products=None):
     checks.append(_range_check("second-kick population", p2, _SIMPLEX_TOL))
     p2 = xp.minimum(xp.maximum(p2, 0.0), 1.0)
     return _PopulationColumns(product, gap, signal, p, p1, p2, degenerate), checks
+
+
+def _point_columns(m: MomentSet, theta: float, p: float | None, checks: int | None = None):
+    """_population_columns of the one point of m, theta and p on floats, once the
+    first checks of its checks pass (all of them with checks None)."""
+    columns, found = _population_columns(m.nu1, m.nu2, m.e12, m.mu12, theta, p, _POINT)
+    _raise_first_failure(found[:checks])
+    return columns
 
 
 def _range_check(name: str, values, tol: float):
@@ -405,10 +408,7 @@ def contraction_factor(m: MomentSet, theta: float) -> float:
     clamped to <= 1.  Raises the kernel's input checks: ValueError on a
     non-finite theta, then KernelInconsistencyError where nu1 nu2 exp(4 |mu12|) > 1.
     """
-    columns, checks = _population_columns(
-        m.nu1, m.nu2, m.e12, m.mu12, theta, None, _POINT, m._point_products)
-    _raise_first_failure(checks[:2])
-    return columns.product
+    return _point_columns(m, theta, None, _INPUT_CHECKS).product
 
 
 def p_after_second(p: float, m: MomentSet, theta: float) -> float:
@@ -418,7 +418,4 @@ def p_after_second(p: float, m: MomentSet, theta: float) -> float:
     (gap1 * tau1 - gap2 * tau2).  The map is affine and trace preserving;
     a result outside [0, 1] beyond 1e-12 signals inconsistent moment data.
     """
-    columns, checks = _population_columns(
-        m.nu1, m.nu2, m.e12, m.mu12, theta, _check_probability(p), _POINT, m._point_products)
-    _raise_first_failure(checks)
-    return columns.p2
+    return _point_columns(m, theta, _check_probability(p)).p2

@@ -12,8 +12,8 @@ import math
 from collections import namedtuple
 from typing import Optional
 
-from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _POINT
-from .algebra import MomentSet, _on_arrays, _population_columns, _raise_first_failure
+from .algebra import _CLOSURE_TOL, _DEGENERACY_TOL, _INPUT_CHECKS, _POINT, MomentSet, _on_arrays
+from .algebra import _point_columns, _population_columns, _raise_first_failure
 from .record import Record
 
 __all__ = [
@@ -114,9 +114,7 @@ def cyclic_initial_population(m: MomentSet, theta: float) -> float:
     Raises DegenerateCycleError when nu1*nu2*alpha is within 1e-12 of 1,
     i.e. when the kicks act trivially and every p is a fixed point.
     """
-    c, checks = _population_columns(
-        m.nu1, m.nu2, m.e12, m.mu12, theta, None, _POINT, m._point_products)
-    _raise_first_failure(checks)
+    c = _point_columns(m, theta, None)
     if c.degenerate:
         raise DegenerateCycleError(f"nu1*nu2*alpha = {c.product!r} is within {_DEGENERACY_TOL} of 1")
     return c.p
@@ -132,10 +130,7 @@ def extracted_work(m: MomentSet, theta: float, delta_omega: float) -> float:
     if not math.isfinite(delta_omega):
         raise ValueError(f"delta_omega must be finite, got {delta_omega!r}")
     # only the input checks raise (phase, bound): a closure p off [0, 1] has its work
-    c, checks = _population_columns(
-        m.nu1, m.nu2, m.e12, m.mu12, theta, None, _POINT, m._point_products)
-    _raise_first_failure(checks[:2])
-    return _closed_form_work(c, m.nu1, delta_omega)
+    return _closed_form_work(_point_columns(m, theta, None, _INPUT_CHECKS), m.nu1, delta_omega)
 
 
 def _closed_form_work(c, nu1, delta_omega):
@@ -163,7 +158,7 @@ def stroke_ledger(config: CycleConfig, m: MomentSet) -> WorkReport:
     omits w_ext (per-stroke entries remain valid).
     """
     c = _ledger(theta(config), config.first.gap, config.second.gap,
-                m.nu1, m.nu2, m.e12, m.mu12, config.initial_p, _POINT, products=m._point_products)
+                m.nu1, m.nu2, m.e12, m.mu12, config.initial_p, _POINT)
     values = {name: getattr(c, name) for name in WorkReport._fields}
     for name in ("w_ext", "efficiency"):  # NaN marks an absent entry
         if math.isnan(values[name]):
@@ -227,17 +222,15 @@ def _moment_check(nu1, nu2, e12, mu12, xp):
             lambda at: MomentSet(at(nu1), at(nu2), at(e12), at(mu12)))
 
 
-def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp, checks=(),
-            products=None) -> LedgerColumns:
+def _ledger(theta, omega1, omega2, nu1, nu2, e12, mu12, p, xp, checks=()) -> LedgerColumns:
     """Populations, then the strokes, once the MomentSet checks, the caller's
     checks and the population checks pass.  The no-op row of a degenerate
     closed cycle has p = p1 = p2 = 1/2 and zero work and heat in every stroke.
     w_ext of a cycle the closure condition closes is the paper's closed form,
     which keeps a signal below the float spacing at 1/2; efficiency is the
-    population work (p1 - p) delta_omega over q2.  products is passed on to
-    _population_columns."""
+    population work (p1 - p) delta_omega over q2."""
     closure = p is None
-    c, population_checks = _population_columns(nu1, nu2, e12, mu12, theta, p, xp, products)
+    c, population_checks = _population_columns(nu1, nu2, e12, mu12, theta, p, xp)
     _raise_first_failure([_moment_check(nu1, nu2, e12, mu12, xp), *checks, *population_checks])
     p, p1, p2 = c.p, c.p1, c.p2
     noop = c.degenerate & closure

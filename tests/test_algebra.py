@@ -18,6 +18,7 @@ from ottoqft.algebra import (
     p_after_second,
     weyl_moments,
 )
+from ottoqft.cycle import cyclic_initial_population, extracted_work
 from ottoqft.oracle import FockParams, single_mode_kernel
 
 from support import (
@@ -237,6 +238,16 @@ class TestAlphaFactor:
         # nu1*nu2*exp(4|mu12|) = exp(800 - 1.39) breaks the realizability bound
         with pytest.raises(KernelInconsistencyError):
             contraction_factor(MomentSet(0.5, 0.5, 0.0, -200.0), 1.0)
+
+    def test_only_the_input_checks_raise(self):
+        # the closure p of this cycle, 5.5, is off [0, 1]: the closure raises it,
+        # while the factor and the work raise only the input checks (phase, bound)
+        m = MomentSet(0.9, 1.0, math.pi / 4, 0.0)
+        assert contraction_factor(m, math.pi / 2) == 0.9
+        assert extracted_work(m, math.pi / 2, -2.0) == 1.0
+        with pytest.raises(KernelInconsistencyError, match=(
+                r"^closure population 5\.500000000000001 falls outside \[0, 1\]; ")):
+            cyclic_initial_population(m, math.pi / 2)
 
 
 class TestPAfterSecond:

@@ -258,6 +258,18 @@ def test_a_kernel_given_xp_uses_only_that_namespace():
         getattr(node, "id", None) == "_POINT" for node in ast.walk(function))] == []
 
 
+def test_two_functions_call_the_population_kernel():
+    # the array kernel's ledger and the scalar API's one helper: each scalar
+    # function reaches _population_columns through _point_columns
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sorted((module, function.name) for module, tree in trees.items()
+                  for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                  and any(isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "_population_columns"
+                          for node in ast.walk(function))
+                  ) == [("algebra", "_point_columns"), ("cycle", "_ledger")]
+
+
 def _record_classes(trees) -> dict[str, ast.ClassDef]:
     """name -> class of every class in trees derived from Record, directly or not."""
     classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]

@@ -11,8 +11,10 @@ import re
 import pytest
 
 from ottoqft.algebra import MomentSet, TwoPointKernel, WeylMoments
+from ottoqft.algebra import contraction_factor, p_after_second, weyl_moments
 from ottoqft.config import Axis, SweepSpec
 from ottoqft.cycle import CycleConfig, InteractionEvent, WorkReport
+from ottoqft.cycle import cyclic_initial_population, extracted_work, stroke_ledger
 from ottoqft.minkowski import MinkowskiParams
 from ottoqft.oracle import FockParams
 from ottoqft.record import Record
@@ -206,11 +208,15 @@ def test_copies_and_pickles_equal_the_original(cls, names, values, text):
             setattr(twin, names[0], 0)
 
 
-def test_copies_of_a_moment_set_keep_its_cached_products():
+def test_a_moment_set_holds_only_its_fields_after_the_scalar_calls_read_it():
     moments = MomentSet(0.5, 0.25, -0.125, 0.0625)
-    products = moments._point_products  # cached in the instance on first use
-    for twin in _copies(moments):
-        assert twin == moments and twin._point_products == products
+    contraction_factor(moments, 1.0)
+    p_after_second(0.5, moments, 1.0)
+    cyclic_initial_population(moments, 1.0)
+    extracted_work(moments, 1.0, -2.0)
+    stroke_ledger(CycleConfig(FIRST, SECOND), moments)
+    weyl_moments(moments)
+    assert vars(moments) == {"nu1": 0.5, "nu2": 0.25, "e12": -0.125, "mu12": 0.0625}
 
 
 @pytest.mark.parametrize("make, message", [
