@@ -227,8 +227,8 @@ def _exp(x, xp):
 # The functions the kernel calls, on one point of Python floats: a NumPy
 # call costs more than the arithmetic of a point.  exp is the one above, so
 # that a point is its array element bit for bit; sin and cos are the
-# platform's libm, as NumPy's are.  The phase they get is finite, and
-# sin(2 e12) raises where 2 e12 overflows, as the math module does.
+# platform's libm, as NumPy's are.  The phase and e12 they get are finite,
+# and sin(2 e12) raises where 2 e12 overflows, as the math module does.
 _POINT = types.SimpleNamespace(
     sin=math.sin, cos=math.cos, isfinite=math.isfinite,
     # min and max as NumPy's minimum and maximum take them (a nan a gives nan), at a
@@ -342,10 +342,10 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp):
     _raise_first_failure: the _INPUT_CHECKS input checks (theta finite, then
     the bound), then the closure p and p2 in [0, 1] up to 1e-12 (clipped within it).
 
-    theta is gap1 tau1 - gap2 tau2, read as 0 where it is not finite.  With p
-    None the closure condition p2 = p fixes p, except on degenerate cycles
-    (1 - product < 1e-12: every p is a fixed point), which give the no-op
-    p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
+    theta is gap1 tau1 - gap2 tau2.  A sine reads it, and e12 (which then fails the MomentSet
+    checks), as 0 where it is not finite.  With p None the closure condition p2 = p fixes p,
+    except on degenerate cycles (1 - product < 1e-12: every p is a fixed point), which give
+    the no-op p = p1 = p2 = 1/2; an imposed p takes both kicks, degenerate or not.
     Invalid arrays (a NaN, nu <= 0) give NaN: evaluate them through _on_arrays.
     """
     finite = xp.isfinite(theta)
@@ -356,7 +356,7 @@ def _population_columns(nu1, nu2, e12, mu12, theta, p, xp):
     one_minus = 1.0 - product
     degenerate = one_minus < _DEGENERACY_TOL
     gap = xp.maximum(one_minus, _DEGENERACY_TOL)
-    signal = 0.5 * nu2 * xp.sin(2.0 * e12) * xp.sin(phase)
+    signal = 0.5 * nu2 * xp.sin(2.0 * xp.where(xp.isfinite(e12), e12, 0.0)) * xp.sin(phase)
     checks = [(finite, lambda at: ValueError(
         f"phase omega1*tau1 - omega2*tau2 = {at(theta)!r} is not finite")),
         _bound_check(bound, nu1, nu2, mu12)]

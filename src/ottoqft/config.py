@@ -94,15 +94,19 @@ class Axis(Record):
     stop: float
     count: int
 
-    def points(self) -> Iterator[float]:
-        """The points in order, one at a time: a long axis is never held whole."""
+    def points(self, first: int = 0, end: Optional[int] = None) -> Iterator[float]:
+        """The points with indices first >= 0 to end - 1 (all of them with end None),
+        clipped to the axis, in order and one at a time: a long axis is never held whole."""
         n = self.count - 1
+        end = self.count if end is None else end
         step = (self.stop - self.start) / n
+        indices = range(first, min(end, n))
         if step == math.inf:  # a span beyond the float range: divide each end first
-            yield from (self.start + i * (self.stop / n) - i * (self.start / n) for i in range(n))
+            yield from (self.start + i * (self.stop / n) - i * (self.start / n) for i in indices)
         else:
-            yield from (self.start + i * step for i in range(n))
-        yield self.stop
+            yield from (self.start + i * step for i in indices)
+        if first <= n < end:
+            yield self.stop
 
 
 class SweepSpec(Record):

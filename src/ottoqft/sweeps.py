@@ -5,7 +5,8 @@ function, _evaluate (the moments, then the cycle), and choose its namespace
 in one, _chunk: a sweep of more than _CHUNK grid points runs on NumPy arrays,
 one call per chunk of _CHUNK points; a smaller one, and run_point, on Python
 floats, one call per point, and never import NumPy.  The two paths give the
-same bits.  A grid holds its axes as array("d"), 8 bytes a value, on both.
+same bits.  Each chunk takes the axis values of its own rows and columns,
+through Axis.points, as array("d"): no sweep holds an axis whole.
 Rows are emitted in grid order with 17 significant digits, so the text
 re-parses to the exact binary values.
 """
@@ -85,14 +86,6 @@ def _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, init
     return [np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]
 
 
-def _curve(on_arrays, tau2_points, fields, omega1, omega2, tau1, lambda1, lambda2):
-    """(tau2, columns) of each chunk of a curve in order: tau2 the array("d") of the
-    next _CHUNK of the tau2_points, columns its _chunk fields on the path on_arrays names."""
-    points = iter(tau2_points)
-    while tau2 := array("d", itertools.islice(points, _CHUNK)):
-        yield tau2, _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2)
-
-
 def _layout(s: SweepSpec) -> tuple[int, int, int, int]:
     """(rows, width, columns, count): a chunk is rows lambda1 rows by width lambda2 values,
     or width tau2 values of a curve's one row; a row spans columns chunks, and the sweep
@@ -111,26 +104,24 @@ def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
     declared order, after the header in part 0, each on the path the whole sweep's chunk
     count selects: parts 0 to parts - 1 join to the one-part document byte for byte."""
     rows, width, columns, count = _layout(s)
-    first, stop = part * count // parts, (part + 1) * count // parts
+    curve = s.mode == "curve-tau2"
     if part == 0:
-        yield ",".join(CURVE_COLUMNS if s.mode == "curve-tau2" else GRID_COLUMNS) + "\n"
-    if s.mode == "curve-tau2":
-        # the axis generator skipped once to the part's first tau2: never held whole
-        points = itertools.islice(s.tau2_axis.points(), first * width, stop * width)
-        for tau2, (nu1, nu2, *cells, pwc) in _curve(count > 1, points, _CURVE_CELLS, s.omega1,
-                                                    s.omega2, s.tau1, s.lambda1, s.lambda2):
+        yield ",".join(CURVE_COLUMNS if curve else GRID_COLUMNS) + "\n"
+    # on arrays the kernel forms each coupling's nu, and its mantissa and exponent, once per
+    # block row or column.  A lambda2 axis no longer than a chunk is formatted once
+    text2 = None if curve or width < s.lambda2_axis.count else _texts(s.lambda2_axis.points())
+    for chunk in range(part * count // parts, (part + 1) * count // parts):
+        i, j = divmod(chunk, columns)  # a curve is one row
+        if curve:
+            tau2 = array("d", s.tau2_axis.points(j * width, (j + 1) * width))
+            nu1, nu2, *cells, pwc = _chunk(count > 1, _CURVE_CELLS, s.omega1, s.omega2, s.tau1,
+                                           tau2, s.lambda1, s.lambda2)
             # nu1 and nu2 follow the couplings alone: the same two cells in every row
             row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
             yield _render_rows(row, (tau2, *cells), pwc)
-        return
-    # a grid holds both axes whole, 8 bytes a value: on arrays the kernel forms each
-    # coupling's nu, and its mantissa and exponent, once per block row or column.  A
-    # lambda2 axis no longer than a chunk is formatted once, as every chunk uses it all
-    axis1, axis2 = (array("d", axis.points()) for axis in (s.lambda1_axis, s.lambda2_axis))
-    text2 = _texts(axis2) if width == len(axis2) else None
-    for chunk in range(first, stop):
-        i, j = divmod(chunk, columns)
-        lambda1, lambda2 = axis1[i * rows:(i + 1) * rows], axis2[j * width:(j + 1) * width]
+            continue
+        lambda1 = array("d", s.lambda1_axis.points(i * rows, (i + 1) * rows))
+        lambda2 = array("d", s.lambda2_axis.points(j * width, (j + 1) * width))
         w_ext, pwc = _chunk(count > 1, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
                             lambda1, lambda2)
         # the rows of the block lambda1 x lambda2, row-major
@@ -176,8 +167,10 @@ def figure4a_curve(
     if grid and not grid[0] > tau1:
         raise ValueError(f"every tau2 must exceed tau1 = {tau1!r}")
     curve = []
-    for tau2, (w_ext,) in _curve(len(grid) > _CHUNK, grid, ("w_ext",), omega1, omega2, tau1,
-                                 lambda1, lambda2):
+    for k in range(0, len(grid), _CHUNK):
+        tau2 = array("d", grid[k:k + _CHUNK])
+        (w_ext,) = _chunk(len(grid) > _CHUNK, ("w_ext",), omega1, omega2, tau1, tau2,
+                          lambda1, lambda2)
         curve.extend(zip(tau2, w_ext))
     return curve
 

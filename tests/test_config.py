@@ -4,6 +4,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ottoqft.config import _KEYS, _MODE_KEYS, MODES, Axis, ConfigError, parse_config
 
@@ -190,3 +192,27 @@ class TestAxis:
         axis = Axis(start=0.05, stop=12.0, count=20000)
         step = (12.0 - 0.05) / 19999
         assert list(axis.points()) == [0.05 + i * step for i in range(19999)] + [12.0]
+
+
+@st.composite
+def _axis_ranges(draw):
+    """An axis, increasing and finite, overflowing spans among them, and an index range
+    first to end that may be empty or run past the axis (end None: to its end)."""
+    start, stop = sorted(draw(st.lists(st.floats(-1.7e308, 1.7e308), min_size=2, max_size=2,
+                                       unique=True)))
+    count = draw(st.integers(2, 40))
+    return Axis(start, stop, count), draw(st.integers(0, count + 3)), draw(
+        st.none() | st.integers(0, count + 3))
+
+
+@given(_axis_ranges())
+@example((Axis(-1.7e308, 1.7e308, 5), 1, 4))  # the span overflows: each end divided first
+@example((Axis(-1.7e308, 1.7e308, 5), 3, None))
+@example((Axis(0.5, 8.0, 16), 16, None))  # first == count: nothing, not stop
+@example((Axis(0.5, 8.0, 16), 16, 17))
+@example((Axis(0.5, 8.0, 16), 15, 40))  # end > count: stop alone
+@example((Axis(0.5, 8.0, 16), 7, 7))  # empty ranges
+@example((Axis(0.5, 8.0, 16), 9, 2))
+def test_points_of_an_index_range_are_the_slice_of_all_points(case):
+    axis, first, end = case
+    assert list(axis.points(first, end)) == list(axis.points())[first:end]

@@ -23,12 +23,14 @@ import ottoqft
 from ottoqft import sweeps
 from ottoqft.algebra import (
     KernelInconsistencyError,
+    MomentSet,
     _POINT,
     _arrays,
     _bound_check,
     _exp_scaled,
     _products,
     _raise_first_failure,
+    p_after_second,
 )
 from ottoqft.config import parse_config
 from ottoqft.cycle import LedgerColumns
@@ -217,6 +219,8 @@ def test_one_chunk_workloads_give_the_same_bytes_on_both_paths(name):
     ["lambda1=111", "lambda2=116", "tau2=0.015625"],
     ["lambda1=0", "lambda2=0"],  # degenerate
     ["tau2=1e308", "tau1=-1e308"],  # an overflowing separation
+    # lambda1 lambda2 overflows: e12 = inf, which fails the MomentSet checks on both paths
+    ["lambda1=1e155", "lambda2=1e155"],
 ])
 def test_point_is_the_array_element(sets):
     spec = parse_config("mode = single-point", ["omega1=1", "omega2=3", "tau1=0", "tau2=1.5",
@@ -230,6 +234,12 @@ def test_point_is_the_array_element(sets):
     if error is None:
         assert all(_same(a, b) for (a,), (b,) in zip(point, cells))
         assert run_point(spec).count("\n") >= 15
+
+
+def test_a_finite_e12_whose_double_overflows_still_raises_math_domain_error():
+    # only a non-finite e12 is read as 0: sin(2 e12) sees 2e308 = inf here
+    with pytest.raises(ValueError, match="^math domain error$"):
+        p_after_second(0.5, MomentSet(0.5, 0.5, 1e308, 0.0), 1.0)
 
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e3)

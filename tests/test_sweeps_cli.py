@@ -16,7 +16,7 @@ import ottoqft
 from ottoqft import cli, oracle, sweeps
 from ottoqft.algebra import KernelInconsistencyError, MomentSet, p_after_first
 from ottoqft.cli import main
-from ottoqft.config import parse_config
+from ottoqft.config import Axis, parse_config
 from ottoqft.cycle import extracted_work
 from ottoqft.minkowski import MinkowskiParams, minkowski_moments
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep, sweep_chunks
@@ -374,7 +374,7 @@ class TestStreamedSweep:
         try:
             chunks = sweep_chunks(spec)
             header, first = next(chunks), next(chunks)
-            later = next(sweeps._chunks(spec, 1, 2))  # skips the axis to chunk 244 of 489
+            later = next(sweeps._chunks(spec, 1, 2))  # chunk 244 of 489: its own tau2 alone
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,6 +416,29 @@ class TestStreamedSweep:
         assert header.startswith("lambda1_over_sigma,")
         assert first.count("\n") == sweeps._CHUNK
         assert peak < 20e6
+
+    def test_a_chunk_makes_only_its_own_axis_points(self, monkeypatch):
+        # a chunk makes the axis points of its own rows and columns, not the ones before
+        # them nor the rest of the axis: here 2,048 of 10^6, and 1,028 of 10^6 + 2
+        made, points = [0], Axis.points
+
+        def counted(axis, *args):
+            for point in points(axis, *args):
+                made[0] += 1
+                yield point
+
+        monkeypatch.setattr(Axis, "points", counted)
+        curve = parse_config(FIG4A_CFG.format(out="x.csv"), ["tau2_count=1000000"])
+        assert next(sweeps._chunks(curve, 1, 2)).count("\n") == sweeps._CHUNK
+        assert made[0] == sweeps._CHUNK
+        made[0] = 0
+        grid = parse_config(GRID_CFG.format(out="x.csv"),
+                            ["lambda1_count=1000000", "lambda2_count=2"])
+        chunks = sweeps._chunks(grid)
+        header, first = next(chunks), next(chunks)
+        rows = sweeps._layout(grid)[0]
+        assert first.count("\n") == 2 * rows
+        assert made[0] <= rows + 2 * 2  # the chunk's rows and columns, and text2's axis
 
 
 # where the command line can split a sweep: os.fork, a thread count and more than one CPU
