@@ -108,8 +108,9 @@ def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
     if part == 0:
         yield ",".join(CURVE_COLUMNS if curve else GRID_COLUMNS) + "\n"
     # on arrays the kernel forms each coupling's nu, and its mantissa and exponent, once per
-    # block row or column.  A lambda2 axis no longer than a chunk is formatted once
-    text2 = None if curve or width < s.lambda2_axis.count else _texts(s.lambda2_axis.points())
+    # block row or column.  A lambda2 axis no longer than a chunk is built and formatted once
+    axis2 = None if curve or width < s.lambda2_axis.count else array("d", s.lambda2_axis.points())
+    text2 = axis2 and _texts(axis2)
     for chunk in range(part * count // parts, (part + 1) * count // parts):
         i, j = divmod(chunk, columns)  # a curve is one row
         if curve:
@@ -121,7 +122,7 @@ def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
             yield _render_rows(row, (tau2, *cells), pwc)
             continue
         lambda1 = array("d", s.lambda1_axis.points(i * rows, (i + 1) * rows))
-        lambda2 = array("d", s.lambda2_axis.points(j * width, (j + 1) * width))
+        lambda2 = axis2 or array("d", s.lambda2_axis.points(j * width, (j + 1) * width))
         w_ext, pwc = _chunk(count > 1, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
                             lambda1, lambda2)
         # the rows of the block lambda1 x lambda2, row-major

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 import time
 from typing import Iterable, Mapping
 
@@ -91,27 +92,38 @@ def _gram_columns(draws: np.ndarray) -> tuple[np.ndarray, ...]:
     return w11, w22, radius * np.sin(phase), radius * np.cos(phase)
 
 
+def _uniform(rng: random.Random, low, high, count: int) -> np.ndarray:
+    """count rows of uniforms on [low, high), a column per entry of high, from one
+    getrandbits call: in C order, the same doubles, and the same generator state
+    afterwards, as one rng.uniform call per value (random()'s 53-bit formula)."""
+    n = count * len(high)
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    low, high = np.asarray(low), np.asarray(high)
+    return low + (high - low) * u.reshape(count, len(high))
+
+
 def sample_moment_sets(
-    rng: np.random.Generator, count: int, zero_signal: bool = False
+    rng: random.Random, count: int, zero_signal: bool = False
 ) -> tuple[np.ndarray, ...]:
     """Columns (nu1, nu2, e12, mu12) of count random moment sets realizable
     by a quasi-free state (see _gram_columns); zero_signal forces e12 = 0.
 
-    Every uniform is drawn by this call, in one array filled in C order: the
-    same numbers, and the same generator state afterwards, as one
-    rng.uniform call per value.
+    Every uniform is drawn by this call, from one getrandbits call of rng and
+    filled in C order: the same numbers, and the same generator state
+    afterwards, as one rng.uniform call per value.
     """
     high = (2.0, 2.0, 1.0) if zero_signal else (2.0, 2.0, 1.0, 2.0 * math.pi)
-    w11, w22, im_w12, re_w12 = _gram_columns(rng.uniform(0.0, high, size=(count, len(high))))
+    w11, w22, im_w12, re_w12 = _gram_columns(_uniform(rng, 0.0, high, count))
     return np.exp(-2.0 * w11), np.exp(-2.0 * w22), 2.0 * im_w12, re_w12
 
 
-def _sample_fock_cases(rng: np.random.Generator, count: int) -> list[tuple]:
+def _sample_fock_cases(rng: random.Random, count: int) -> list[tuple]:
     cases = []
     for _ in range(count):
         a1 = complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
         a2 = complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
-        nbar = float(rng.choice([0.0, 1.0]))
+        nbar = rng.choice((0.0, 1.0))
         p = rng.uniform(0.0, 1.0)
         omega1 = rng.uniform(0.5, 3.0)
         omega2 = rng.uniform(0.5, 3.0)
@@ -151,7 +163,7 @@ def _check_weyl(rng, cases: int, dim: int):
 def _check_appendix_identities(rng, count: int = 1000):
     # nu of the sum/difference regions follows from kernel bilinearity:
     # W(f1 +/- f2, f1 +/- f2) = W11 +/- 2 mu12 + W22
-    draws = rng.uniform(0.0, (2.0, 2.0, 1.0, 2.0 * math.pi), size=(count, 4))
+    draws = _uniform(rng, 0.0, (2.0, 2.0, 1.0, 2.0 * math.pi), count)
     w11, w22, _, mu12 = _gram_columns(draws)
     nu1, nu2 = np.exp(-2.0 * w11), np.exp(-2.0 * w22)
     nu_minus = np.exp(-2.0 * (w11 - 2.0 * mu12 + w22))
@@ -187,7 +199,7 @@ def _check_dawson():
 def _check_cycle_properties(rng, count: int = 10_000):
     nu1, nu2, e12, mu12 = sample_moment_sets(rng, count)
     # theta, omega1, omega2 per cycle, drawn for degenerate cycles as well
-    theta, omega1, omega2 = rng.uniform((-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), size=(count, 3)).T
+    theta, omega1, omega2 = _uniform(rng, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), count).T
     c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
     yield ("fixed_point", float(np.max(np.abs(c.p2 - c.p))),
            f"closure residual over {count} random cycles")
@@ -199,7 +211,7 @@ def _check_cycle_properties(rng, count: int = 10_000):
 
 def _check_no_signaling(rng, count: int = 1000):
     moments = sample_moment_sets(rng, count, zero_signal=True)
-    theta, d_omega = rng.uniform((-8.0, -5.0), (8.0, 5.0), size=(count, 2)).T
+    theta, d_omega = _uniform(rng, (-8.0, -5.0), (8.0, 5.0), count).T
     # the work depends on the gaps only through their difference
     worst = float(np.max(np.abs(ledger_arrays(theta, d_omega, 0.0, *moments).w_ext)))
     yield "no_signaling", worst, f"e12 = 0 forces zero work, {count} cases (exact)"
@@ -230,7 +242,9 @@ def run_verification(
         raise ValueError(f"unknown tolerance override(s): {sorted(unknown)}")
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases!r}")
-    rng = np.random.default_rng(seed)
+    if seed < 0:  # random.Random would seed with abs(seed): -s and s would share a report
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    rng = random.Random(seed)
     # generators: each check runs, and draws from rng, only when the loop reaches it
     measurements = itertools.chain(
         _check_fock_populations(rng, cases, dim), _check_weyl(rng, cases, dim),

@@ -120,7 +120,8 @@ RUN_CLI = (
     "        status = done.code\n"
 )
 # then prints the exit status and which of the modules named in LOADED are loaded
-LOADED = ("ottoqft.oracle", "ottoqft.verification", "dataclasses", "numpy")
+LOADED = ("ottoqft.oracle", "ottoqft.verification", "dataclasses", "numpy",
+          "numpy.random")
 REPORT_LOADED = "print(json.dumps([status, [name for name in {loaded!r} if name in sys.modules]]))\n"
 
 TINY_CURVE = ("mode = curve-tau2\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\nlambda1 = 100.0\n"
@@ -157,7 +158,8 @@ def _argv(command, tmp_path):
     ("point-error", 1, []),
     ("sweep-2-chunks", 0, ["numpy"]),
     ("grid-2-chunks", 0, ["numpy"]),  # 410 x 5 points
-    ("verify", 0, ["ottoqft.oracle", "ottoqft.verification", "numpy"]),  # loaded when it runs
+    # loaded when it runs; its seeded draws come from the standard library's random
+    ("verify", 0, ["ottoqft.oracle", "ottoqft.verification", "numpy"]),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, command, status, loaded):
     script = "import json\n" + RUN_CLI.format(argv=_argv(command, tmp_path))

@@ -1,5 +1,7 @@
 """The self-check suite: passes on a correct build, catches seeded faults."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import ottoqft.verification as verification
 from ottoqft.algebra import MomentSet, moment_set_from_kernel
 from ottoqft.cycle import ledger_arrays
 from ottoqft.verification import (
+    DEFAULT_SEED,
     format_report,
     run_verification,
     run_verify,
@@ -33,12 +36,12 @@ def _reference_columns(rng, count, zero_signal=False):
 
 @pytest.mark.parametrize("zero_signal", [False, True])
 def test_batched_moment_sets_equal_one_draw_per_call(zero_signal):
-    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rng, ref_rng = random.Random(11), random.Random(11)
     count = 2 * 1024 + 5
     columns = sample_moment_sets(rng, count, zero_signal=zero_signal)
     expected = _reference_columns(ref_rng, count, zero_signal)
     # every number is drawn by the one call
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.getstate() == ref_rng.getstate()
     assert [c.tolist() for c in columns] == expected
 
 
@@ -55,7 +58,7 @@ def _record_kernel_calls(monkeypatch):
 
 def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    rng, ref_rng = random.Random(5), random.Random(5)
     count = 1500
     list(verification._check_cycle_properties(rng, count))
 
@@ -63,18 +66,18 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     columns = _reference_columns(ref_rng, count)
     draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(0.1, 5.0), ref_rng.uniform(0.1, 5.0))
              for _ in range(count)]
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.getstate() == ref_rng.getstate()
     (args,) = calls  # one kernel call for every cycle, degenerate ones too
     assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *columns]
 
 
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    rng, ref_rng = random.Random(3), random.Random(3)
     list(verification._check_no_signaling(rng, 1100))
     columns = _reference_columns(ref_rng, 1100, zero_signal=True)
     draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for _ in range(1100)]
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.getstate() == ref_rng.getstate()
     (args,) = calls
     theta, d_omega = map(list, zip(*draws))
     # the gaps enter as (d_omega, 0): the work sees only their difference
@@ -110,6 +113,14 @@ def test_all_checks_pass_on_correct_build():
             "thermal_e12", "appendix_identities", "weyl_partition"} <= names
 
 
+@pytest.mark.parametrize("seed", [*range(10), DEFAULT_SEED])  # 7 is the benchmark's
+def test_default_settings_pass_on_each_seed(seed):
+    # the full ensembles, cases and dim of ottoqft verify: no seed here draws a
+    # case that misses a threshold or truncates the Fock space
+    results = run_verification(seed=seed)
+    assert [r.name for r in results if not r.passed] == []
+
+
 def test_run_verify_exit_status_and_report():
     status, report = run_verify(cases=6, dim=40)
     assert status == 0
@@ -126,6 +137,11 @@ def test_unknown_override_rejected():
 def test_case_count_below_one_rejected(cases):
     with pytest.raises(ValueError, match="cases must be >= 1"):
         run_verification(cases=cases)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_verification(seed=-1)
 
 
 def test_flipped_signal_sign_is_caught(monkeypatch):
