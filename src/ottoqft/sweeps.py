@@ -6,7 +6,9 @@ in one, _chunk: a sweep of more than _CHUNK grid points runs on NumPy arrays,
 one call per chunk of _CHUNK points; a smaller one, and run_point, on Python
 floats, one call per point, and never import NumPy.  The two paths give the
 same bits.  Each chunk takes the axis values of its own rows and columns,
-through Axis.points, as array("d"): no sweep holds an axis whole.
+through Axis.points, as array("d"): no sweep holds an axis whole.  A chunk's
+rows are rendered and yielded _ROWS at a time, each piece turning only its
+own slice of the kernel's columns into Python floats.
 Rows are emitted in grid order with 17 significant digits, so the text
 re-parses to the exact binary values.
 """
@@ -34,9 +36,11 @@ GRID_COLUMNS = ("lambda1_over_sigma", "lambda2_over_sigma", "w_ext_sigma", "pwc"
 # the LedgerColumns a curve row prints; nu1 and nu2 are the same in every row
 _CURVE_CELLS = ("nu1", "nu2", "theta", "e12", "mu12", "p", "p1", "w_ext", "pwc")
 
-# grid points evaluated and rendered per chunk; a sweep of at most this many
-# runs on Python floats
+# grid points evaluated per chunk; a sweep of at most this many runs on Python floats
 _CHUNK = 2048
+# rows rendered per piece of text: a chunk's rows as Python floats and text are
+# made, and released, a piece at a time
+_ROWS = 256
 
 
 def _render(value: object) -> str:
@@ -50,11 +54,14 @@ def _texts(values: Sequence[float]) -> list[str]:
     return ["%.17g," % value for value in values]
 
 
-def _render_rows(row: str, columns: Sequence[list], flags: list) -> str:
-    # one format call for the whole chunk: the row repeated once per grid point, and
-    # its cells flattened in row order; "%.17g" % x is format(x, ".17g"); flags is the pwc column
-    words = ["true" if flag else "false" for flag in flags]
-    return (row * len(words)) % tuple(itertools.chain.from_iterable(zip(*columns, words)))
+def _render_rows(row: str, columns: Sequence[Sequence], flags: Sequence) -> Iterator[str]:
+    # the rows of a chunk, _ROWS at a time: one format call a piece, the row repeated once
+    # per grid point and its cells flattened in row order, each column sliced to the piece;
+    # "%.17g" % x is format(x, ".17g"); flags is the pwc column
+    for k in range(0, len(flags), _ROWS):
+        words = ["true" if flag else "false" for flag in flags[k:k + _ROWS]]
+        cells = zip(*(column[k:k + _ROWS] for column in columns), words)
+        yield (row * len(words)) % tuple(itertools.chain.from_iterable(cells))
 
 
 def _evaluate(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p, xp) -> LedgerColumns:
@@ -65,11 +72,12 @@ def _evaluate(omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p, xp) -> Le
 
 
 def _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, initial_p=None) -> list:
-    """The LedgerColumns fields named in fields, a list each, of one chunk of a sweep.
-    Each of tau2, lambda1 and lambda2 is a number or an array("d") axis, and the chunk
-    is the grid of its axes in row-major order.  The one switch between the paths: a
-    sweep of more than _CHUNK points (on_arrays) runs on NumPy arrays, one kernel call a
-    chunk; a smaller one on Python floats, one a point."""
+    """The LedgerColumns fields named in fields of one chunk of a sweep, each a flat
+    sequence that yields Python floats and bools: a list on floats, a memoryview of the
+    kernel's array on arrays.  Each of tau2, lambda1 and lambda2 is a number or an
+    array("d") axis, and the chunk is the grid of its axes in row-major order.  The one
+    switch between the paths: a sweep of more than _CHUNK points (on_arrays) runs on
+    NumPy arrays, one kernel call a chunk; a smaller one on Python floats, one a point."""
     indices = [LedgerColumns._fields.index(name) for name in fields]
     varied = (tau2, lambda1, lambda2)
     if not on_arrays:
@@ -83,7 +91,7 @@ def _chunk(on_arrays, fields, omega1, omega2, tau1, tau2, lambda1, lambda2, init
     c = _on_arrays(_evaluate, omega1, omega2, tau1,
                    *(next(mesh) if isinstance(v, array) else v for v in varied), initial_p)
     shape = tuple(map(len, axes))  # each column broadcast: a curve's nu1, nu2 are repeated
-    return [np.broadcast_to(c[i], shape).ravel().tolist() for i in indices]
+    return [memoryview(np.broadcast_to(c[i], shape).ravel()) for i in indices]
 
 
 def _layout(s: SweepSpec) -> tuple[int, int, int, int]:
@@ -99,10 +107,31 @@ def _layout(s: SweepSpec) -> tuple[int, int, int, int]:
     return rows, width, columns, -(-n1 // rows) * columns
 
 
+def _curve_rows(s: SweepSpec, tau2: array, on_arrays: bool) -> Iterator[str]:
+    # the pieces of one chunk of a curve, the tau2 values of its rows
+    nu1, nu2, *cells, pwc = _chunk(on_arrays, _CURVE_CELLS, s.omega1, s.omega2, s.tau1, tau2,
+                                   s.lambda1, s.lambda2)
+    # nu1 and nu2 follow the couplings alone: the same two cells in every row
+    row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
+    return _render_rows(row, (tau2, *cells), pwc)
+
+
+def _grid_rows(s: SweepSpec, lambda1: array, lambda2: array, text2,
+               on_arrays: bool) -> Iterator[str]:
+    # the pieces of one chunk of a grid, the block lambda1 x lambda2 in row-major order;
+    # text2 is the cells of lambda2, where they are formatted once for the sweep
+    w_ext, pwc = _chunk(on_arrays, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
+                        lambda1, lambda2)
+    cells2 = text2 or _texts(lambda2)
+    column1 = [text for text in _texts(lambda1) for _ in cells2]
+    return _render_rows("%s%s%.17g,%s\n", (column1, cells2 * len(lambda1), w_ext), pwc)
+
+
 def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
     """Chunks part * count // parts to (part + 1) * count // parts of the CSV document in
     declared order, after the header in part 0, each on the path the whole sweep's chunk
-    count selects: parts 0 to parts - 1 join to the one-part document byte for byte."""
+    count selects and yielded in pieces of at most _ROWS rows: parts 0 to parts - 1 join
+    to the one-part document byte for byte."""
     rows, width, columns, count = _layout(s)
     curve = s.mode == "curve-tau2"
     if part == 0:
@@ -113,27 +142,22 @@ def _chunks(s: SweepSpec, part: int = 0, parts: int = 1) -> Iterator[str]:
     text2 = axis2 and _texts(axis2)
     for chunk in range(part * count // parts, (part + 1) * count // parts):
         i, j = divmod(chunk, columns)  # a curve is one row
+        # a chunk's columns are held by its pieces' generator alone, so they go with its
+        # last piece, before the next chunk's kernel call
         if curve:
-            tau2 = array("d", s.tau2_axis.points(j * width, (j + 1) * width))
-            nu1, nu2, *cells, pwc = _chunk(count > 1, _CURVE_CELLS, s.omega1, s.omega2, s.tau1,
-                                           tau2, s.lambda1, s.lambda2)
-            # nu1 and nu2 follow the couplings alone: the same two cells in every row
-            row = "%.17g,%.17g," + "%.17g,%.17g" % (nu1[0], nu2[0]) + ",%.17g" * 5 + ",%s\n"
-            yield _render_rows(row, (tau2, *cells), pwc)
-            continue
-        lambda1 = array("d", s.lambda1_axis.points(i * rows, (i + 1) * rows))
-        lambda2 = axis2 or array("d", s.lambda2_axis.points(j * width, (j + 1) * width))
-        w_ext, pwc = _chunk(count > 1, ("w_ext", "pwc"), s.omega1, s.omega2, s.tau1, s.tau2,
-                            lambda1, lambda2)
-        # the rows of the block lambda1 x lambda2, row-major
-        cells2 = text2 or _texts(lambda2)
-        column1 = [text for text in _texts(lambda1) for _ in cells2]
-        yield _render_rows("%s%s%.17g,%s\n", (column1, cells2 * len(lambda1), w_ext), pwc)
+            yield from _curve_rows(s, array("d", s.tau2_axis.points(j * width, (j + 1) * width)),
+                                   count > 1)
+        else:
+            yield from _grid_rows(
+                s, array("d", s.lambda1_axis.points(i * rows, (i + 1) * rows)),
+                axis2 or array("d", s.lambda2_axis.points(j * width, (j + 1) * width)), text2,
+                count > 1)
 
 
 def sweep_chunks(spec: SweepSpec) -> Iterator[str]:
-    """The CSV document of run_sweep as text chunks.  A mode that is not a
-    sweep raises ValueError here, before any chunk is asked for."""
+    """The CSV document of run_sweep as pieces of text: the header, then at most
+    _ROWS rows a piece, each ending in a newline.  A mode that is not a sweep
+    raises ValueError here, before any piece is asked for."""
     _layout(spec)  # rejects a mode that is not a sweep
     return _chunks(spec)
 

@@ -64,6 +64,11 @@ def _rows(csv_text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def _next_chunk(pieces, rows=sweeps._CHUNK):
+    """The text of the next chunk of rows rows, joined from the pieces it is yielded in."""
+    return "".join(itertools.islice(pieces, -(-rows // sweeps._ROWS)))
+
+
 class TestRunSweep:
     def test_curve_document_shape(self):
         spec = parse_config(FIG4A_CFG.format(out="x.csv"))
@@ -373,8 +378,8 @@ class TestStreamedSweep:
         tracemalloc.start()
         try:
             chunks = sweep_chunks(spec)
-            header, first = next(chunks), next(chunks)
-            later = next(sweeps._chunks(spec, 1, 2))  # chunk 244 of 489: its own tau2 alone
+            header, first = next(chunks), _next_chunk(chunks)
+            later = _next_chunk(sweeps._chunks(spec, 1, 2))  # chunk 244 of 489: its own tau2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,7 +414,7 @@ class TestStreamedSweep:
         tracemalloc.start()
         try:
             chunks = sweep_chunks(spec)
-            header, first = next(chunks), next(chunks)
+            header, first = next(chunks), _next_chunk(chunks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,18 +435,54 @@ class TestStreamedSweep:
 
         monkeypatch.setattr(Axis, "points", counted)
         curve = parse_config(FIG4A_CFG.format(out="x.csv"), ["tau2_count=1000000"])
-        assert next(sweeps._chunks(curve, 1, 2)).count("\n") == sweeps._CHUNK
+        assert _next_chunk(sweeps._chunks(curve, 1, 2)).count("\n") == sweeps._CHUNK
         assert made[0] == sweeps._CHUNK
         made[0] = 0
         grid = parse_config(GRID_CFG.format(out="x.csv"),
                             ["lambda1_count=1000000", "lambda2_count=2"])
         chunks = sweeps._chunks(grid)
-        header, first = next(chunks), next(chunks)
         rows = sweeps._layout(grid)[0]
+        header, first = next(chunks), _next_chunk(chunks, 2 * rows)
         assert first.count("\n") == 2 * rows
         assert made[0] == rows + 2  # the chunk's rows, and the lambda2 axis once
-        next(chunks)
+        next(chunks)  # the first piece of the next chunk
         assert made[0] == 2 * rows + 2  # the next chunk makes only its own rows
+
+    def test_a_chunk_is_released_with_its_last_piece(self):
+        # chunks 2 and 3 of the 20,000-point curve-dense curve, traced from the start of
+        # chunk 2: rendered whole, with the last chunk's columns as lists of floats kept
+        # through the next kernel call, they peaked at about 1.4 MB
+        spec = parse_config(FIG4A_CFG.format(out="x.csv"),
+                            ["tau2_start=0.05", "tau2_stop=12.0", "tau2_count=20000"])
+        pieces = sweep_chunks(spec)
+        next(pieces)
+        _next_chunk(pieces)  # the header and chunk 1, which loads NumPy
+        tracemalloc.start()
+        try:
+            rows = sum(piece.count("\n") for piece in
+                       itertools.islice(pieces, 2 * sweeps._CHUNK // sweeps._ROWS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 2 * sweeps._CHUNK
+        assert peak < 0.8e6
+
+    @pytest.mark.parametrize("cfg, overrides", [
+        # the last chunk, and the last piece of each chunk, partial
+        (FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 300}"]),
+        (GRID_CFG, ["lambda1_count=70", "lambda2_count=61"]),  # 3 chunks of 33, 33, 4 rows
+        (GRID_CFG, ["lambda2_count=61"]),  # one chunk, on floats
+    ])
+    def test_pieces_join_to_the_document_and_the_file(self, tmp_path, cfg, overrides):
+        spec = parse_config(cfg.format(out=tmp_path / "out.csv"), overrides)
+        pieces = list(sweep_chunks(spec))
+        assert all(piece.endswith("\n") and piece.count("\n") <= sweeps._ROWS
+                   for piece in pieces)
+        doc = "".join(pieces)
+        assert doc == run_sweep(spec)
+        assert len(pieces) > 1 + -(-doc.count("\n") // sweeps._CHUNK)  # more pieces than chunks
+        assert self._sweep(tmp_path, cfg, *overrides, fresh=True) == 0  # forked where it can
+        assert (tmp_path / "out.csv").read_bytes() == doc.encode("utf-8")
 
 
 # where the command line can split a sweep: os.fork, a thread count and more than one CPU

@@ -71,6 +71,18 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *columns]
 
 
+@pytest.mark.parametrize("seed", [7, DEFAULT_SEED])
+def test_cycle_properties_in_blocks_equal_the_whole_ensemble(monkeypatch, seed):
+    # the 10,000 cycles go through the ledger in blocks of 2,048, the last of 1,808;
+    # the largest deviations are those of one call on the whole ensemble, bit for bit
+    calls = _record_kernel_calls(monkeypatch)
+    blocked = list(verification._check_cycle_properties(random.Random(seed)))
+    assert [len(args[0]) for args in calls] == [2048] * 4 + [1808]
+    whole = list(verification._check_cycle_properties(random.Random(seed), block=10_000))
+    assert len(calls) == 6
+    assert blocked == whole
+
+
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = random.Random(3), random.Random(3)
