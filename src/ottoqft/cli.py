@@ -85,7 +85,7 @@ def _document(spec, parts: int) -> Iterator[str]:
     children = []  # (pid, its spill), in part order
     try:
         if parts > 1:
-            import tempfile  # loaded with NumPy
+            import tempfile  # only a forked sweep imports it
         for part in range(1, parts):
             spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
                                            dir=os.path.dirname(spec.output_path) or os.curdir)

@@ -12,7 +12,7 @@ import math
 import operator
 import random
 import time
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -118,8 +118,8 @@ def sample_moment_sets(
     return np.exp(-2.0 * w11), np.exp(-2.0 * w22), 2.0 * im_w12, re_w12
 
 
-def _sample_fock_cases(rng: random.Random, count: int) -> list[tuple]:
-    cases = []
+def _sample_fock_cases(rng: random.Random, count: int) -> Iterator[tuple]:
+    # a case at a time, so that a case that fails stops the check before more are drawn
     for _ in range(count):
         a1 = complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
         a2 = complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
@@ -129,20 +129,18 @@ def _sample_fock_cases(rng: random.Random, count: int) -> list[tuple]:
         omega2 = rng.uniform(0.5, 3.0)
         tau1 = rng.uniform(0.0, 1.0)
         tau2 = tau1 + rng.uniform(0.2, 2.0)
-        cases.append((a1, a2, nbar, p, omega1, omega2, tau1, tau2))
-    return cases
+        yield a1, a2, nbar, p, omega1, omega2, tau1, tau2
 
 
 def _check_fock_populations(rng, cases: int, dim: int):
-    fock, moments = [], []
-    sampled = _sample_fock_cases(rng, cases)
-    for a1, a2, nbar, p, o1, o2, t1, t2 in sampled:
+    fock, rows = [], []
+    for a1, a2, nbar, p, o1, o2, t1, t2 in _sample_fock_cases(rng, cases):
         fp = FockParams(alpha1=a1, alpha2=a2, nbar=nbar, dim=dim)
         fock.append(simulate_cycle_fock(fp, o1, o2, t1, t2, p))
         m = moment_set_from_kernel(single_mode_kernel(fp))
-        moments.append((m.nu1, m.nu2, m.e12, m.mu12))
-    p, omega1, omega2, tau1, tau2 = np.array([case[3:] for case in sampled]).T
-    c = cycle_arrays(omega1, omega2, tau1, tau2, *np.array(moments).T, initial_p=p)
+        rows.append((p, o1, o2, t1, t2, m.nu1, m.nu2, m.e12, m.mu12))
+    p, omega1, omega2, tau1, tau2, *moments = np.array(rows).T
+    c = cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p=p)
     p1_fock, p2_fock = np.array(fock).T
     detail = f"{cases} random kicks vs exact evolution, dim={dim}"
     yield "fock_p1", float(np.max(np.abs(p1_fock - c.p1))), detail
@@ -197,17 +195,27 @@ def _check_dawson():
 
 
 def _check_cycle_properties(rng, count: int = 10_000, block: int = 2048):
-    nu1, nu2, e12, mu12 = sample_moment_sets(rng, count)
-    # theta, omega1, omega2 per cycle, drawn for degenerate cycles as well
-    theta, omega1, omega2 = _uniform(rng, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), count).T
-    # the ledger a block of cycles at a time, so that its temporaries stay small: the
-    # largest deviation does not depend on the blocks, and np.max keeps a NaN
+    # in rng's stream every moment set comes before any cycle's theta, omega1, omega2
+    # (drawn for degenerate cycles as well), as one draw of each reads them; a block of
+    # cycles at a time reads its part of each from a saved position, so that only a
+    # block's draws and temporaries are held, and rng ends where the one draw leaves it
+    sizes = [min(block, count - k) for k in range(0, count, block)]
+    moments = rng.getstate()
+    for n in sizes:
+        rng.getrandbits(64 * 4 * n)  # the words of sample_moment_sets(rng, n)
+    phases = rng.getstate()
     deviations = []
-    for k in range(0, count, block):
-        c = ledger_arrays(*(column[k:k + block]
-                            for column in (theta, omega1, omega2, nu1, nu2, e12, mu12)))
+    for n in sizes:
+        rng.setstate(moments)
+        nu1, nu2, e12, mu12 = sample_moment_sets(rng, n)
+        moments = rng.getstate()
+        rng.setstate(phases)
+        theta, omega1, omega2 = _uniform(rng, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), n).T
+        phases = rng.getstate()
+        c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
         # the closed-form w_ext against the heat of the strokes; both give 0 on a
-        # degenerate cycle, the no-op row
+        # degenerate cycle, the no-op row.  The largest deviation does not depend on
+        # the blocks, and np.max keeps a NaN
         deviations.append((np.max(np.abs(c.p2 - c.p)), np.max(np.abs(c.w_ext - (c.q2 + c.q4)))))
     fixed_point, first_law = np.max(deviations, axis=0)
     yield ("fixed_point", float(fixed_point), f"closure residual over {count} random cycles")
