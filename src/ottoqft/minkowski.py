@@ -7,7 +7,9 @@ couplings and times enter as lambda/sigma and tau/sigma, gaps as gap*sigma.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .algebra import _POINT, MomentSet, _on_arrays, _raise_first_failure
 from .record import Record
@@ -72,7 +74,9 @@ def _dawson(x, xp):
     for i, weight in enumerate(_RYBICKI_WEIGHTS):
         terms.append(weight * (e / (n0 + (2 * i + 1)) + 1.0 / ((n0 - (2 * i + 1)) * e)))
         e = e * e2
-    series = sum(reversed(terms)) * xp.exp(-r * r)
+    # folded with +, in order: from CPython 3.12 the builtin sum compensates a list of
+    # Python floats, but not of arrays, so the float path would leave the array path's bits
+    series = functools.reduce(operator.add, reversed(terms), 0.0) * xp.exp(-r * r)
     return xp.copysign(series * (_RYBICKI_CAP / xp.maximum(ax, _RYBICKI_CAP)), x)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class FockParams(Record):
     """Single bosonic mode standing in for the field: the smeared field at
     kick j is alpha_j a + conj(alpha_j) a^dag, on a thermal (nbar) or vacuum
     (nbar = 0) state truncated to dim levels.  alpha1, alpha2 and nbar must
-    be finite."""
+    be finite, and dim an integer."""
 
     alpha1: complex
     alpha2: complex
@@ -65,7 +66,7 @@ class FockParams(Record):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.nbar < 0.0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar!r}")
-        if self.dim < 2:
+        if operator.index(self.dim) < 2:  # a dim of 40.5 would evolve 41 levels
             raise ValueError(f"dim must be >= 2, got {self.dim!r}")
 
 

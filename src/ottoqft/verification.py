@@ -94,10 +94,11 @@ def _gram_columns(draws: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _uniform(rng: random.Random, low, high, count: int) -> np.ndarray:
     """count rows of uniforms on [low, high), a column per entry of high, from one
-    getrandbits call: in C order, the same doubles, and the same generator state
-    afterwards, as one rng.uniform call per value (random()'s 53-bit formula)."""
+    randbytes call (getrandbits' words, little-endian): in C order, the same doubles,
+    and the same generator state afterwards, as one rng.uniform call per value
+    (random()'s 53-bit formula)."""
     n = count * len(high)
-    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    w = np.frombuffer(rng.randbytes(8 * n), "<u4")
     u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
     low, high = np.asarray(low), np.asarray(high)
     return low + (high - low) * u.reshape(count, len(high))
@@ -109,7 +110,7 @@ def sample_moment_sets(
     """Columns (nu1, nu2, e12, mu12) of count random moment sets realizable
     by a quasi-free state (see _gram_columns); zero_signal forces e12 = 0.
 
-    Every uniform is drawn by this call, from one getrandbits call of rng and
+    Every uniform is drawn by this call, from one randbytes call of rng and
     filled in C order: the same numbers, and the same generator state
     afterwards, as one rng.uniform call per value.
     """
@@ -196,27 +197,25 @@ def _check_dawson():
 
 def _check_cycle_properties(rng, count: int = 10_000, block: int = 2048):
     # in rng's stream every moment set comes before any cycle's theta, omega1, omega2
-    # (drawn for degenerate cycles as well), as one draw of each reads them; a block of
-    # cycles at a time reads its part of each from a saved position, so that only a
-    # block's draws and temporaries are held, and rng ends where the one draw leaves it
+    # (drawn for degenerate cycles as well), as one draw of each reads them.  A copy of
+    # rng, phases, skips the moment-set words; then each block draws its moment sets from
+    # rng and its theta, omega1, omega2 from phases, so that only a block's draws and
+    # temporaries are held, and rng ends in phases' state, where the one draw leaves it
     sizes = [min(block, count - k) for k in range(0, count, block)]
-    moments = rng.getstate()
+    phases = random.Random()
+    phases.setstate(rng.getstate())
     for n in sizes:
-        rng.getrandbits(64 * 4 * n)  # the words of sample_moment_sets(rng, n)
-    phases = rng.getstate()
+        phases.randbytes(32 * n)  # the words of sample_moment_sets(rng, n)
     deviations = []
     for n in sizes:
-        rng.setstate(moments)
         nu1, nu2, e12, mu12 = sample_moment_sets(rng, n)
-        moments = rng.getstate()
-        rng.setstate(phases)
-        theta, omega1, omega2 = _uniform(rng, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), n).T
-        phases = rng.getstate()
+        theta, omega1, omega2 = _uniform(phases, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), n).T
         c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
         # the closed-form w_ext against the heat of the strokes; both give 0 on a
         # degenerate cycle, the no-op row.  The largest deviation does not depend on
         # the blocks, and np.max keeps a NaN
         deviations.append((np.max(np.abs(c.p2 - c.p)), np.max(np.abs(c.w_ext - (c.q2 + c.q4)))))
+    rng.setstate(phases.getstate())
     fixed_point, first_law = np.max(deviations, axis=0)
     yield ("fixed_point", float(fixed_point), f"closure residual over {count} random cycles")
     yield ("first_law", float(first_law), f"work/heat balance over {count} random cycles")
@@ -248,11 +247,13 @@ def run_verification(
     cases: int = 50,
     dim: int = 60,
 ) -> list[CheckResult]:
-    """Run every cross-check; overrides may replace individual tolerances."""
+    """Run every cross-check; overrides may replace individual tolerances.
+    seed, cases and dim are integers (operator.index): a float raises TypeError."""
     tol = {**DEFAULT_TOLERANCES, **(overrides or {})}
     unknown = set(tol) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown tolerance override(s): {sorted(unknown)}")
+    seed, cases = operator.index(seed), operator.index(cases)  # random.Random would hash a float
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases!r}")
     if seed < 0:  # random.Random would seed with abs(seed): -s and s would share a report

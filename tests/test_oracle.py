@@ -73,6 +73,15 @@ class TestSingleModeKernel:
         with pytest.raises(ValueError):
             FockParams(0.1, 0.1, dim=1)
 
+    def test_dim_must_be_an_integer(self):
+        # a dim of 40.5 once passed and evolved 41 levels
+        with pytest.raises(TypeError):
+            FockParams(0.1, 0.1, dim=40.5)
+        with pytest.raises(TypeError):
+            FockParams(0.1, 0.1, dim=40.0)
+        assert simulate_cycle_fock(FockParams(0.3, 0.2j, dim=np.int64(41)), 1.0, 3.0, 0.0, 1.5, 0.3) \
+            == simulate_cycle_fock(FockParams(0.3, 0.2j, dim=41), 1.0, 3.0, 0.0, 1.5, 0.3)
+
     @pytest.mark.parametrize("name, value", [
         ("alpha1", complex(math.nan, 0.1)), ("alpha2", complex(0.2, math.inf)),
         ("nbar", math.nan), ("nbar", math.inf),

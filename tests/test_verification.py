@@ -196,6 +196,18 @@ def test_negative_seed_rejected():
         run_verification(seed=-1)
 
 
+@pytest.mark.parametrize("options", [{"seed": 1.5}, {"seed": 7.0}, {"cases": 2.0}, {"cases": 2, "dim": 40.5}])
+def test_seed_cases_and_dim_must_be_integers(options):
+    # random.Random hashes a float seed, and a dim of 40.5 evolved 41 levels
+    with pytest.raises(TypeError):
+        run_verification(**options)
+
+
+def test_numpy_integers_are_taken_as_integers():
+    assert run_verification(seed=np.int64(7), cases=np.int64(2), dim=np.int64(40)) \
+        == run_verification(seed=7, cases=2, dim=40)
+
+
 def test_flipped_signal_sign_is_caught(monkeypatch):
     # corrupt the moment extraction the formula route sees: e12 sign flip
     original = moment_set_from_kernel
