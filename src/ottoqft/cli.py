@@ -64,9 +64,10 @@ def _import(name: str):
 
 def _parts(chunks: int) -> int:
     """The processes that render a sweep of this many chunks: one a usable CPU, at most
-    one a chunk.  One where os.fork is missing, or where this process holds more than
-    one OS thread or cannot tell: a forked child of a threaded process can deadlock, and
-    NumPy starts threads under a caller's OPENBLAS_NUM_THREADS > 1."""
+    one a chunk, each started on a CPU of its own (_place).  One where os.fork is
+    missing, or where this process holds more than one OS thread or cannot tell: a
+    forked child of a threaded process can deadlock, and NumPy starts threads under a
+    caller's OPENBLAS_NUM_THREADS > 1."""
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:  # no /proc: the threads are unknown
@@ -75,17 +76,33 @@ def _parts(chunks: int) -> int:
     return min(cpus or 1, chunks) if threads == 1 and hasattr(os, "fork") else 1
 
 
+def _place(part: int) -> None:
+    """Moves this process onto the part-th CPU of its sorted usable set, then gives the
+    whole set back: Linux starts a forked child on its parent's CPU, and within a sweep
+    neither moves, so unplaced parts share one CPU.  The process stays where it was put
+    unless that CPU gets busy.  A placement that fails, or a platform without
+    os.sched_setaffinity, leaves it where it is."""
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(mask)[part]})
+        os.sched_setaffinity(0, mask)
+    except (AttributeError, OSError):
+        pass
+
+
 def _document(spec, parts: int) -> Iterator[str]:
     """The CSV text of spec in grid order.  Parts 1 to parts - 1 of its chunks are
     rendered by children forked here, each into a spill file next to the output, while
-    this process renders part 0; then each child's text follows in blocks of 64 KB.  The
-    part of a child that does not exit with status 0 is rendered here in its place, which
-    raises the serial run's exception, or gives its bytes; on any early stop every child
-    left is killed and reaped."""
+    this process renders part 0; then each child's text follows in blocks of 64 KB.  Part
+    k starts on the k-th usable CPU, each process with its whole CPU set given back
+    (_place); a placement that fails is ignored.  The part of a child that does not exit
+    with status 0 is rendered here in its place, which raises the serial run's exception,
+    or gives its bytes; on any early stop every child left is killed and reaped."""
     children = []  # (pid, its spill), in part order
     try:
         if parts > 1:
             import tempfile  # only a forked sweep imports it
+            _place(0)
         for part in range(1, parts):
             spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
                                            dir=os.path.dirname(spec.output_path) or os.curdir)
@@ -93,6 +110,7 @@ def _document(spec, parts: int) -> Iterator[str]:
             # on any failure: no frame, buffer or atexit hook of the parent runs in it
             if (pid := os.fork()) == 0:
                 try:
+                    _place(part)
                     with spill:
                         spill.writelines(_chunks(spec, part, parts))
                     os._exit(0)

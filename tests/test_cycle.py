@@ -2,17 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottoqft.algebra import MomentSet, p_after_first, p_after_second
+from ottoqft.algebra import MomentSet, contraction_factor, p_after_first, p_after_second
 from ottoqft.cycle import (
     CycleConfig,
     DegenerateCycleError,
     InteractionEvent,
     cyclic_initial_population,
     extracted_work,
+    ledger_arrays,
     positive_work_condition,
     stroke_ledger,
     theta,
@@ -256,3 +258,53 @@ class TestStrokeLedger:
         config = CycleConfig(first=_event(0.0, 1.0, 100.0), second=_event(1.5, 3.0, 1.0))
         report = stroke_ledger(config, m)
         assert report.efficiency == pytest.approx(report.w_ext / report.q2, rel=1e-15)
+
+
+def _outcome(function, *args):
+    """function(*args) as the bits of each value it gives (float.hex keeps the sign of
+    a zero), or as the class and message of the exception it raises."""
+    try:
+        value = function(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return value.hex() if isinstance(value, float) else value
+
+
+PHASE = st.floats(min_value=-20.0, max_value=20.0)
+LEDGER_POINTS = st.lists(st.tuples(realizable_moment_set_strategy(), PHASE,
+                                   st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+                         min_size=1, max_size=40)
+
+
+class TestSignFlip:
+    """R1: sin is odd and the half-angle squares are even, in IEEE arithmetic too, so
+    (e12, theta) -> (-e12, -theta) leaves every population, heat, work and flag of a
+    closed cycle bit-identical, and each failure the same failure."""
+
+    @staticmethod
+    def _flipped(m):
+        return MomentSet(m.nu1, m.nu2, -m.e12, m.mu12)
+
+    @settings(max_examples=400)
+    @given(realizable_moment_set_strategy(), PHASE, st.floats(-5.0, 5.0))
+    def test_scalar_api(self, m, th, delta_omega):
+        flipped = self._flipped(m)
+        for function, args in ((extracted_work, (delta_omega,)),
+                               (cyclic_initial_population, ()),
+                               (contraction_factor, ()),
+                               (positive_work_condition, ())):
+            assert _outcome(function, flipped, -th, *args) == _outcome(function, m, th, *args)
+
+    @settings(max_examples=200)
+    @given(LEDGER_POINTS)
+    def test_ledger_arrays(self, points):
+        moments, *rest = zip(*points)
+        th, omega1, omega2 = map(np.array, rest)
+        nu1, nu2, e12, mu12 = np.array([(m.nu1, m.nu2, m.e12, m.mu12) for m in moments]).T
+
+        def columns(sign):
+            ledger = ledger_arrays(sign * th, omega1, omega2, nu1, nu2, sign * e12, mu12)
+            return [getattr(ledger, name).tobytes()
+                    for name in ("p", "p1", "p2", "w_ext", "q_total", "pwc")]
+
+        assert _outcome(columns, -1.0) == _outcome(columns, 1.0)

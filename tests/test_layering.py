@@ -168,12 +168,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, status, loaded)
 
 @pytest.mark.parametrize("command", ["point", "sweep", "grid", "verify"])
 def test_one_process_commands_never_fork(tmp_path, command):
-    # a point, a one-chunk sweep and verify run in one process: with os.fork raising,
-    # each still exits 0
+    # a point, a one-chunk sweep and verify run in one process, where they leave the
+    # process's CPUs alone: with os.fork and os.sched_setaffinity raising, each still exits 0
     script = ("import json, os\n"
-              "def fork():\n"
-              "    raise AssertionError('forked')\n"
-              "os.fork = fork\n" + RUN_CLI.format(argv=_argv(command, tmp_path)))
+              "def refuse(*args):\n"
+              "    raise AssertionError('forked or placed')\n"
+              "os.fork = os.sched_setaffinity = refuse\n"
+              + RUN_CLI.format(argv=_argv(command, tmp_path)))
     assert _python(script + "print(json.dumps(status))\n") == 0
 
 

@@ -564,7 +564,33 @@ PATCHES = {
                     "sweeps._evaluate = interrupted\n"),
     "killed": IN_CHILDREN.format("import signal; os.kill(os.getpid(), signal.SIGKILL)"),
     "out-of-memory": IN_CHILDREN.format("raise MemoryError"),
+    # no process can be placed on a CPU: the kernel refuses, or the platform has no call
+    "placement-refused": ("import errno\n"
+                          "def refused(pid, mask):\n"
+                          "    raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))\n"
+                          "os.sched_setaffinity = refused\n"),
+    "no-placement": "del os.sched_setaffinity\n",
 }
+# the changes under which no child finishes its part
+CHILD_FAILURES = ("killed", "out-of-memory")
+
+# runs main once in a fresh process with cli._place wrapped, so that each process appends
+# its part and the CPU it runs on once placed (field 39 of /proc/self/stat) to a log, and
+# prints main's status and the process's usable CPUs before and after main
+PLACED = """\
+import json, os, sys
+from ottoqft import cli
+argv, log = json.loads(sys.argv[1])
+place = cli._place
+def placed(part):
+    place(part)
+    cpu = open("/proc/self/stat").read().rpartition(")")[2].split()[36]
+    with open(log, "a") as handle:
+        handle.write(f"{part} {cpu}\\n")
+cli._place = placed
+before = sorted(os.sched_getaffinity(0))
+print(json.dumps([cli.main(argv), before, sorted(os.sched_getaffinity(0))]))
+"""
 
 
 @pytest.mark.skipif(not FORKS, reason="the command line renders a sweep in one process here")
@@ -576,24 +602,34 @@ class TestForkedSweep:
     CURVE = (FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 3}"])  # 3 chunks
     GRID = (GRID_CFG, ["lambda1_count=700", "lambda2_count=13"])  # 5 chunks of 157 rows
 
-    def _runs(self, tmp_path, cfg, overrides, out, threads=None, patch="", cpus=None):
-        # cpus: the usable CPUs os.sched_getaffinity reports in the fresh process
+    @staticmethod
+    def _argv(tmp_path, cfg, overrides, out):
         config = tmp_path / "run.cfg"
         config.write_text(cfg.format(out=out))
         argv = ["sweep", "--config", str(config)]
         for item in overrides:
             argv += ["--set", item]
+        return argv
+
+    @staticmethod
+    def _python(script, payload, threads=None):
+        # script run in a fresh process with payload as JSON in its argv; its JSON stdout
         src = os.path.dirname(os.path.dirname(ottoqft.__file__))
         env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         if threads:
             env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(payload)],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        return json.loads(done.stdout)
+
+    def _runs(self, tmp_path, cfg, overrides, out, threads=None, patch="", cpus=None):
+        # cpus: the usable CPUs os.sched_getaffinity reports in the fresh process
+        argv = self._argv(tmp_path, cfg, overrides, out)
         if cpus:
             patch += f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
-        done = subprocess.run([sys.executable, "-c", FORKED_AND_SERIAL,
-                               json.dumps([argv, str(tmp_path), str(out), patch])],
-                              capture_output=True, text=True, env=env, timeout=120, check=True)
-        forked, serial = json.loads(done.stdout)
+        forked, serial = self._python(FORKED_AND_SERIAL, [argv, str(tmp_path), str(out), patch],
+                                      threads)
         parts = min(cpus or len(os.sched_getaffinity(0)), sweeps._layout(parse_config(
             cfg.format(out=out), overrides))[-1]) if forked[3] == [1] else 1
         return forked, serial, parts
@@ -605,6 +641,9 @@ class TestForkedSweep:
         # a child that does not finish: this process renders its part
         (None, None, "killed"),
         (None, 5, "out-of-memory"),  # a failure of the children's own
+        # a part that cannot be placed renders where it is, in its child
+        (None, None, "placement-refused"),
+        (None, None, "no-placement"),
     ])
     @pytest.mark.parametrize("case", ["curve", "grid"])
     def test_file_is_the_serial_document(self, tmp_path, case, threads, cpus, change):
@@ -622,7 +661,19 @@ class TestForkedSweep:
         assert serial[2] == 0
         # one kernel call a chunk: here only part 0's, unless no child finished its part
         count = sweeps._layout(spec)[-1]
-        assert (forked[7], serial[7]) == (count if change else count // parts, count)
+        assert (forked[7], serial[7]) == (
+            count if change in CHILD_FAILURES else count // parts, count)
+
+    def test_each_part_starts_on_a_cpu_of_its_own(self, tmp_path):
+        # part k on the k-th usable CPU, and the process's CPU set as it was after main
+        cfg, overrides = self.GRID
+        out, log = tmp_path / "out.csv", tmp_path / "placed.log"
+        argv = self._argv(tmp_path, cfg, overrides, out)
+        status, before, after = self._python(PLACED, [argv, str(log)])
+        assert (status, after) == (0, before)
+        parts = min(len(before), sweeps._layout(parse_config(cfg.format(out=out), overrides))[-1])
+        placed = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert placed == [(part, before[part]) for part in range(parts)]
 
     @pytest.mark.parametrize("change, cpus, status, error", [
         # nu1 underflows past lambda1 ~ 122: the last rows, in a child's range only
