@@ -5,7 +5,8 @@ Subcommands:
   verify  run the oracle cross-check suite and report pass/fail
   point   report a single cycle as key = value lines
 
-Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _error(exc: BaseException, status: int) -> int:
+def _error(exc: object, status: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return status
 
@@ -223,6 +224,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # Ctrl-C; _write and _document have cleaned up by now
+        return _error("interrupted", 130)
 
 
 if __name__ == "__main__":

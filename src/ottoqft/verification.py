@@ -133,12 +133,17 @@ def _sample_fock_cases(rng: random.Random, count: int) -> Iterator[tuple]:
         yield a1, a2, nbar, p, omega1, omega2, tau1, tau2
 
 
-def _check_fock_populations(rng, cases: int, dim: int):
+def _check_fock(rng, cases: int, dim: int):
+    # one draw of the cases serves the population and the Weyl lines
     fock, rows = [], []
+    dev = part = 0.0
     for a1, a2, nbar, p, o1, o2, t1, t2 in _sample_fock_cases(rng, cases):
         fp = FockParams(alpha1=a1, alpha2=a2, nbar=nbar, dim=dim)
         fock.append(simulate_cycle_fock(fp, o1, o2, t1, t2, p))
+        dev = max(dev, verify_weyl_moments(fp))
         m = moment_set_from_kernel(single_mode_kernel(fp))
+        w = weyl_moments(m)
+        part = max(part, abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0))
         rows.append((p, o1, o2, t1, t2, m.nu1, m.nu2, m.e12, m.mu12))
     p, omega1, omega2, tau1, tau2, *moments = np.array(rows).T
     c = cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p=p)
@@ -146,15 +151,6 @@ def _check_fock_populations(rng, cases: int, dim: int):
     detail = f"{cases} random kicks vs exact evolution, dim={dim}"
     yield "fock_p1", float(np.max(np.abs(p1_fock - c.p1))), detail
     yield "fock_p2", float(np.max(np.abs(p2_fock - c.p2))), detail
-
-
-def _check_weyl(rng, cases: int, dim: int):
-    dev = part = 0.0
-    for a1, a2, nbar, *_ in _sample_fock_cases(rng, cases):
-        fp = FockParams(alpha1=a1, alpha2=a2, nbar=nbar, dim=dim)
-        dev = max(dev, verify_weyl_moments(fp))
-        w = weyl_moments(moment_set_from_kernel(single_mode_kernel(fp)))
-        part = max(part, abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0))
     yield "weyl_moments", dev, f"six matrix moments vs closed forms, {cases} cases"
     yield "weyl_partition", part, "four real moments sum to 1"
 
@@ -196,26 +192,17 @@ def _check_dawson():
 
 
 def _check_cycle_properties(rng, count: int = 10_000, block: int = 2048):
-    # in rng's stream every moment set comes before any cycle's theta, omega1, omega2
-    # (drawn for degenerate cycles as well), as one draw of each reads them.  A copy of
-    # rng, phases, skips the moment-set words; then each block draws its moment sets from
-    # rng and its theta, omega1, omega2 from phases, so that only a block's draws and
-    # temporaries are held, and rng ends in phases' state, where the one draw leaves it
-    sizes = [min(block, count - k) for k in range(0, count, block)]
-    phases = random.Random()
-    phases.setstate(rng.getstate())
-    for n in sizes:
-        phases.randbytes(32 * n)  # the words of sample_moment_sets(rng, n)
+    # each block draws its moment sets, then its cycles' theta, omega1, omega2 (degenerate
+    # cycles too), so that only a block's draws and temporaries are held
     deviations = []
-    for n in sizes:
+    for k in range(0, count, block):
+        n = min(block, count - k)
         nu1, nu2, e12, mu12 = sample_moment_sets(rng, n)
-        theta, omega1, omega2 = _uniform(phases, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), n).T
+        theta, omega1, omega2 = _uniform(rng, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), n).T
         c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
         # the closed-form w_ext against the heat of the strokes; both give 0 on a
-        # degenerate cycle, the no-op row.  The largest deviation does not depend on
-        # the blocks, and np.max keeps a NaN
+        # degenerate cycle, the no-op row.  np.max keeps a NaN
         deviations.append((np.max(np.abs(c.p2 - c.p)), np.max(np.abs(c.w_ext - (c.q2 + c.q4)))))
-    rng.setstate(phases.getstate())
     fixed_point, first_law = np.max(deviations, axis=0)
     yield ("fixed_point", float(fixed_point), f"closure residual over {count} random cycles")
     yield ("first_law", float(first_law), f"work/heat balance over {count} random cycles")
@@ -261,8 +248,8 @@ def run_verification(
     rng = random.Random(seed)
     # generators: each check runs, and draws from rng, only when the loop reaches it
     measurements = itertools.chain(
-        _check_fock_populations(rng, cases, dim), _check_weyl(rng, cases, dim),
-        _check_appendix_identities(rng), _check_quadrature(), _check_dawson(),
+        _check_fock(rng, cases, dim), _check_appendix_identities(rng),
+        _check_quadrature(), _check_dawson(),
         _check_cycle_properties(rng), _check_no_signaling(rng), _check_thermal_e12(),
     )
     results = []

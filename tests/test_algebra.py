@@ -171,10 +171,25 @@ class TestAppendixIdentities:
 
 
 class TestPAfterFirst:
-    def test_half_is_fixed_point(self):
-        for nu1 in (1.0, 0.7, 1e-6):
-            m = MomentSet(nu1, 1.0, 0.0, 0.0)
-            assert p_after_first(0.5, m) == 0.5
+    @settings(max_examples=300)
+    @given(moment_set_strategy())
+    @example(MomentSet(1.0, 1.0, 0.0, 0.0))
+    @example(MomentSet(0.7, 1.0, 0.0, 0.0))
+    @example(MomentSet(1e-6, 1.0, 0.0, 0.0))
+    @example(MomentSet(5e-324, 1.0, 0.0, 0.0))  # 0.5 * nu1 rounds to 0
+    def test_half_is_fixed_point(self, m):
+        # 0.5 nu1 and 0.5 fl(1 - nu1) are exact, and nu1 + fl(1 - nu1) rounds to 1
+        assert p_after_first(0.5, m) == 0.5
+
+    @settings(max_examples=300)
+    @given(moment_set_strategy(), st.floats(min_value=0.0, max_value=1.0))
+    def test_reflection_about_half(self, m, p):
+        # p_after_first(1 - p) = 1 - p_after_first(p) in exact arithmetic.  Every value
+        # here lies in [0, 1], so each rounding errs by at most 2**-53: 1 - p, its product
+        # with nu1 and the sum on the left; p nu1, the sum and 1 - sum on the right; and
+        # 0.5 fl(1 - nu1), shared by both sides, which enters them with opposite signs
+        # (twice 2**-54).  Seven half-ulps of 1 in all
+        assert abs(p_after_first(1.0 - p, m) - (1.0 - p_after_first(p, m))) <= 7 * 2.0**-53
 
     def test_unit_nu_is_identity(self):
         m = MomentSet(1.0, 1.0, 0.0, 0.0)

@@ -259,6 +259,22 @@ class TestStrokeLedger:
         report = stroke_ledger(config, m)
         assert report.efficiency == pytest.approx(report.w_ext / report.q2, rel=1e-15)
 
+    @settings(max_examples=300)
+    @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+           st.floats(-5.0, 5.0), st.floats(0.01, 10.0))
+    def test_efficiency_is_the_otto_efficiency(self, lambda1, lambda2, omega1, omega2, tau1, dtau):
+        # (p1 - p)(omega1 - omega2) / (omega1 (p1 - p)) = 1 - omega2/omega1 (Kieu's
+        # quantum Otto efficiency) wherever it is reported.  The work, q2, their quotient
+        # and (omega1 - omega2)/omega1 each round once, from the same omega1 - omega2 and
+        # p1 - p: four relative errors of 2**-53 at most, within 4 ulps of the quotient
+        m = minkowski_moments(MinkowskiParams(lambda1, lambda2, dtau))
+        config = CycleConfig(first=_event(tau1, omega1, lambda1),
+                             second=_event(tau1 + dtau, omega2, lambda2))
+        efficiency = stroke_ledger(config, m).efficiency
+        if efficiency is not None:
+            otto = (omega1 - omega2) / omega1
+            assert abs(efficiency - otto) <= 4 * math.ulp(otto)
+
 
 def _outcome(function, *args):
     """function(*args) as the bits of each value it gives (float.hex keeps the sign of

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import ottoqft
-from ottoqft import sweeps
+from ottoqft import cli, sweeps
 
 SOURCES = sorted(pathlib.Path(ottoqft.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -336,3 +336,15 @@ def test_readme_library_snippet_runs(capsys):
     exec(snippet, {})
     w_ext, pwc = capsys.readouterr().out.split()
     assert float(w_ext) != 0.0 and pwc in ("True", "False")
+
+
+def _exit_codes(text):
+    # {code: meaning} of the first "Exit codes: 0 success, 1 ..." sentence in text
+    sentence = re.search(r"Exit codes:(.*?)\.\s", text, re.S).group(1)
+    return dict(item.split(" ", 1) for item in " ".join(sentence.split()).split(", "))
+
+
+def test_readme_exit_codes_are_the_cli_docstring_codes():
+    codes = _exit_codes(cli.__doc__)
+    assert codes == _exit_codes(README.read_text(encoding="utf-8"))
+    assert list(codes) == ["0", "1", "2", "3", "130"]

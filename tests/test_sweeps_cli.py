@@ -340,6 +340,20 @@ class TestStreamedSweep:
         assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
 
+    def test_interrupt_is_one_line_and_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C after the header: exit 130, one error line, the temporary file removed
+        def interrupted(*args):
+            yield next(original(*args))
+            raise KeyboardInterrupt
+
+        original = cli._chunks
+        monkeypatch.setattr(cli, "_chunks", interrupted)
+        (tmp_path / "out.csv").write_bytes(b"kept\n")
+        assert self._sweep(tmp_path, FIG4A_CFG) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
     def test_failed_write_leaves_no_file(self, tmp_path, capsys):
         (tmp_path / "out.csv").mkdir()
         assert self._sweep(tmp_path, GRID_CFG) == 3
@@ -521,10 +535,7 @@ for serial in (False, True):
         cli._parts = lambda chunks: 1
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        try:
-            status = cli.main(argv)
-        except KeyboardInterrupt:
-            status = "interrupted"
+        status = cli.main(argv)
     try:
         os.waitpid(-1, os.WNOHANG)
         left = True
@@ -683,7 +694,7 @@ class TestForkedSweep:
         ("named", None, 1, "error: chunk at lambda1 = 0.5\n"),  # part 0's, not a child's
         # chunks 2 to 4 of 5 fail, each in a child of its own: the first child's error
         ("named-from-40", 5, 1, "error: chunk at lambda1 = 45.1967"),
-        ("interrupted", 5, "interrupted", ""),
+        ("interrupted", 5, 130, "error: interrupted\n"),
         ("directory", None, 3, "i/o error: [Errno 21] Is a directory: "),  # renamed onto it
         ("missing", None, 3, "i/o error: [Errno 2] No such file or directory: "),
     ])

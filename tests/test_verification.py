@@ -73,33 +73,28 @@ def test_property_loop_draws_equal_one_draw_per_call(monkeypatch):
     assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *columns]
 
 
-@pytest.mark.parametrize("seed", [7, DEFAULT_SEED])
-def test_cycle_properties_in_blocks_equal_the_whole_ensemble(monkeypatch, seed):
-    # the 10,000 cycles go through the ledger in blocks of 2,048, the last of 1,808;
-    # the largest deviations are those of one call on the whole ensemble, bit for bit
+def test_cycle_properties_run_in_blocks_of_2048(monkeypatch):
+    # the 10,000 cycles go through the ledger in blocks of 2,048, the last of 1,808
     calls = _record_kernel_calls(monkeypatch)
-    blocked = list(verification._check_cycle_properties(random.Random(seed)))
+    list(verification._check_cycle_properties(random.Random(7)))
     assert [len(args[0]) for args in calls] == [2048] * 4 + [1808]
-    whole = list(verification._check_cycle_properties(random.Random(seed), block=10_000))
-    assert len(calls) == 6
-    assert blocked == whole
 
 
-def test_property_blocks_read_the_numbers_of_one_draw(monkeypatch):
-    # three blocks: each reads its moment sets and its theta, omega1, omega2 where one
-    # draw of every moment set, then of every cycle's phases, puts them
+def test_property_blocks_draw_their_moment_sets_then_their_phases(monkeypatch):
+    # three blocks: each reads its own moment sets, then its own theta, omega1, omega2,
+    # as one rng.uniform call per value draws them
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = random.Random(5), random.Random(5)
-    count = 1500
-    list(verification._check_cycle_properties(rng, count, block=512))
+    list(verification._check_cycle_properties(rng, 1500, block=512))
 
-    columns = _reference_columns(ref_rng, count)
-    draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(0.1, 5.0), ref_rng.uniform(0.1, 5.0))
-             for _ in range(count)]
-    assert rng.getstate() == ref_rng.getstate()
     assert [len(args[0]) for args in calls] == [512, 512, 476]
-    joined = [np.concatenate(column).tolist() for column in zip(*calls)]
-    assert joined == [*map(list, zip(*draws)), *columns]
+    for args in calls:
+        n = len(args[0])
+        columns = _reference_columns(ref_rng, n)
+        draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(0.1, 5.0), ref_rng.uniform(0.1, 5.0))
+                 for _ in range(n)]
+        assert [np.asarray(a).tolist() for a in args] == [*map(list, zip(*draws)), *columns]
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_cycle_properties_hold_a_block_at_a_time():
@@ -118,9 +113,24 @@ def test_fock_check_stops_at_the_first_failing_case():
     # dim=2 truncates the first case: the check raises before it draws a second
     rng, ref_rng = random.Random(1), random.Random(1)
     with pytest.raises(TruncationError):
-        list(verification._check_fock_populations(rng, 10**6, 2))
+        list(verification._check_fock(rng, 10**6, 2))
     list(verification._sample_fock_cases(ref_rng, 1))
     assert rng.getstate() == ref_rng.getstate()
+
+
+def test_fock_lines_share_one_draw_of_the_cases(monkeypatch):
+    # the population and the Weyl lines read the same cases: 7 drawn, each checked
+    # once by the oracle's verify_weyl_moments, under its module-level name
+    weyl_calls = []
+    original = verification.verify_weyl_moments
+    monkeypatch.setattr(verification, "verify_weyl_moments",
+                        lambda fp: weyl_calls.append(fp) or original(fp))
+    rng, ref_rng = random.Random(4), random.Random(4)
+    lines = list(verification._check_fock(rng, 7, 40))
+    list(verification._sample_fock_cases(ref_rng, 7))
+    assert rng.getstate() == ref_rng.getstate()
+    assert [name for name, *_ in lines] == ["fock_p1", "fock_p2", "weyl_moments", "weyl_partition"]
+    assert len(weyl_calls) == 7
 
 
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
