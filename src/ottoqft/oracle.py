@@ -195,10 +195,10 @@ def _weyl_traces(fp: FockParams) -> dict[str, complex]:
 
 def verify_weyl_moments(fp: FockParams) -> float:
     """Max deviation between matrix-evaluated fourth-order moments and their
-    closed forms, over all six moments."""
+    closed forms, over all six moments; NaN if any one is NaN."""
     brute = _weyl_traces(fp)
     closed = weyl_moments(moment_set_from_kernel(single_mode_kernel(fp)))
-    return max(abs(brute[name] - complex(getattr(closed, name))) for name in brute)
+    return float(np.max([abs(brute[name] - complex(getattr(closed, name))) for name in brute]))
 
 
 def _integrate(values: np.ndarray, h: float) -> float:

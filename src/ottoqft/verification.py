@@ -16,9 +16,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .algebra import _on_arrays, _products, moment_set_from_kernel, weyl_moments
+from .algebra import (_on_arrays, _products, moment_set_from_kernel, p_after_first,
+                      p_after_second, weyl_moments)
 from .config import DEFAULT_TOLERANCES
-from .cycle import cycle_arrays, ledger_arrays
+from .cycle import ledger_arrays
 from .minkowski import dawson, minkowski_moment_arrays
 from .oracle import (
     FockParams,
@@ -80,14 +81,14 @@ class CheckResult(Record):
         )
 
 
-def _gram_columns(draws: np.ndarray) -> tuple[np.ndarray, ...]:
-    """W11, W22, Im W12, Re W12 of Gram rows (W11, W22, frac[, phase]).
+def _gram_columns(rng: random.Random, count: int) -> tuple[np.ndarray, ...]:
+    """W11, W22, Im W12, Re W12 of count Gram rows (W11, W22, frac, phase),
+    drawn by one _uniform call.
 
     W12 = frac sqrt(W11 W22) e^{i phase} obeys |W12|^2 <= W11 W22, exactly
-    the realizability envelope; a row without a phase has W12 real.
+    the realizability envelope.
     """
-    w11, w22, frac, *phase = draws.T
-    phase = phase[0] if phase else 0.0
+    w11, w22, frac, phase = _uniform(rng, 0.0, (2.0, 2.0, 1.0, 2.0 * math.pi), count).T
     radius = frac * np.sqrt(w11 * w22)
     return w11, w22, radius * np.sin(phase), radius * np.cos(phase)
 
@@ -104,18 +105,15 @@ def _uniform(rng: random.Random, low, high, count: int) -> np.ndarray:
     return low + (high - low) * u.reshape(count, len(high))
 
 
-def sample_moment_sets(
-    rng: random.Random, count: int, zero_signal: bool = False
-) -> tuple[np.ndarray, ...]:
+def sample_moment_sets(rng: random.Random, count: int) -> tuple[np.ndarray, ...]:
     """Columns (nu1, nu2, e12, mu12) of count random moment sets realizable
-    by a quasi-free state (see _gram_columns); zero_signal forces e12 = 0.
+    by a quasi-free state (see _gram_columns).
 
     Every uniform is drawn by this call, from one randbytes call of rng and
     filled in C order: the same numbers, and the same generator state
     afterwards, as one rng.uniform call per value.
     """
-    high = (2.0, 2.0, 1.0) if zero_signal else (2.0, 2.0, 1.0, 2.0 * math.pi)
-    w11, w22, im_w12, re_w12 = _gram_columns(_uniform(rng, 0.0, high, count))
+    w11, w22, im_w12, re_w12 = _gram_columns(rng, count)
     return np.exp(-2.0 * w11), np.exp(-2.0 * w22), 2.0 * im_w12, re_w12
 
 
@@ -134,43 +132,39 @@ def _sample_fock_cases(rng: random.Random, count: int) -> Iterator[tuple]:
 
 
 def _check_fock(rng, cases: int, dim: int):
-    # one draw of the cases serves the population and the Weyl lines
-    fock, rows = [], []
-    dev = part = 0.0
+    # one draw of the cases serves the population and the Weyl lines: a row of
+    # their four deviations per case
+    rows = []
     for a1, a2, nbar, p, o1, o2, t1, t2 in _sample_fock_cases(rng, cases):
         fp = FockParams(alpha1=a1, alpha2=a2, nbar=nbar, dim=dim)
-        fock.append(simulate_cycle_fock(fp, o1, o2, t1, t2, p))
-        dev = max(dev, verify_weyl_moments(fp))
+        p1, p2 = simulate_cycle_fock(fp, o1, o2, t1, t2, p)
         m = moment_set_from_kernel(single_mode_kernel(fp))
         w = weyl_moments(m)
-        part = max(part, abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0))
-        rows.append((p, o1, o2, t1, t2, m.nu1, m.nu2, m.e12, m.mu12))
-    p, omega1, omega2, tau1, tau2, *moments = np.array(rows).T
-    c = cycle_arrays(omega1, omega2, tau1, tau2, *moments, initial_p=p)
-    p1_fock, p2_fock = np.array(fock).T
+        rows.append((abs(p1 - p_after_first(p, m)), abs(p2 - p_after_second(p, m, o1 * t1 - o2 * t2)),
+                     verify_weyl_moments(fp), abs(w.cccc + w.cssc + w.sccs + w.ssss - 1.0)))
+    p1, p2, weyl, partition = zip(*rows)
     detail = f"{cases} random kicks vs exact evolution, dim={dim}"
-    yield "fock_p1", float(np.max(np.abs(p1_fock - c.p1))), detail
-    yield "fock_p2", float(np.max(np.abs(p2_fock - c.p2))), detail
-    yield "weyl_moments", dev, f"six matrix moments vs closed forms, {cases} cases"
-    yield "weyl_partition", part, "four real moments sum to 1"
+    yield "fock_p1", p1, detail
+    yield "fock_p2", p2, detail
+    yield "weyl_moments", weyl, f"six matrix moments vs closed forms, {cases} cases"
+    yield "weyl_partition", partition, "four real moments sum to 1"
 
 
 def _check_appendix_identities(rng, count: int = 1000):
     # nu of the sum/difference regions follows from kernel bilinearity:
     # W(f1 +/- f2, f1 +/- f2) = W11 +/- 2 mu12 + W22
-    draws = _uniform(rng, 0.0, (2.0, 2.0, 1.0, 2.0 * math.pi), count)
-    w11, w22, _, mu12 = _gram_columns(draws)
+    w11, w22, _, mu12 = _gram_columns(rng, count)
     nu1, nu2 = np.exp(-2.0 * w11), np.exp(-2.0 * w22)
     nu_minus = np.exp(-2.0 * (w11 - 2.0 * mu12 + w22))
     nu_plus = np.exp(-2.0 * (w11 + 2.0 * mu12 + w22))
     # the kernel's own nu1 nu2 exp(+-4 mu12), which every cycle uses, are nu-+
     up, down, _ = _on_arrays(_products, nu1, nu2, mu12)
-    dev = float(np.max(np.maximum.reduce([
-        np.abs(nu_minus + nu_plus - 2.0 * nu1 * nu2 * np.cosh(4.0 * mu12)),
-        np.abs(nu_minus - nu_plus - 2.0 * nu1 * nu2 * np.sinh(4.0 * mu12)),
-        np.abs(up - nu_minus), np.abs(down - nu_plus),
-    ])))
-    yield "appendix_identities", dev, f"cosh/sinh recombination and products, {count} random kernels"
+    deviations = np.abs([
+        nu_minus + nu_plus - 2.0 * nu1 * nu2 * np.cosh(4.0 * mu12),
+        nu_minus - nu_plus - 2.0 * nu1 * nu2 * np.sinh(4.0 * mu12),
+        up - nu_minus, down - nu_plus,
+    ])
+    yield "appendix_identities", deviations, f"cosh/sinh recombination and products, {count} random kernels"
 
 
 def _check_quadrature():
@@ -180,51 +174,45 @@ def _check_quadrature():
     quadrature = np.array([(q.nu1, q.nu2, q.e12, q.mu12)
                            for q in quadrature_minkowski_moments(lambda1, lambda2, dtau)]).T
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(quadrature)), 1e-300)
-    dev = float(np.max(np.abs(analytic - quadrature) / scale))
-    yield "quadrature_kernel", dev, "analytic vs quadrature moments, 3x3x3 grid (relative)"
+    yield ("quadrature_kernel", np.abs(analytic - quadrature) / scale,
+           "analytic vs quadrature moments, 3x3x3 grid (relative)")
 
 
 def _check_dawson():
-    dev = 0.0
-    for x, ref in _DAWSON_TABLE:
-        dev = max(dev, abs(dawson(x) - ref), abs(dawson(-x) + ref))
-    yield "dawson_spot", dev, f"{len(_DAWSON_TABLE)} frozen points on [0.0625, 50]"
+    deviations = [d for x, ref in _DAWSON_TABLE for d in (abs(dawson(x) - ref), abs(dawson(-x) + ref))]
+    yield "dawson_spot", deviations, f"{len(_DAWSON_TABLE)} frozen points on [0.0625, 50]"
 
 
 def _check_cycle_properties(rng, count: int = 10_000, block: int = 2048):
     # each block draws its moment sets, then its cycles' theta, omega1, omega2 (degenerate
-    # cycles too), so that only a block's draws and temporaries are held
-    deviations = []
+    # cycles too), so that only a block's draws and temporaries are held, and their maxima
+    fixed_point, first_law = [], []
     for k in range(0, count, block):
         n = min(block, count - k)
         nu1, nu2, e12, mu12 = sample_moment_sets(rng, n)
         theta, omega1, omega2 = _uniform(rng, (-8.0, 0.1, 0.1), (8.0, 5.0, 5.0), n).T
         c = ledger_arrays(theta, omega1, omega2, nu1, nu2, e12, mu12)
+        fixed_point.append(np.max(np.abs(c.p2 - c.p)))
         # the closed-form w_ext against the heat of the strokes; both give 0 on a
-        # degenerate cycle, the no-op row.  np.max keeps a NaN
-        deviations.append((np.max(np.abs(c.p2 - c.p)), np.max(np.abs(c.w_ext - (c.q2 + c.q4)))))
-    fixed_point, first_law = np.max(deviations, axis=0)
-    yield ("fixed_point", float(fixed_point), f"closure residual over {count} random cycles")
-    yield ("first_law", float(first_law), f"work/heat balance over {count} random cycles")
+        # degenerate cycle, the no-op row
+        first_law.append(np.max(np.abs(c.w_ext - (c.q2 + c.q4))))
+    yield "fixed_point", fixed_point, f"closure residual over {count} random cycles"
+    yield "first_law", first_law, f"work/heat balance over {count} random cycles"
 
 
 def _check_no_signaling(rng, count: int = 1000):
-    moments = sample_moment_sets(rng, count, zero_signal=True)
+    nu1, nu2, _, mu12 = sample_moment_sets(rng, count)
     theta, d_omega = _uniform(rng, (-8.0, -5.0), (8.0, 5.0), count).T
     # the work depends on the gaps only through their difference
-    worst = float(np.max(np.abs(ledger_arrays(theta, d_omega, 0.0, *moments).w_ext)))
-    yield "no_signaling", worst, f"e12 = 0 forces zero work, {count} cases (exact)"
+    work = ledger_arrays(theta, d_omega, 0.0, nu1, nu2, 0.0, mu12).w_ext
+    yield "no_signaling", np.abs(work), f"e12 = 0 forces zero work, {count} cases (exact)"
 
 
 def _check_thermal_e12():
-    alpha1, alpha2 = 0.31 - 0.12j, -0.07 + 0.44j
-    values = [
-        moment_set_from_kernel(
-            single_mode_kernel(FockParams(alpha1=alpha1, alpha2=alpha2, nbar=nbar))
-        ).e12
-        for nbar in (0.0, 0.5, 1.0, 5.0)
-    ]
-    yield ("thermal_e12", max(abs(v - values[0]) for v in values),
+    kernels = [single_mode_kernel(FockParams(alpha1=0.31 - 0.12j, alpha2=-0.07 + 0.44j, nbar=nbar))
+               for nbar in (0.0, 0.5, 1.0, 5.0)]
+    values = [moment_set_from_kernel(kernel).e12 for kernel in kernels]
+    yield ("thermal_e12", [abs(v - values[0]) for v in values],
            "signal part unchanged across nbar in {0, 0.5, 1, 5}")
 
 
@@ -246,14 +234,17 @@ def run_verification(
     if seed < 0:  # random.Random would seed with abs(seed): -s and s would share a report
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = random.Random(seed)
-    # generators: each check runs, and draws from rng, only when the loop reaches it
+    # generators: each check runs, and draws from rng, only when the loop reaches it.
+    # A check yields its raw deviations and is reported by their largest, which
+    # np.max takes as NaN if any one is NaN: a NaN fails the check
     measurements = itertools.chain(
         _check_fock(rng, cases, dim), _check_appendix_identities(rng),
         _check_quadrature(), _check_dawson(),
         _check_cycle_properties(rng), _check_no_signaling(rng), _check_thermal_e12(),
     )
     results = []
-    for name, dev, detail in measurements:
+    for name, deviations, detail in measurements:
+        dev = float(np.max(deviations))
         passes = operator.le if name in _PASSES_AT_THRESHOLD else operator.lt
         results.append(CheckResult(name, dev, tol[name], passes(dev, tol[name]), detail))
     return results

@@ -207,6 +207,11 @@ def gram_moment_set(w11: float, w22: float, frac: float, phase: float) -> Moment
     )
 
 
+def with_nan(record, field: str):
+    """A copy of record with field set to NaN, made through the record's own class."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), field: math.nan})
+
+
 def moment_set_strategy() -> st.SearchStrategy[MomentSet]:
     """Arbitrary valid moment sets (finite, nu in (0, 1]), not necessarily
     realizable by a state."""

@@ -275,6 +275,22 @@ class TestStrokeLedger:
             otto = (omega1 - omega2) / omega1
             assert abs(efficiency - otto) <= 4 * math.ulp(otto)
 
+    @settings(max_examples=300)
+    @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+           st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
+    def test_pwc_is_the_papers_condition(self, lambda1, lambda2, omega1, omega2, tau1, dtau):
+        # R2: net work is extracted iff sin(2 e12) sin(theta) (omega1 - omega2) < 0 and
+        # nu1 < 1, the paper's condition with the gap difference's sign.  Where |w_ext| is
+        # at most 1e-12 its sign is within the rounding of the ledger's terms, so the
+        # flag is asserted only above that cut
+        m = minkowski_moments(MinkowskiParams(lambda1, lambda2, dtau))
+        config = CycleConfig(first=_event(tau1, omega1, lambda1),
+                             second=_event(tau1 + dtau, omega2, lambda2))
+        report = stroke_ledger(config, m)
+        if abs(report.w_ext) > 1e-12:
+            signal = math.sin(2.0 * m.e12) * math.sin(theta(config)) * (omega1 - omega2)
+            assert report.pwc == (signal < 0.0 and m.nu1 < 1.0)
+
 
 def _outcome(function, *args):
     """function(*args) as the bits of each value it gives (float.hex keeps the sign of

@@ -275,6 +275,19 @@ def test_two_functions_call_the_population_kernel():
                   ) == [("algebra", "_point_columns"), ("cycle", "_ledger")]
 
 
+def test_verify_and_the_oracles_call_no_builtin_max():
+    # max(0.0, nan) is 0.0: the builtin max drops a NaN that follows its first value,
+    # and a check whose deviations it folded passed on a NaN.  Deviations are reduced
+    # by np.max, which keeps one.  The scan sees builtin calls: min(block, count - k),
+    # verify's block size, is one
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    builtins = {(module, node.func.id) for module in ("verification", "oracle")
+                for node in ast.walk(trees[module])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert ("verification", "min") in builtins
+    assert {module for module, name in builtins if name == "max"} == set()
+
+
 def _record_classes(trees) -> dict[str, ast.ClassDef]:
     """name -> class of every class in trees derived from Record, directly or not."""
     classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]

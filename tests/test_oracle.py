@@ -22,7 +22,7 @@ from ottoqft.oracle import (
     verify_weyl_moments,
 )
 
-from support import generic_kick_cos_sin, reference_cycle_fock, reference_weyl_traces
+from support import generic_kick_cos_sin, reference_cycle_fock, reference_weyl_traces, with_nan
 
 
 # zero coupling and a generic pair, on the vacuum and two thermal states, at
@@ -203,6 +203,14 @@ class TestVerifyWeylMoments:
     def test_randomized(self, rng):
         for _ in range(5):
             assert verify_weyl_moments(_random_case(rng)) < 1e-8
+
+    @pytest.mark.parametrize("name", ["cccc", "cssc", "sccs", "ssss", "csc_s", "ssc_c"])
+    def test_a_nan_closed_form_is_the_deviation(self, monkeypatch, name):
+        # whichever of the six moments is NaN, so is the deviation: a fold with the
+        # builtin max dropped a NaN after the first moment, and gave about 8e-16
+        original = oracle_mod.weyl_moments
+        monkeypatch.setattr(oracle_mod, "weyl_moments", lambda m: with_nan(original(m), name))
+        assert math.isnan(verify_weyl_moments(FockParams(0.3, 0.2j)))
 
     @pytest.mark.parametrize("alphas, nbar, dim", REFERENCE_CASES)
     def test_traces_match_direct_products(self, alphas, nbar, dim):

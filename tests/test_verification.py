@@ -1,7 +1,10 @@
 """The self-check suite: passes on a correct build, catches seeded faults."""
 
+import itertools
+import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import ottoqft.cycle as cycle
 import ottoqft.verification as verification
 from ottoqft.algebra import MomentSet, moment_set_from_kernel
 from ottoqft.cycle import ledger_arrays
-from ottoqft.oracle import TruncationError
+from ottoqft.oracle import FockParams, TruncationError, single_mode_kernel
 from ottoqft.verification import (
     DEFAULT_SEED,
     format_report,
@@ -19,16 +22,17 @@ from ottoqft.verification import (
     sample_moment_sets,
 )
 
+from support import with_nan
 
-def _reference_columns(rng, count, zero_signal=False):
+
+def _reference_columns(rng, count):
     """nu1, nu2, e12, mu12 lists of count Gram moment sets, drawn with one
     scalar rng.uniform call per number and mapped through
     W12 = frac sqrt(W11 W22) e^{i phase} in NumPy."""
     draws = []
     for _ in range(count):
         w11, w22, frac = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
-        phase = 0.0 if zero_signal else rng.uniform(0.0, 2.0 * np.pi)
-        draws.append((w11, w22, frac, phase))
+        draws.append((w11, w22, frac, rng.uniform(0.0, 2.0 * np.pi)))
     w11, w22, frac, phase = np.array(draws).T
     radius = frac * np.sqrt(w11 * w22)
     columns = (np.exp(-2.0 * w11), np.exp(-2.0 * w22),
@@ -36,12 +40,11 @@ def _reference_columns(rng, count, zero_signal=False):
     return [c.tolist() for c in columns]
 
 
-@pytest.mark.parametrize("zero_signal", [False, True])
-def test_batched_moment_sets_equal_one_draw_per_call(zero_signal):
+def test_batched_moment_sets_equal_one_draw_per_call():
     rng, ref_rng = random.Random(11), random.Random(11)
     count = 2 * 1024 + 5
-    columns = sample_moment_sets(rng, count, zero_signal=zero_signal)
-    expected = _reference_columns(ref_rng, count, zero_signal)
+    columns = sample_moment_sets(rng, count)
+    expected = _reference_columns(ref_rng, count)
     # every number is drawn by the one call
     assert rng.getstate() == ref_rng.getstate()
     assert [c.tolist() for c in columns] == expected
@@ -137,13 +140,15 @@ def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rng, ref_rng = random.Random(3), random.Random(3)
     list(verification._check_no_signaling(rng, 1100))
-    columns = _reference_columns(ref_rng, 1100, zero_signal=True)
+    nu1, nu2, _, mu12 = _reference_columns(ref_rng, 1100)
     draws = [(ref_rng.uniform(-8.0, 8.0), ref_rng.uniform(-5.0, 5.0)) for _ in range(1100)]
     assert rng.getstate() == ref_rng.getstate()
     (args,) = calls
     theta, d_omega = map(list, zip(*draws))
-    # the gaps enter as (d_omega, 0): the work sees only their difference
-    assert [np.asarray(a).tolist() for a in args] == [theta, d_omega, 0.0, *columns]
+    # full Gram sets with e12 set to 0, so mu12 takes both signs; the gaps enter
+    # as (d_omega, 0): the work sees only their difference
+    assert min(mu12) < 0.0 < max(mu12)
+    assert [np.asarray(a).tolist() for a in args] == [theta, d_omega, 0.0, nu1, nu2, 0.0, mu12]
 
 
 @pytest.mark.parametrize("name, change, fixed_point_passes", [
@@ -181,6 +186,48 @@ def test_default_settings_pass_on_each_seed(seed):
     # case that misses a threshold or truncates the Fock space
     results = run_verification(seed=seed)
     assert [r.name for r in results if not r.passed] == []
+
+
+def _second_value_spoiled(original, spoil):
+    """original, with the value of its second call passed through spoil."""
+    calls = itertools.count()
+
+    def stand_in(*args):
+        value = original(*args)
+        return spoil(value) if next(calls) == 1 else value
+    return stand_in
+
+
+# the last of the four kernels of the thermal_e12 line, at nbar = 5
+THERMAL_KERNEL = single_mode_kernel(FockParams(alpha1=0.31 - 0.12j, alpha2=-0.07 + 0.44j, nbar=5.0))
+
+# line -> the module-level name that it reads, and a stand-in for it that gives one NaN
+NAN_INJECTIONS = {
+    "weyl_moments": ("verify_weyl_moments", lambda f: _second_value_spoiled(f, lambda _: math.nan)),
+    "weyl_partition": ("weyl_moments",
+                       lambda f: _second_value_spoiled(f, lambda w: with_nan(w, "cssc"))),
+    "dawson_spot": ("dawson", lambda f: lambda x: math.nan if x == 3.0 else f(x)),
+    # a MomentSet refuses a NaN e12: the line reads no more than e12 of it
+    "thermal_e12": ("moment_set_from_kernel", lambda f: lambda kernel: (
+        types.SimpleNamespace(e12=math.nan) if kernel == THERMAL_KERNEL else f(kernel))),
+}
+
+
+@pytest.mark.parametrize("line", NAN_INJECTIONS)
+def test_one_nan_deviation_fails_its_line(monkeypatch, line):
+    # each line reports the largest of its deviations, NaN if any one is; a fold
+    # with the builtin max, max(0.0, nan) == 0.0, dropped it and passed the line
+    name, stand_in = NAN_INJECTIONS[line]
+    monkeypatch.setattr(verification, name, stand_in(getattr(verification, name)))
+    results = run_verification(cases=4, dim=40)
+    assert [(r.name, math.isnan(r.deviation)) for r in results if not r.passed] == [(line, True)]
+
+
+def test_run_verify_exits_2_on_a_nan_deviation(monkeypatch):
+    monkeypatch.setattr(verification, "dawson", lambda x: math.nan)
+    status, report = run_verify(cases=4, dim=40)
+    assert status == 2
+    assert "FAIL  dawson_spot            deviation=nan" in report
 
 
 def test_run_verify_exit_status_and_report():
