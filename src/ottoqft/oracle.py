@@ -4,6 +4,13 @@ fourth-order moments, and numerical quadrature of the smeared Minkowski
 two-point integral.  Like the rest of the package, the oracles work in units
 of the Gaussian smearing width.
 
+The Fock oracle evolves each FockParams once, and holds what it found for the
+last FockParams only: the norms of the first kick's blocks, the six moment
+traces from the second kick's row products, and the same for the top Fock row.
+simulate_cycle_fock forms its populations, top-level occupations and traces at
+any phase and population from these by exact identities, and
+verify_weyl_moments reads the traces, so a case checked by both is evolved once.
+
 No brute-force value uses the closed forms it checks (verify_weyl_moments calls
 weyl_moments only to compare); agreement is the evidence the package stands on.
 """
@@ -101,23 +108,22 @@ def _kick_cos_sin(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray, np.
 
     With D = diag(d) the kick is |alpha| D^dag (a + a^dag) D, exactly on the
     truncated space too (a has only a superdiagonal), so
-    f(kick) = D^dag v diag(f(|alpha| w)) v^T D.
+    f(kick) = D^dag v diag(f(|alpha| w)) v^T D.  A zero part of alpha gives the
+    phases of +0.0 whatever its sign, so equal FockParams evolve to the same bits
+    and the one held evolution is the one a fresh call would make.
     """
     rw = abs(alpha) * _quadrature_eigh(dim)[0]
-    return np.cos(rw), np.sin(rw), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
+    angle = math.atan2(alpha.imag + 0.0, alpha.real + 0.0)  # -0.0 + 0.0 is 0.0
+    return np.cos(rw), np.sin(rw), np.exp(1j * angle * np.arange(dim))
 
 
-def _kick_columns(fp: FockParams, stage: str) -> tuple[np.ndarray, ...]:
+def _kick_columns(fp: FockParams, weights: np.ndarray) -> tuple[np.ndarray, ...]:
     """The first kick's real cosine and sine on the Fock columns of nonzero
     weight in the mode state, each scaled by the root of its weight; those
     columns in the eigenbasis of the second kick's quadrature; the second
-    kick's cosine and sine there, as column vectors.  D1 acts on the columns
-    of the diagonal state as unit scalars and drops out; between the kicks
-    the phases meet as D2 D1^dag, and the final D2^dag moves no modulus."""
-    # thermal weights q^n; at nbar = 0, q = 0 gives the vacuum (0^0 = 1)
-    weights = (fp.nbar / (fp.nbar + 1.0)) ** np.arange(fp.dim, dtype=float)
-    weights /= weights.sum()  # unit trace on the truncated space
-    _check_truncation(float(weights[-1]), fp.dim, stage)
+    kick's cosine and sine there, as the rows of one array.  D1 acts on the
+    columns of the diagonal state as unit scalars and drops out; between the
+    kicks the phases meet as D2 D1^dag, and the final D2^dag moves no modulus."""
     _, v = _quadrature_eigh(fp.dim)
     c1, s1, d1 = _kick_cos_sin(complex(fp.alpha1), fp.dim)
     c2, s2, d2 = _kick_cos_sin(complex(fp.alpha2), fp.dim)
@@ -125,7 +131,63 @@ def _kick_columns(fp: FockParams, stage: str) -> tuple[np.ndarray, ...]:
     first = v @ (np.stack([c1, s1])[:, :, None] * (v[levels] * np.sqrt(weights[levels])[:, None]).T)
     # a real product on the interleaved (re, im) pairs: no complex matrix product
     moved = (v.T @ ((d2 * d1.conj())[:, None] * first).view(float)).view(complex)
-    return first, moved, c2[:, None], s2[:, None]
+    return first, moved, np.stack([c2, s2])
+
+
+class _Evolution(Record):
+    """The two kicks on one FockParams' mode state, for any monopole phase
+    and population: the top Fock weight of the state; after each kick, the
+    block form (d0, d1, x, y) of the evolved columns and of their top Fock row
+    (see _block_norms); and the six moment traces, named in _MOMENTS.  A state
+    whose top level is over the tolerance is not evolved."""
+
+    initial_top: float
+    kicks: tuple = ()
+    moments: tuple = ()
+
+
+_MOMENTS = ("cccc", "cssc", "sccs", "ssss", "csc_s", "ssc_c")
+
+
+@functools.lru_cache(maxsize=1)
+def _evolve(fp: FockParams) -> _Evolution:
+    """The one evolution of fp, which simulate_cycle_fock and verify_weyl_moments
+    share.  Its figures are Python numbers in tuples: the cached entry holds no
+    array, and cannot be changed through what it returns."""
+    # thermal weights q^n; at nbar = 0, q = 0 gives the vacuum (0^0 = 1)
+    weights = (fp.nbar / (fp.nbar + 1.0)) ** np.arange(fp.dim, dtype=float)
+    weights /= weights.sum()  # unit trace on the truncated space
+    if weights[-1] > _TRUNCATION_TOL:  # the caller raises, naming its stage
+        return _Evolution(float(weights[-1]))
+    first, moved, cs2 = _kick_columns(fp, weights)
+    (tc, ts), (c2, s2) = moved, cs2
+    # in the second kick's eigenbasis its products are diagonal: the row products
+    # sum_j |tc_ij|^2 and sum_j |ts_ij|^2, weighted by c2^2 and s2^2, give four traces
+    (cccc, sccs), (cssc, ssss) = ((cs2 * cs2) @ (moved.view(float) ** 2).sum(axis=2).T).tolist()
+    csc_s = complex(np.vdot(tc, (s2 * c2)[:, None] * ts))
+    # the top Fock row of the blocks c2 tc, s2 tc, then c2 ts, s2 ts, as a real product
+    top = ((_quadrature_eigh(fp.dim)[1][-1] * cs2) @ moved.view(float)).view(complex)
+    (c_tc, s_tc), (c_ts, s_ts) = (top.view(float) ** 2).sum(axis=2).tolist()
+    # the first kick's blocks cos1 and sin1, in all rows and in the top one
+    rows = (first * first).sum(axis=2)
+    return _Evolution(float(weights[-1]), kicks=(
+        ((*rows.sum(axis=1).tolist(), 0j, 0j), (*rows[:, -1].tolist(), 0j, 0j)),
+        ((cccc + ssss, cssc + sccs, csc_s, csc_s),
+         (c_tc + s_ts, s_tc + c_ts, complex(np.vdot(top[0, 0], top[1, 1])),
+          complex(np.vdot(top[0, 1], top[1, 0])))),
+    ), moments=(cccc, cssc, sccs, ssss, csc_s, csc_s.conjugate()))
+
+
+def _block_norms(d0: float, d1: float, x: complex, y: complex, z: complex) -> tuple[float, ...]:
+    """Squared norms of the four blocks of an evolved state at monopole phase z:
+    the (excited, ground) rows of the columns that start excited, then of those
+    that start in the ground state.  After the second kick, in its eigenbasis,
+    the blocks are c tc - z s ts, s tc + z c ts, c ts + z s tc and z c tc - s ts;
+    with d0 = |c tc|^2 + |s ts|^2, d1 = |s tc|^2 + |c ts|^2, x = <c tc, s ts> and
+    y = <s tc, c ts>, these are exactly their norms.  After the first kick the
+    blocks are cos1, sin1, sin1 and cos1: d0 and d1 are their norms, x = y = 0."""
+    return (d0 - 2.0 * (z * x).real, d1 + 2.0 * (z * y).real,
+            d1 + 2.0 * (z * y.conjugate()).real, d0 - 2.0 * (z * x.conjugate()).real)
 
 
 def _check_truncation(top_level: float, dim: int, stage: str) -> None:
@@ -151,33 +213,30 @@ def simulate_cycle_fock(
     monopole phase omega_j * tau_j.  The state diag(p, 1 - p) (x) thermal is
     diagonal: its basis columns of nonzero weight are evolved, and the
     populations, top-level occupation and trace are their weighted norms.
+    A phase omega1*tau1 - omega2*tau2 that is not finite is a ValueError,
+    raised before any evolution.
     """
     if not tau2 > tau1:
         raise ValueError(f"tau2 = {tau2!r} must exceed tau1 = {tau1!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"population must lie in [0, 1], got {p!r}")
-    dim = fp.dim
-    (cos1, sin1), (tc, ts), c2, s2 = _kick_columns(fp, "before the first kick")
-    _, v = _quadrature_eigh(dim)
-    z = cmath.exp(1j * (omega2 * tau2 - omega1 * tau1))
-    zc, zs = z * tc, z * ts
-    # blocks: (excited, ground) rows of the columns that start excited (weight
-    # p), then in the ground state (1 - p), up to unit phases; the second kick
-    # is diagonal in the eigenbasis of its quadrature
-    weight = (p, p, 1.0 - p, 1.0 - p)
+    theta = omega1 * tau1 - omega2 * tau2
+    if not math.isfinite(theta):
+        raise ValueError(f"phase omega1*tau1 - omega2*tau2 = {theta!r} is not finite")
+    evolution = _evolve(fp)
+    _check_truncation(evolution.initial_top, fp.dim, "before the first kick")
+    z = cmath.exp(-1j * theta)
     populations = []
-    for blocks, top_row, stage in (
-        ((cos1, sin1, sin1, cos1), lambda b: b[-1], "after the first kick"),
-        ((c2 * tc - s2 * zs, s2 * tc + c2 * zs, c2 * ts + s2 * zc, c2 * zc - s2 * ts),
-         lambda b: v[-1] @ b, "after the second kick"),
-    ):
-        top = sum(w * np.vdot(row, row).real for w, row in zip(weight, map(top_row, blocks)))
-        _check_truncation(float(top), dim, stage)
-        norms = [w * np.vdot(b, b).real for w, b in zip(weight, blocks)]
-        trace = float(sum(norms))
+    for (form, top_form), stage in zip(evolution.kicks, ("after the first kick",
+                                                         "after the second kick")):
+        # the columns that start excited have weight p, the others 1 - p
+        top = _block_norms(*top_form, z)
+        _check_truncation(p * (top[0] + top[1]) + (1.0 - p) * (top[2] + top[3]), fp.dim, stage)
+        norms = _block_norms(*form, z)
+        trace = p * (norms[0] + norms[1]) + (1.0 - p) * (norms[2] + norms[3])
         if not abs(trace - 1.0) <= 1e-12:  # NaN fails too
             raise ArithmeticError(f"evolution lost unit trace {stage}: {trace!r}")
-        populations.append(float(norms[0] + norms[2]))
+        populations.append(p * norms[0] + (1.0 - p) * norms[2])
     return populations[0], populations[1]
 
 
@@ -185,12 +244,9 @@ def _weyl_traces(fp: FockParams) -> dict[str, complex]:
     """The six moments Tr(rho A (B C) D) = sum_n q_n (A (B C) D)_nn of the
     diagonal mode state, taken in the second kick's eigenbasis, where its
     middle products B C are diagonal."""
-    _, (tc, ts), c2, s2 = _kick_columns(fp, "in the initial state")
-    cc, ss, sc = c2 * c2, s2 * s2, s2 * c2
-    return {name: complex(np.vdot(left, middle * right)) for name, (left, middle, right) in {
-        "cccc": (tc, cc, tc), "cssc": (tc, ss, tc), "sccs": (ts, cc, ts),
-        "ssss": (ts, ss, ts), "csc_s": (tc, sc, ts), "ssc_c": (ts, sc, tc),
-    }.items()}
+    evolution = _evolve(fp)
+    _check_truncation(evolution.initial_top, fp.dim, "in the initial state")
+    return {name: complex(value) for name, value in zip(_MOMENTS, evolution.moments)}
 
 
 def verify_weyl_moments(fp: FockParams) -> float:

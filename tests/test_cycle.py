@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottoqft.algebra import MomentSet, contraction_factor, p_after_first, p_after_second
+from ottoqft.algebra import _POINT, MomentSet, contraction_factor, p_after_first, p_after_second
 from ottoqft.cycle import (
     CycleConfig,
     DegenerateCycleError,
     InteractionEvent,
+    cycle_arrays,
     cyclic_initial_population,
     extracted_work,
     ledger_arrays,
@@ -19,7 +20,8 @@ from ottoqft.cycle import (
     stroke_ledger,
     theta,
 )
-from ottoqft.minkowski import MinkowskiParams, minkowski_moments
+from ottoqft.minkowski import MinkowskiParams, minkowski_moment_arrays, minkowski_moments
+from ottoqft.sweeps import _evaluate
 
 from support import realizable_moment_set_strategy, sample_gram_moment_sets
 
@@ -340,3 +342,44 @@ class TestSignFlip:
                     for name in ("p", "p1", "p2", "w_ext", "q_total", "pwc")]
 
         assert _outcome(columns, -1.0) == _outcome(columns, 1.0)
+
+
+# a gap k/8 and kick times on the 1/64 grid within +-100: every product of a gap and a
+# time, shifted or not, and every sum and difference of them is exact
+KICK_GAP = st.integers(1, 40).map(lambda k: k / 8)
+KICK_TIME = st.integers(-6400, 6400).map(lambda k: k / 64)
+KICK_TIMES = st.lists(KICK_TIME, min_size=2, max_size=2, unique=True).map(sorted)
+COUPLING = st.floats(0.0, 10.0)
+
+
+class TestTimeTranslation:
+    """With omega1 = omega2 = omega, shifting both kick times by T changes neither
+    theta = omega tau1 - omega tau2 nor tau2 - tau1, the one time the moments read:
+    every ledger column is bit-identical, or the call fails the same way."""
+
+    @staticmethod
+    def _bits(ledger):
+        return [value.hex() if isinstance(value, float) else value for value in ledger]
+
+    @settings(max_examples=300)
+    @given(KICK_GAP, KICK_TIMES, KICK_TIME, COUPLING, COUPLING)
+    def test_float_path(self, omega, times, shift, lambda1, lambda2):
+        # the sweeps' kernel call, which forms the moments from tau2 - tau1, on floats
+        def columns(t):
+            tau1, tau2 = (tau + t for tau in times)
+            return self._bits(_evaluate(omega, omega, tau1, tau2, lambda1, lambda2, None, _POINT))
+
+        assert _outcome(columns, shift) == _outcome(columns, 0.0)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(KICK_GAP, KICK_TIMES, KICK_TIME, COUPLING, COUPLING),
+                    min_size=1, max_size=40))
+    def test_cycle_arrays(self, points):
+        omega, times, shift, lambda1, lambda2 = map(np.array, zip(*points))
+
+        def columns(shifted):
+            tau1, tau2 = times.T + shift * shifted
+            moments = minkowski_moment_arrays(lambda1, lambda2, tau2 - tau1)
+            return [column.tobytes() for column in cycle_arrays(omega, omega, tau1, tau2, *moments)]
+
+        assert _outcome(columns, True) == _outcome(columns, False)

@@ -288,6 +288,29 @@ def test_verify_and_the_oracles_call_no_builtin_max():
     assert {module for module, name in builtins if name == "max"} == set()
 
 
+def _called_name(node: ast.AST) -> str | None:
+    """The name a call node calls, bare or as an attribute; None for any other node."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+
+
+def test_the_fock_evolution_calls_no_closed_form():
+    # the evolution stays independent of the closed forms it checks: in oracle.py,
+    # weyl_moments is called only by verify_weyl_moments, to compare, and
+    # moment_set_from_kernel only there and by quadrature_minkowski_moments, which
+    # returns moment sets; no population map or kernel helper is called at all
+    tree = ast.parse(next(p for p in SOURCES if p.stem == "oracle").read_text(encoding="utf-8"))
+    callers = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for name in map(_called_name, ast.walk(function)):
+                callers.setdefault(name, set()).add(function.name)
+    assert callers["weyl_moments"] == {"verify_weyl_moments"}
+    assert callers["moment_set_from_kernel"] == {"verify_weyl_moments", "quadrature_minkowski_moments"}
+    called = set(map(_called_name, ast.walk(tree)))
+    assert {name for name in called if name and name.startswith("p_after_")} == set()
+    assert called & {"contraction_factor", "_products", "_population_columns", "_exp"} == set()
+
+
 def _record_classes(trees) -> dict[str, ast.ClassDef]:
     """name -> class of every class in trees derived from Record, directly or not."""
     classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]

@@ -189,6 +189,78 @@ class TestSimulateCycleFock:
         with pytest.raises(ValueError):
             simulate_cycle_fock(FockParams(0.1, 0.1), 1.0, 3.0, 0.0, 1.5, 1.2)
 
+    @pytest.mark.parametrize("omega1, omega2, tau1, tau2", [
+        (math.nan, 3.0, 0.0, 1.5), (1.0, math.inf, 0.0, 1.5), (1.0, 3.0, -math.inf, 1.5),
+        (1.0, 3.0, 0.0, math.inf), (1.0, 3.0, 1e308, 1.7e308),  # omega2 * tau2 overflows
+    ])
+    def test_non_finite_phase_rejected_before_evolving(self, monkeypatch, omega1, omega2, tau1, tau2):
+        # each once evolved and failed as "evolution lost unit trace after the second
+        # kick: nan"; the phase is named in the kernel's words, and nothing is evolved
+        # (no other test evolves this case, so it is not held from one)
+        monkeypatch.setattr(oracle_mod, "_kick_columns", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match=r"^phase omega1\*tau1 - omega2\*tau2 = .* is not finite$"):
+            simulate_cycle_fock(FockParams(0.29, 0.21j), omega1, omega2, tau1, tau2, 0.3)
+
+
+class TestOneEvolutionPerCase:
+    """simulate_cycle_fock and verify_weyl_moments read one evolution of their
+    FockParams, held for the last FockParams only."""
+
+    @pytest.fixture(autouse=True)
+    def evolutions(self, monkeypatch):
+        # the FockParams of each evolution, from an empty cache
+        evolved, original = [], oracle_mod._kick_columns
+        monkeypatch.setattr(oracle_mod, "_kick_columns",
+                            lambda fp, weights: evolved.append(fp) or original(fp, weights))
+        oracle_mod._evolve.cache_clear()
+        yield evolved
+        oracle_mod._evolve.cache_clear()
+
+    @staticmethod
+    def _outputs(fp):
+        """The bits of p1, p2 and the Weyl deviation of fp."""
+        p1, p2 = simulate_cycle_fock(fp, 1.3, 2.2, 0.4, 1.9, 0.3)
+        return p1.hex(), p2.hex(), verify_weyl_moments(fp).hex()
+
+    @pytest.mark.parametrize("nbar", [0.0, 1.0])
+    def test_both_functions_share_one_evolution(self, evolutions, nbar):
+        fp = FockParams(0.31 - 0.12j, -0.07 + 0.44j, nbar=nbar)
+        self._outputs(fp)
+        simulate_cycle_fock(fp, 0.7, 1.1, 0.0, 0.5, 0.9)  # another phase and population
+        assert evolutions == [fp]
+
+    def test_the_last_case_alone_is_held(self, evolutions):
+        a, b = FockParams(0.31 - 0.12j, -0.07 + 0.44j), FockParams(0.2, 0.25, nbar=1.0)
+        held = [self._outputs(fp) for fp in (a, b, a)]
+        assert evolutions == [a, b, a]
+        fresh = []
+        for fp in (a, b, a):
+            oracle_mod._evolve.cache_clear()
+            fresh.append(self._outputs(fp))
+        assert held == fresh
+
+    def test_equal_cases_evolve_to_the_same_bits(self):
+        # FockParams that differ in the sign of a zero part are equal, so either is
+        # served the other's evolution: both evolve to the same bits (the phase of
+        # -0.3 - 0j was once -pi against pi, and p2 moved by one ulp)
+        cases = [FockParams(complex(-0.3, zero), 0.2 + 0.1j, nbar=1.0) for zero in (0.0, -0.0)]
+        assert cases[0] == cases[1]
+        fresh = []
+        for fp in cases:
+            oracle_mod._evolve.cache_clear()
+            fresh.append(self._outputs(fp))
+        assert fresh[0] == fresh[1]
+
+    def test_the_held_evolution_holds_no_array(self):
+        evolution = oracle_mod._evolve(FockParams(0.2, 0.25, nbar=1.0))
+
+        def leaves(value):
+            return [x for item in value for x in leaves(item)] if isinstance(value, tuple) else [value]
+
+        assert {type(x) for x in leaves(evolution._values())} == {float, complex}
+        with pytest.raises(AttributeError):
+            evolution.moments = ()
+
 
 class TestVerifyWeylMoments:
     def test_zero_couplings_exact(self):
