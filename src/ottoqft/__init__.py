@@ -11,7 +11,8 @@ import importlib
 __version__ = "0.1.0"
 
 # module -> its public names, in __all__ order.  __getattr__ (PEP 562) imports
-# a module when one of its names is first used: `import ottoqft` loads no NumPy.
+# a module when one of its names, or the module itself, is first used: `import
+# ottoqft` loads no NumPy.
 _EXPORTS = {
     "algebra": ("MomentSet", "QuasiFreeKernel", "TwoPointKernel", "WeylMoments",
                 "InvalidKernelError", "KernelContractError", "KernelInconsistencyError",
@@ -33,6 +34,8 @@ __all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:  # the import binds the submodule here
+        return importlib.import_module(f".{name}", __name__)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

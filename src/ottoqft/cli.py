@@ -6,11 +6,15 @@ Subcommands:
   point   report a single cycle as key = value lines
 
 Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error,
-130 interrupted.
+129 hung up, 130 interrupted, 143 terminated.
+
+main(argv) runs a command in the calling process and returns its exit code; run(),
+the ottoqft script and python -m ottoqft.cli, ends the process with it.
 """
 
 from __future__ import annotations
 
+import _signal  # the C module behind signal, whose import builds enums: 0.5 ms a run
 import argparse
 import contextlib
 import gc
@@ -19,9 +23,7 @@ import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from .config import ConfigError, parse_config
-
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 @contextlib.contextmanager
@@ -42,7 +44,7 @@ def _frozen():
 
 
 with _frozen():
-    from .sweeps import _chunks, _layout, run_point  # verify loads its own modules when it runs
+    from .config import ConfigError, parse_config  # each command loads its own modules
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +63,35 @@ def _import(name: str):
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     with _frozen():
         return importlib.import_module(name, __package__)
+
+
+def _sweeps():
+    """The sweeps module, loaded under _frozen by sweep and point alone: verify never
+    compiles or runs it.  It loads no NumPy; a sweep on arrays loads it through _import."""
+    with _frozen():
+        from . import sweeps
+    return sweeps
+
+
+class _Signalled(BaseException):
+    """SIGTERM or SIGHUP, raised where the command is, as Python raises KeyboardInterrupt
+    for SIGINT, so that the same clean-up runs for all three; its one argument is the
+    signal's number."""
+
+
+def _on_signal(signum: int, frame) -> None:
+    raise _Signalled(signum)
+
+
+def _swap_handlers(old, new) -> None:
+    """Gives SIGTERM and SIGHUP, where the platform has them, the handler new where their
+    handler is old.  Outside the main thread, where no handler can be set, it sets none."""
+    for signum in (_signal.SIGTERM, getattr(_signal, "SIGHUP", None)):
+        if signum is not None and _signal.getsignal(signum) == old:
+            try:
+                _signal.signal(signum, new)
+            except ValueError:  # not the main thread
+                return
 
 
 def _parts(chunks: int) -> int:
@@ -98,8 +129,13 @@ def _document(spec, parts: int) -> Iterator[str]:
     k starts on the k-th usable CPU, each process with its whole CPU set given back
     (_place); a placement that fails is ignored.  The part of a child that does not exit
     with status 0 is rendered here in its place, which raises the serial run's exception,
-    or gives its bytes; on any early stop every child left is killed and reaped."""
+    or gives its bytes; on any early stop every child left is killed and reaped.  A child
+    takes SIGTERM and SIGHUP by their default action, and stops between pieces once this
+    process is gone."""
+    from .sweeps import _chunks
+
     children = []  # (pid, its spill), in part order
+    parent = os.getpid()
     try:
         if parts > 1:
             import tempfile  # only a forked sweep imports it
@@ -111,9 +147,13 @@ def _document(spec, parts: int) -> Iterator[str]:
             # on any failure: no frame, buffer or atexit hook of the parent runs in it
             if (pid := os.fork()) == 0:
                 try:
+                    _swap_handlers(_on_signal, _signal.SIG_DFL)
                     _place(part)
                     with spill:
-                        spill.writelines(_chunks(spec, part, parts))
+                        for piece in _chunks(spec, part, parts):
+                            if os.getppid() != parent:  # orphaned: no one reads the spill
+                                os._exit(1)
+                            spill.write(piece)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -130,10 +170,8 @@ def _document(spec, parts: int) -> Iterator[str]:
                     spill.seek(0)
                     yield from iter(lambda: spill.read(1 << 16), "")
     finally:
-        if children:
-            import signal
         for pid, spill in children:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, _signal.SIGKILL)
             os.waitpid(pid, 0)
             spill.close()
 
@@ -141,7 +179,7 @@ def _document(spec, parts: int) -> Iterator[str]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _read(args.config)
     spec = parse_config(text, args.sets)
-    *_, chunks = _layout(spec)  # rejects non-sweep modes
+    *_, chunks = _sweeps()._layout(spec)  # rejects non-sweep modes
     parts = 1
     if chunks > 1:  # on arrays: a point and a one-chunk sweep run on Python floats, in one process
         _import("numpy")
@@ -163,7 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     spec = parse_config("mode = single-point", args.sets)
-    sys.stdout.write(run_point(spec))
+    sys.stdout.write(_sweeps().run_point(spec))
     return 0
 
 
@@ -213,10 +251,17 @@ def _error(exc: object, status: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Runs one command in this process and returns its exit code, with stdout flushed:
+    a failed flush (EPIPE, ENOSPC) is the command's i/o error.  For the length of the
+    command SIGTERM and SIGHUP, where their action is the default, end it as Ctrl-C does."""
     parser = _build_parser()
+    _swap_handlers(_signal.SIG_DFL, _on_signal)
     try:  # the exit code follows the exception's class
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][2](args)
+        status = _COMMANDS[args.command][2](args)
+        if sys.stdout is not None:  # None where the process started without fd 1
+            sys.stdout.flush()
+        return status
     except (ValueError, MemoryError) as exc:  # ConfigError, TruncationError; verify's dim too large
         return _error(exc, 1)
     except ArithmeticError as exc:  # QuadratureConvergenceError; the Fock oracle's lost trace
@@ -226,7 +271,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except KeyboardInterrupt:  # Ctrl-C; _write and _document have cleaned up by now
         return _error("interrupted", 130)
+    except _Signalled as exc:  # as Ctrl-C; 128 + n is the shell's status of a death by signal n
+        import signal
+
+        (signum,) = exc.args
+        return _error(f"interrupted by {signal.Signals(signum).name}", 128 + signum)
+    finally:
+        _swap_handlers(_on_signal, _signal.SIG_DFL)
+
+
+def run() -> None:
+    """The process entry: main, then stderr flushed and the process ended through
+    os._exit, skipping the interpreter's teardown of NumPy and the package module by
+    module.  No atexit hook runs.  argparse's --help still exits through SystemExit."""
+    status = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .algebra import MomentSet, TwoPointKernel, moment_set_from_kernel, weyl_moments
+from .algebra import MomentSet, TwoPointKernel, WeylMoments, moment_set_from_kernel, weyl_moments
 from .record import Record
 
 __all__ = [
@@ -249,12 +249,17 @@ def _weyl_traces(fp: FockParams) -> dict[str, complex]:
     return {name: complex(value) for name, value in zip(_MOMENTS, evolution.moments)}
 
 
+def _weyl_deviation(fp: FockParams, closed: WeylMoments) -> float:
+    """Max deviation between fp's matrix-evaluated fourth-order moments and closed,
+    over all six moments; NaN if any one is NaN."""
+    brute = _weyl_traces(fp)
+    return float(np.max([abs(brute[name] - complex(getattr(closed, name))) for name in brute]))
+
+
 def verify_weyl_moments(fp: FockParams) -> float:
     """Max deviation between matrix-evaluated fourth-order moments and their
     closed forms, over all six moments; NaN if any one is NaN."""
-    brute = _weyl_traces(fp)
-    closed = weyl_moments(moment_set_from_kernel(single_mode_kernel(fp)))
-    return float(np.max([abs(brute[name] - complex(getattr(closed, name))) for name in brute]))
+    return _weyl_deviation(fp, weyl_moments(moment_set_from_kernel(single_mode_kernel(fp))))
 
 
 def _integrate(values: np.ndarray, h: float) -> float:

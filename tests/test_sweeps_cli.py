@@ -7,8 +7,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -51,13 +53,16 @@ output = {out}
 """
 
 
-def _cli_process(argv, **env):
-    """Run the CLI in a fresh interpreter on this checkout's package."""
+def _cli_env(**env):
     src = os.path.dirname(os.path.dirname(ottoqft.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))), **env)
-    return subprocess.run([sys.executable, "-m", "ottoqft.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _cli_process(argv, stdout=subprocess.PIPE, **env):
+    """Run the CLI in a fresh interpreter on this checkout's package."""
+    return subprocess.run([sys.executable, "-m", "ottoqft.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=_cli_env(**env), timeout=120)
 
 
 def _rows(csv_text):
@@ -347,8 +352,8 @@ class TestStreamedSweep:
             yield next(original(*args))
             raise KeyboardInterrupt
 
-        original = cli._chunks
-        monkeypatch.setattr(cli, "_chunks", interrupted)
+        original = sweeps._chunks
+        monkeypatch.setattr(sweeps, "_chunks", interrupted)
         (tmp_path / "out.csv").write_bytes(b"kept\n")
         assert self._sweep(tmp_path, FIG4A_CFG) == 130
         assert capsys.readouterr().err == "error: interrupted\n"
@@ -718,6 +723,109 @@ class TestForkedSweep:
         assert serial[6] == (hashlib.sha256(kept).hexdigest() if kept else None)
         if change == "directory":
             assert not any(out.iterdir())
+
+
+def _live(group):
+    """The processes of a process group that have not exited, zombies aside."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                state, _, pgrp = handle.read().rpartition(")")[2].split()[:3]
+        except OSError:  # it has exited since the listing
+            continue
+        if int(pgrp) == group and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def _gone(group):
+    """Whether no process of the group is alive 1 s from now, at the latest."""
+    deadline = time.monotonic() + 1.0
+    while _live(group) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return not _live(group)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self")),
+                    reason="no os.fork, or no /proc to find a run's processes in")
+class TestProcessEnd:
+    """python -m ottoqft.cli ends its process through cli.run once main has flushed its
+    output: a flush that fails is the run's one i/o error line, and a run that SIGTERM or
+    SIGHUP ends says so in one line and leaves no process, spill or temporary file."""
+
+    # two parts on two CPUs, rendered for seconds: a run that the test ends
+    LONG = (FIG4A_CFG, ["tau2_count=2000000"])
+    POINT = ["point", "--set", "omega1=1", "--set", "omega2=3", "--set", "tau1=0",
+             "--set", "tau2=1.5", "--set", "lambda1=100", "--set", "lambda2=1"]
+
+    def _start(self, tmp_path, cfg, overrides, output=subprocess.PIPE):
+        config = tmp_path / "run.cfg"
+        config.write_text(cfg.format(out=tmp_path / "out.csv"))
+        argv = [sys.executable, "-m", "ottoqft.cli", "sweep", "--config", str(config)]
+        for item in overrides:
+            argv += ["--set", item]
+        # a session of its own: the run's processes are its process group
+        return subprocess.Popen(argv, stdout=output, stderr=output, text=True,
+                                env=_cli_env(), start_new_session=True)
+
+    def _rendering(self, proc, tmp_path):
+        # once the temporary file holds 64 KB of rows
+        temp = tmp_path / f"out.csv.{proc.pid}.tmp"
+        deadline = time.monotonic() + 60.0
+        while not (temp.exists() and temp.stat().st_size >= 1 << 16):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+
+    def test_verify_report_is_whole_on_a_pipe(self):
+        done = _cli_process(["verify", "--set", "cases=1"])
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert len(lines) == 12 and re.fullmatch(r"11/11 checks passed in [0-9.]+ s", lines[-1])
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_point_into_a_closed_pipe_is_one_io_error(self, unbuffered):
+        # the reader is gone: the write, or the flush at the end of main, fails with EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _cli_process(self.POINT, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert done.returncode == 3
+        assert done.stderr.startswith("i/o error: [Errno 32] Broken pipe")
+        assert done.stderr.count("\n") == 1 and "Exception ignored" not in done.stderr
+
+    def test_forked_sweep_leaves_no_process(self, tmp_path):
+        proc = self._start(tmp_path, FIG4A_CFG, [f"tau2_count={2 * sweeps._CHUNK + 3}"])
+        assert proc.communicate(timeout=120) == ("", "") and proc.returncode == 0
+        assert _live(proc.pid) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+    @pytest.mark.parametrize("name, group", [
+        ("SIGTERM", False), ("SIGHUP", False),
+        ("SIGTERM", True),  # to every process of the run: each child ends at once
+    ])
+    def test_signal_ends_the_run_in_one_line(self, tmp_path, name, group):
+        signum = getattr(signal, name)
+        (tmp_path / "out.csv").write_bytes(b"kept\n")
+        proc = self._start(tmp_path, *self.LONG)
+        self._rendering(proc, tmp_path)
+        (os.killpg if group else os.kill)(proc.pid, signum)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (128 + signum, "", f"error: interrupted by {name}\n")
+        assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+        assert _gone(proc.pid)
+
+    def test_a_child_stops_once_its_parent_is_gone(self, tmp_path):
+        # SIGKILL cannot be caught: the child finds itself orphaned between two pieces.  No
+        # pipe here, whose end the child holds: the wait is for the parent alone
+        proc = self._start(tmp_path, *self.LONG, output=subprocess.DEVNULL)
+        self._rendering(proc, tmp_path)
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert _gone(proc.pid)
 
 
 class TestCli:

@@ -12,7 +12,8 @@ import pytest
 import ottoqft.cycle as cycle
 import ottoqft.oracle as oracle
 import ottoqft.verification as verification
-from ottoqft.algebra import MomentSet, moment_set_from_kernel
+from ottoqft.algebra import KernelInconsistencyError, MomentSet, moment_set_from_kernel
+from ottoqft.config import ConfigError
 from ottoqft.cycle import ledger_arrays
 from ottoqft.oracle import FockParams, TruncationError, single_mode_kernel
 from ottoqft.verification import (
@@ -138,17 +139,31 @@ def test_fock_check_stops_at_the_first_failing_case():
 
 def test_fock_lines_share_one_draw_of_the_cases(monkeypatch):
     # the population and the Weyl lines read the same cases: 7 drawn, each checked
-    # once by the oracle's verify_weyl_moments, under its module-level name
+    # once against the oracle's traces by _weyl_deviation, under its module-level name
     weyl_calls = []
-    original = verification.verify_weyl_moments
-    monkeypatch.setattr(verification, "verify_weyl_moments",
-                        lambda fp: weyl_calls.append(fp) or original(fp))
+    original = verification._weyl_deviation
+    monkeypatch.setattr(verification, "_weyl_deviation",
+                        lambda fp, w: weyl_calls.append(fp) or original(fp, w))
     rng, ref_rng = random.Random(4), random.Random(4)
     lines = list(verification._check_fock(rng, 7, 40))
     list(verification._sample_fock_cases(ref_rng, 7))
     assert rng.getstate() == ref_rng.getstate()
-    assert [name for name, *_ in lines] == ["fock_p1", "fock_p2", "weyl_moments", "weyl_partition"]
+    assert [detail for _, detail in lines] == [
+        "7 random kicks vs exact evolution, dim=40", "7 random kicks vs exact evolution, dim=40",
+        "six matrix moments vs closed forms, 7 cases", "four real moments sum to 1"]
     assert len(weyl_calls) == 7
+
+
+def test_fock_check_evaluates_each_cases_closed_forms_once(monkeypatch):
+    # the Weyl moments of a case's closed forms serve its Weyl and partition lines: one
+    # weyl_moments call a case, in the check or in the oracle
+    calls = []
+    for module in (verification, oracle):
+        original = module.weyl_moments
+        monkeypatch.setattr(module, "weyl_moments",
+                            lambda m, original=original: calls.append(m) or original(m))
+    list(verification._check_fock(random.Random(4), 7, 40))
+    assert len(calls) == 7
 
 
 def test_no_signaling_draws_equal_one_draw_per_call(monkeypatch):
@@ -218,7 +233,8 @@ THERMAL_KERNEL = single_mode_kernel(FockParams(alpha1=0.31 - 0.12j, alpha2=-0.07
 
 # line -> the module-level name that it reads, and a stand-in for it that gives one NaN
 NAN_INJECTIONS = {
-    "weyl_moments": ("verify_weyl_moments", lambda f: _second_value_spoiled(f, lambda _: math.nan)),
+    "weyl_moments": ("_weyl_deviation", lambda f: _second_value_spoiled(f, lambda _: math.nan)),
+    # the closed forms of a case feed its Weyl line too: both fail
     "weyl_partition": ("weyl_moments",
                        lambda f: _second_value_spoiled(f, lambda w: with_nan(w, "cssc"))),
     "dawson_spot": ("dawson", lambda f: lambda x: math.nan if x == 3.0 else f(x)),
@@ -235,7 +251,9 @@ def test_one_nan_deviation_fails_its_line(monkeypatch, line):
     name, stand_in = NAN_INJECTIONS[line]
     monkeypatch.setattr(verification, name, stand_in(getattr(verification, name)))
     results = run_verification(cases=4, dim=40)
-    assert [(r.name, math.isnan(r.deviation)) for r in results if not r.passed] == [(line, True)]
+    failed = ["weyl_moments", line] if line == "weyl_partition" else [line]
+    assert [(r.name, math.isnan(r.deviation)) for r in results if not r.passed] == [
+        (name, True) for name in failed]
 
 
 def test_run_verify_exits_2_on_a_nan_deviation(monkeypatch):
@@ -243,6 +261,38 @@ def test_run_verify_exits_2_on_a_nan_deviation(monkeypatch):
     status, report = run_verify(cases=4, dim=40)
     assert status == 2
     assert "FAIL  dawson_spot            deviation=nan" in report
+
+
+def test_a_kernel_error_fails_the_lines_of_its_check(monkeypatch):
+    # a check that raises a kernel error fails each of its lines, naming the error; the
+    # checks after it still run, and the report exits 2 where it printed no line before
+    def refused(*args):
+        raise KernelInconsistencyError("product bound broken")
+
+    monkeypatch.setattr(verification, "ledger_arrays", refused)
+    status, report = run_verify(cases=4, dim=40)
+    lines = report.splitlines()
+    assert status == 2 and len(lines) == 12
+    failed = [line for line in lines[:-1] if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == ["fixed_point", "first_law", "no_signaling"]
+    for line in failed:
+        assert "deviation=nan" in line
+        assert line.endswith("(KernelInconsistencyError: product bound broken)")
+    assert [line.split()[1] for line in lines[:-1] if line.startswith("PASS")] == [
+        "fock_p1", "fock_p2", "weyl_moments", "weyl_partition", "appendix_identities",
+        "quadrature_kernel", "dawson_spot", "thermal_e12"]
+    assert lines[-1].endswith("FAILURES: fixed_point, first_law, no_signaling")
+
+
+@pytest.mark.parametrize("error", [TruncationError, ConfigError, MemoryError])
+def test_other_errors_still_end_the_run(monkeypatch, error):
+    # a truncated Fock space or a failed allocation is the run's validation error
+    def refused(*args):
+        raise error("stop")
+
+    monkeypatch.setattr(verification, "ledger_arrays", refused)
+    with pytest.raises(error):
+        run_verification(cases=4, dim=40)
 
 
 def test_run_verify_exit_status_and_report():
