@@ -5,6 +5,11 @@ Subcommands:
   verify  run the oracle cross-check suite and report pass/fail
   point   report a single cycle as key = value lines
 
+The command word comes first.  Every command takes --set KEY=VALUE, repeatable;
+sweep alone takes --config PATH, which it requires.  An option may be written
+--opt=value, or cut to a unique prefix; -h or --help prints the usage of the
+command line, or of the command after which it stands.
+
 Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error,
 129 hung up, 130 interrupted, 143 terminated.
 
@@ -15,11 +20,11 @@ the ottoqft script and python -m ottoqft.cli, ends the process with it.
 from __future__ import annotations
 
 import _signal  # the C module behind signal, whose import builds enums: 0.5 ms a run
-import argparse
 import contextlib
 import gc
 import importlib
 import os
+import re
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -45,13 +50,6 @@ def _frozen():
 
 with _frozen():
     from .config import ConfigError, parse_config  # each command loads its own modules
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; route them through the
-    # validation-error path instead
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise ConfigError(message)
 
 
 def _import(name: str):
@@ -176,9 +174,8 @@ def _document(spec, parts: int) -> Iterator[str]:
             spill.close()
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    text = _read(args.config)
-    spec = parse_config(text, args.sets)
+def _cmd_sweep(sets: list[str], config: str) -> int:
+    spec = parse_config(_read(config), sets)
     *_, chunks = _sweeps()._layout(spec)  # rejects non-sweep modes
     parts = 1
     if chunks > 1:  # on arrays: a point and a one-chunk sweep run on Python floats, in one process
@@ -189,9 +186,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(sets: list[str], config: None) -> int:
+    spec = parse_config("mode = verify", sets)  # a bad override loads no NumPy
     run_verify = _import(".verification").run_verify
-    spec = parse_config("mode = verify", args.sets)
     options = {key: getattr(spec, key) for key in ("seed", "cases", "dim")
                if getattr(spec, key) is not None}
     status, report = run_verify(spec.tolerance_overrides or None, **options)
@@ -199,8 +196,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_point(args: argparse.Namespace) -> int:
-    spec = parse_config("mode = single-point", args.sets)
+def _cmd_point(sets: list[str], config: None) -> int:
+    spec = parse_config("mode = single-point", sets)
     sys.stdout.write(_sweeps().run_point(spec))
     return 0
 
@@ -214,16 +211,109 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ottoqft", description=__doc__.strip().splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, set_help, _) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        if name == "sweep":
-            command.add_argument("--config", required=True, help="path to a key=value config file")
-        command.add_argument("--set", dest="sets", action="append", default=[],
-                             metavar="KEY=VALUE", help=set_help)
-    return parser
+# the option sweep alone takes, and requires
+_CONFIG = ("--config", "CONFIG", "path to a key=value config file")
+
+
+def _options(command: str) -> list[tuple[str, str, str]]:
+    """(name, metavar, help) of each long option of command, in the order of its usage."""
+    return [_CONFIG] * (command == "sweep") + [("--set", "KEY=VALUE", _COMMANDS[command][1])]
+
+
+def _usage(command: str | None) -> str:
+    """The help of command, or of the command line with command None, laid out for
+    80 columns."""
+    if command is None:
+        names = "{" + ",".join(_COMMANDS) + "}"
+        return (f"usage: ottoqft [-h] {names} ...\n\n{__doc__.splitlines()[0]}\n\n"
+                f"positional arguments:\n  {names}\n"
+                + "".join(f"    {name:<20}{line}\n" for name, (line, _, _) in _COMMANDS.items())
+                + "\noptions:\n  -h, --help            show this help message and exit\n")
+    options = _options(command)
+    usage = " ".join(f"{name} {metavar}" if name == _CONFIG[0] else f"[{name} {metavar}]"
+                     for name, metavar, _ in options)
+    return (f"usage: ottoqft {command} [-h] {usage}\n\noptions:\n"
+            "  -h, --help       show this help message and exit\n"
+            + "".join(f"  {name + ' ' + metavar:<17}{line}\n" for name, metavar, line in options))
+
+
+def _option(word: str, names: Sequence[str]) -> tuple[str | None, str | None]:
+    """(name, value) of word where -h and the long options names are taken, a long
+    option also by a unique prefix.  name is the option's long name, "" for an option
+    not taken, or None for a plain word: one not led by '-', '-' or '--' itself, a
+    negative number, or a word holding a space.  value is what follows the option's
+    '=', or None."""
+    head, equals, value = word.partition("=")
+    value = value if equals else None
+    if word.startswith("--") and word != "--":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise ConfigError(f"ambiguous option: {word} could match {', '.join(found)}")
+        if found:
+            return found[0], value
+    elif head == "-h":
+        return "--help", value
+    plain = word[:1] != "-" or word in ("-", "--") or " " in word
+    return (None, None) if plain or re.fullmatch(r"-\d+|-\d*\.\d+", word) else ("", None)
+
+
+def _help(command: str | None, value: str | None):
+    """Prints the help of command (None: of the command line) and exits 0."""
+    if value is not None:
+        raise ConfigError(f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_usage(command))
+    raise SystemExit(0)
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, list[str], str | None]:
+    """The command of argv, its --set values in order and its --config (None but
+    for sweep), read in one pass.  The command is the first plain word (_option);
+    before it -h and --help are the only options.  After it, an option that takes a
+    value takes the next word, which must be a plain word other than '--', and '--'
+    ends the options.  The first -h or --help prints its help and exits 0 through
+    SystemExit.  ConfigError is raised at once for a command word not in _COMMANDS,
+    an option without its value and an ambiguous prefix; once argv is read, for a
+    missing command or --config, then for any word left over."""
+    words = iter(argv)
+    command, extras = None, []
+    for word in words:
+        name, value = _option(word, ["--help"])
+        if name is None:
+            command = word
+            break
+        if name:
+            _help(None, value)
+        extras.append(word)
+    if command is None or command == "--" and next(words, None) is None:  # '--' alone is no command
+        raise ConfigError("the following arguments are required: command")
+    if command not in _COMMANDS:
+        raise ConfigError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    names = ["--help"] + [name for name, _, _ in _options(command)]
+    sets, config = [], None
+    for word in words:
+        if word == "--":
+            extras += [word, *words]
+            break
+        name, value = _option(word, names)
+        if name == "--help":
+            _help(command, value)
+        elif not name:
+            extras.append(word)
+            continue
+        elif value is None:
+            value = next(words, "--")  # none left reads as '--'
+            if value == "--" or _option(value, names)[0] is not None:
+                raise ConfigError(f"argument {name}: expected one argument")
+        if name == "--set":
+            sets.append(value)
+        else:
+            config = value
+    if command == "sweep" and config is None:
+        raise ConfigError("the following arguments are required: --config")
+    if extras:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, sets, config
 
 
 def _read(path: str) -> str:
@@ -254,11 +344,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Runs one command in this process and returns its exit code, with stdout flushed:
     a failed flush (EPIPE, ENOSPC) is the command's i/o error.  For the length of the
     command SIGTERM and SIGHUP, where their action is the default, end it as Ctrl-C does."""
-    parser = _build_parser()
     _swap_handlers(_signal.SIG_DFL, _on_signal)
     try:  # the exit code follows the exception's class
-        args = parser.parse_args(argv)
-        status = _COMMANDS[args.command][2](args)
+        command, sets, config = _parse(sys.argv[1:] if argv is None else argv)
+        status = _COMMANDS[command][2](sets, config)
         if sys.stdout is not None:  # None where the process started without fd 1
             sys.stdout.flush()
         return status
@@ -283,7 +372,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     """The process entry: main, then stderr flushed and the process ended through
     os._exit, skipping the interpreter's teardown of NumPy and the package module by
-    module.  No atexit hook runs.  argparse's --help still exits through SystemExit."""
+    module.  No atexit hook runs.  -h and --help exit 0 through SystemExit once their
+    help is printed."""
     status = main()
     if sys.stderr is not None:
         sys.stderr.flush()

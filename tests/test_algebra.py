@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ottoqft.algebra import (
+    _POINT,
     InvalidKernelError,
     KernelContractError,
     KernelInconsistencyError,
     MomentSet,
     TwoPointKernel,
+    _products,
     contraction_factor,
     moment_set_from_kernel,
     p_after_first,
@@ -253,6 +255,36 @@ class TestAlphaFactor:
         # nu1*nu2*exp(4|mu12|) = exp(800 - 1.39) breaks the realizability bound
         with pytest.raises(KernelInconsistencyError):
             contraction_factor(MomentSet(0.5, 0.5, 0.0, -200.0), 1.0)
+
+    @settings(max_examples=500)
+    @given(st.floats(min_value=5e-324, max_value=1.0), st.floats(min_value=5e-324, max_value=1.0),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_negated_mu_swaps_the_products(self, nu1, nu2, mu12):
+        # R3's first half: -mu12 trades exp(4 mu12) for exp(-4 mu12), and the clipped
+        # exponent is negated exactly, so the two products trade places bit for bit
+        up, down, bound = _products(nu1, nu2, mu12, _POINT)
+        assert _products(nu1, nu2, -mu12, _POINT) == (down, up, bound)
+
+    @settings(max_examples=500)
+    @given(realizable_moment_set_strategy(), st.floats(min_value=-8.0, max_value=8.0))
+    def test_reflection_of_mu_and_theta(self, m, th):
+        # R3: (mu12, theta) -> (-mu12, pi - theta) leaves the factor up s^2 + down c^2
+        # (s, c the sine and cosine of theta/2) unchanged in exact arithmetic: the
+        # products swap (above) and so do sin and cos of (pi - theta)/2.  In floats the
+        # half angle 0.5 fl(math.pi - theta) is off pi/2 - theta/2 by half of pi -
+        # math.pi (under 2**-53) and half the rounding of the difference (at most
+        # 2**-54 |fl(pi - theta)|), and each of the four sines and cosines errs by an
+        # ulp, at most 2**-53 on [-1, 1]: the swapped sine and cosine are each within
+        # e = 2**-53 (3 + |fl(pi - theta)| / 2) of the other side's.  With |s' + c| and
+        # |c' + s| <= 2 the exact sums differ by at most 2 e (up + down), and each side's
+        # two products and a sum of terms >= 0 err by under 3.01 * 2**-53 (up + down).
+        # 2**-53 (up + down) (12.02 + |fl(pi - theta)|) in all, rounded up to 13 + ...,
+        # which also covers terms below the normal range
+        reflected = MomentSet(m.nu1, m.nu2, m.e12, -m.mu12)
+        th2 = math.pi - th
+        up, down, _ = _products(m.nu1, m.nu2, m.mu12, _POINT)
+        bound = (up + down) * (13.0 + abs(th2)) * 2.0**-53
+        assert abs(contraction_factor(reflected, th2) - contraction_factor(m, th)) <= bound
 
     def test_only_the_input_checks_raise(self):
         # the closure p of this cycle, 5.5, is off [0, 1]: the closure raises it,

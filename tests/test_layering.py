@@ -119,7 +119,7 @@ RUN_CLI = (
 )
 # then prints the exit status and which of the modules named in LOADED are loaded
 LOADED = ("ottoqft.oracle", "ottoqft.sweeps", "ottoqft.verification", "dataclasses", "numpy",
-          "numpy.random")
+          "numpy.random", "argparse", "gettext", "locale")
 REPORT_LOADED = "print(json.dumps([status, [name for name in {loaded!r} if name in sys.modules]]))\n"
 
 TINY_CURVE = ("mode = curve-tau2\nomega1 = 1.0\nomega2 = 3.0\ntau1 = 0.0\nlambda1 = 100.0\n"
@@ -134,7 +134,8 @@ POINT = ["point", "--set", "omega1=1", "--set", "omega2=3", "--set", "tau1=0",
 
 def _argv(command, tmp_path):
     """The command line of a named run: a one-chunk or a two-chunk curve or grid
-    sweep, a point, a point that fails (nu1 underflows), or a light verify."""
+    sweep, a point, a point that fails (nu1 underflows), a light verify, or a verify
+    whose override fails."""
     if command.startswith(("sweep", "grid")):
         template, count = {
             "sweep": (TINY_CURVE, 5), "sweep-2-chunks": (TINY_CURVE, sweeps._CHUNK + 1),
@@ -144,12 +145,14 @@ def _argv(command, tmp_path):
         config.write_text(template.format(count=count, out=tmp_path / "out.csv"), encoding="utf-8")
         return ["sweep", "--config", str(config)]
     return {"point": POINT, "point-error": [*POINT, "--set", "lambda1=122"],
-            "verify": ["verify", "--set", "cases=1"]}[command]
+            "verify": ["verify", "--set", "cases=1"],
+            "verify-error": ["verify", "--set", "seed=-1"]}[command]
 
 
 @pytest.mark.parametrize("command, status, loaded", [
-    # a one-chunk sweep or a point loads neither NumPy nor the oracles, their
-    # checks or dataclasses: it runs on Python floats
+    # no command loads the modules of a parser of argv.  A one-chunk sweep or a point
+    # loads neither NumPy nor the oracles, their checks or dataclasses: it runs on
+    # Python floats
     ("sweep", 0, ["ottoqft.sweeps"]),
     ("grid", 0, ["ottoqft.sweeps"]),  # 7 x 5 points
     ("point", 0, ["ottoqft.sweeps"]),
@@ -159,6 +162,7 @@ def _argv(command, tmp_path):
     # loaded when it runs, without the sweeps; its seeded draws come from the
     # standard library's random
     ("verify", 0, ["ottoqft.oracle", "ottoqft.verification", "numpy"]),
+    ("verify-error", 1, []),  # its overrides are read before it loads anything
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, command, status, loaded):
     script = "import json\n" + RUN_CLI.format(argv=_argv(command, tmp_path))

@@ -1,7 +1,10 @@
 """CSV sweeps, the point report, and command-line behaviour."""
 
+import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -14,12 +17,14 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ottoqft
 from ottoqft import cli, oracle, sweeps
 from ottoqft.algebra import KernelInconsistencyError, MomentSet, p_after_first
 from ottoqft.cli import main
-from ottoqft.config import Axis, parse_config
+from ottoqft.config import Axis, ConfigError, parse_config
 from ottoqft.cycle import extracted_work
 from ottoqft.minkowski import MinkowskiParams, minkowski_moments
 from ottoqft.sweeps import CURVE_COLUMNS, GRID_COLUMNS, run_point, run_sweep, sweep_chunks
@@ -1032,6 +1037,86 @@ class TestCli:
         cfg.write_text(FIG4A_CFG.format(out="/nope/missing/dir/out.csv"))
         assert main(["sweep", "--config", str(cfg)]) == 3
 
-    def test_usage_error_is_validation_error(self, capsys):
-        assert main(["sweep"]) == 1  # --config is required
-        assert main(["bogus-command"]) == 1
+    @pytest.mark.parametrize("argv", [
+        [], ["sweep"], ["bogus-command"],  # no command; sweep requires --config
+        ["verify", "--config", "x"],  # sweep alone takes --config
+    ])
+    def test_usage_error_is_validation_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_0_from_a_process(self):
+        done = _cli_process(["point", "--he"])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: ottoqft point [-h] [--set KEY=VALUE]\n")
+
+
+class _Rejected(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Rejected(message)
+
+
+def _reference_parser():
+    """The argparse parser the command line was once built on, the reference of its
+    grammar, with its help laid out for 80 columns as the command line lays it out."""
+    def layout(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    parser = _ReferenceParser(prog="ottoqft", description="Command-line front end.",
+                              formatter_class=layout)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, set_help in [
+        ("sweep", "evaluate a parameter grid and write CSV", "override one config key"),
+        ("verify", "run the oracle cross-check suite",
+         "override seed/cases/dim or a tol_<check> threshold"),
+        ("point", "report a single cycle to stdout", "set one parameter (repeatable)"),
+    ]:
+        command = sub.add_parser(name, help=help_text, formatter_class=layout)
+        if name == "sweep":
+            command.add_argument("--config", required=True, help="path to a key=value config file")
+        command.add_argument("--set", dest="sets", action="append", default=[],
+                             metavar="KEY=VALUE", help=set_help)
+    return parser
+
+
+def _outcome(parse, argv):
+    """("ok", command, sets, config), ("error", message) or ("help", status, text) of
+    parse(argv)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            command, sets, config = parse(argv)
+    except (ConfigError, _Rejected) as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "help", exc.code, out.getvalue()
+    return "ok", command, sets, config
+
+
+REFERENCE = _reference_parser()
+# the words of the draw.  "-x y" is a value, as a word with a space is.  Left out: an
+# ambiguous prefix ("--=x"), which argparse rejects ahead of an earlier -h, and the one
+# pass after it; it is checked below where no -h comes first
+WORDS = ["sweep", "verify", "point", "--set", "--config", "--set=k=v", "--config=p",
+         "--s", "--se", "--c", "--con", "k=v", "seed=1", "-h", "--help", "--", "x", "-x", "-1",
+         "", "-x y"]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(WORDS), max_size=5))
+@example(["point", "--=x"])
+@example(["sweep", "--config", "p", "--=x", "-h"])
+def test_command_line_grammar_is_the_reference_grammar(argv):
+    # the same command, --set values and --config where the reference accepts; the same
+    # one-line error where it rejects; the same help text and status 0 where it prints help
+    def reference(argv):
+        args = REFERENCE.parse_args(argv)
+        return args.command, args.sets, getattr(args, "config", None)
+
+    assert _outcome(cli._parse, argv) == _outcome(reference, argv)
